@@ -141,13 +141,12 @@ def fibonacci_sphere(n_points):
     return np.column_stack([rad * np.cos(theta), rad * np.sin(theta), z])
 
 
-def besicovitch_cover(R, sample_size=100_000, rng=None, prune=True):
+def besicovitch_cover(R, sample_size=100_000, rng=None):
     """Disks of radius e^{-R}/2 covering S^2 with bounded multiplicity.
 
     Returns (disks, report); the report carries the sampled coverage and
     multiplicity measurements.  Centers come from a Fibonacci lattice with
-    spacing LATTICE_SPACING x radius; a conservative greedy prune then
-    drops disks whose lattice cell is provably covered by a neighbour.
+    spacing LATTICE_SPACING x radius, every lattice point one disk.
     """
     radius = math.exp(-R) / 2.0
     if radius > math.pi:
@@ -173,26 +172,11 @@ def besicovitch_cover(R, sample_size=100_000, rng=None, prune=True):
         mult = np.sum(dists <= chord, axis=1)
     cover_rad_sample = 2.0 * math.asin(min(1.0, float(np.max(dists[:, 0])) / 2.0))
 
-    kept = np.ones(n_pts, dtype=bool)
-    n_pruned = 0
-    if prune:
-        # disk i is removable if a surviving neighbour covers i's whole
-        # lattice cell: d(c_i, c_j) <= radius - cell_radius
-        slack = radius - cover_rad_sample
-        if slack > 0.0:
-            pairs = tree.query_pairs(_chord(slack), output_type="ndarray")
-            order = np.argsort(pairs[:, 0])
-            for a, b in pairs[order]:
-                if kept[a] and kept[b]:
-                    kept[b if b > a else a] = False
-                    n_pruned += 1
-    disks = [SphericalDisk(c, radius) for c in centers[kept]]
+    disks = [SphericalDisk(c, radius) for c in centers]
     report = {
         "R": R,
         "radius": radius,
-        "count": int(np.sum(kept)),
-        "count_unpruned": n_pts,
-        "pruned": n_pruned,
+        "count": n_pts,
         "max_multiplicity": int(np.max(mult)),
         "mean_multiplicity": float(np.mean(mult)),
         "covered_fraction": float(np.mean(mult >= 1)),
@@ -365,12 +349,6 @@ class CubeImage:
         d = np.linalg.norm(vs - vc, axis=-1)
         return float(np.min(d)), float(np.max(d))
 
-    def area_estimate(self, rng, k=2048):
-        """Spherical area = integral of the chart Jacobian over the rect."""
-        u = rng.uniform(self.lo, self.hi, size=(k, 2))
-        jac = self.chart.jacobian(u)
-        return float(np.mean(jac)) * float(np.prod(self.hi - self.lo))
-
     def sample_weighted(self, rng, k):
         """Cube-uniform samples with spherical-measure importance weights."""
         u = rng.uniform(self.lo, self.hi, size=(k, 2))
@@ -501,8 +479,10 @@ def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None,
     False reports the best average found (good heights are only
     guaranteed once rho_min exceeds an empirical threshold).
     """
-    rng = rng or np.random.default_rng(0)
     n_slabs_total = int(round(r_max / dr))
+    if n_slabs_total * dr + 1e-9 < 1.0:
+        raise ValueError(f"r_max={r_max} stops below the first candidate height 1")
+    rng = rng or np.random.default_rng(0)
     vals = []
     wts = []
     best = (math.inf, 0.0)

@@ -10,6 +10,14 @@ with phi the standard Gaussian on R^{n-1}.  Extensions anchored at a
 finite boundary point are obtained by conjugating with an isometry that
 carries the anchor to infinity; partial conformal naturality makes the
 result independent of that choice.
+
+The extension itself is never finite-differenced: since
+G(., s) = exp((s^2/2) Delta) f, its Jacobian and diagonal second
+derivatives are Gaussian moments of the same node values the average
+uses (Stein identities, as in the Gaussian-smoothing gradient of
+Nesterov and Spokoiny, Found. Comput. Math. 17, 2017).  `GoodExtension.jet`
+reads them off one set of node evaluations per point, in a frame
+conjugated to unit scale, and feeds energy, distortion and tension.
 """
 
 import numpy as np
@@ -28,8 +36,6 @@ from .geometry import (
 __all__ = [
     "QuadratureRule",
     "GoodExtension",
-    "good_extension_infty",
-    "good_extension_at",
     "anchoring_isometry",
     "check_partial_conformal_naturality",
     "quasi_isometry_constants",
@@ -37,14 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 21
-CHUNK = 4096         # points per plain-evaluation chunk
-TENSION_CHUNK = 512  # tension stencils carry a (stencil x node) grid per point
-DEEP_HEIGHT = 1e-4   # below this, tension uses the local-model evaluation
+CHUNK = 4096         # points per evaluation chunk
+DEEP_HEIGHT = 1e-4   # below this, the jet uses the local-model evaluation
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
-TENSION_ENERGY_STEP = 3e-4  # energy-derivative step inside tension stencils:
-# the 1e-5 step of the boundary module, divided by the squared tension step,
-# leaves ~1e-3 of rounding noise in |tau|, drowning the harmonicity of
-# linear-map extensions; 3e-4 trades invisible truncation for a ~30x lower floor
 
 
 class QuadratureRule:
@@ -74,6 +75,23 @@ class QuadratureRule:
         return vals @ self.weights
 
 
+def _stein_weights(quad):
+    """(Q, 2m+3) weights taking node values u(y_k) to the jet of E u(x + sY) at (0, 1).
+
+    Columns: value; d/dx_i (i < m) and d/ds; d^2/dx_i^2 and d^2/ds^2.  From
+    d_i E u(x + sY) = E[u(x + sY) Y_i] / s and the heat equation
+    d_s E u(sY) = s Delta E u(sY): the Hermite weights Y_i, Y_i^2 - 1,
+    |Y|^2 - m and (|Y|^2 - m)^2 - 3|Y|^2 + m.  Every column but the first
+    integrates constants to zero.
+    """
+    y = quad.nodes
+    m = quad.dim
+    r2 = np.sum(y**2, axis=-1)
+    lap = r2 - m
+    cols = [np.ones_like(r2), *y.T, lap, *(y.T**2 - 1.0), lap**2 - 3.0 * r2 + m]
+    return np.stack(cols, axis=-1) * quad.weights[:, None]
+
+
 def _chunked(n_pts, size=CHUNK):
     for start in range(0, n_pts, size):
         yield slice(start, min(start + size, n_pts))
@@ -93,6 +111,7 @@ class GoodExtension:
         self.order = order
         self.n = f.dim + 1
         self.quad = QuadratureRule(f.dim, order)
+        self._stein = _stein_weights(self.quad)
         if is_infinity(anchor):
             if not f.fixes_infinity:
                 raise ValueError("anchor is infinity but f does not fix infinity")
@@ -109,22 +128,19 @@ class GoodExtension:
 
     # -- plain evaluation ---------------------------------------------------
 
-    def _eval_inf(self, pts, recentre=None):
-        """G_infinity(f_inf) on (..., n) arrays; optional recentring offset."""
+    def _nodes_direct(self, x, s):
+        """f and e(f) at the scaled quadrature nodes x + s y_k, shapes (..., Q[, m])."""
+        args = x[..., None, :] + s[..., None, None] * self.quad.nodes
+        return self.f_inf(args), bd.boundary_energy_density(self.f_inf, args)
+
+    def _eval_inf(self, pts):
+        """G_infinity(f_inf) on (..., n) arrays."""
         pts = np.asarray(pts, dtype=float)
-        f = self.f_inf
-        y = self.quad.nodes
-        w = self.quad.weights
-        x = pts[..., :-1]
         s = pts[..., -1]
-        args = x[..., None, :] + s[..., None, None] * y  # (..., Q, m)
-        fv = f(args)
-        if recentre is not None:
-            fv = fv - recentre[..., None, :]
+        fv, e = self._nodes_direct(pts[..., :-1], s)
+        w = self.quad.weights
         horiz = np.einsum("...qm,q->...m", fv, w)
-        e = bd.boundary_energy_density(f, args)          # (..., Q)
-        avg_e = e @ w
-        vert = s * np.sqrt(avg_e / (self.n - 1))
+        vert = s * np.sqrt((e @ w) / (self.n - 1))
         return np.concatenate([horiz, vert[..., None]], axis=-1)
 
     def __call__(self, pts):
@@ -142,136 +158,105 @@ class GoodExtension:
             out[sl] = self._eval_inf(flat[sl])
         return out.reshape(pts.shape)
 
-    # -- conjugation-stabilised tension --------------------------------------
+    # -- moment jet ----------------------------------------------------------
 
-    def tension_norm(self, pts):
-        """|tau| at pts, stable arbitrarily close to the boundary.
+    def jet(self, pts):
+        """(jac, lap) of the extension at pts in per-point unit frames.
 
-        Conjugates each base point to (0, 1) with similarities on both
-        sides (tension is isometry invariant), so the finite-difference
-        stencil and the Gaussian averages are evaluated at unit scale.
-        """
-        return self.tension_vector(pts)[1]
-
-    def tension_vector(self, pts):
-        """(tau, |tau|) with |tau| in the target metric.
-
-        For finite anchors the vector components live in the conjugated
-        (infinity-anchored) frame at the mapped points; the norms are
-        anchor-invariant, which is all downstream consumers use.
+        Each base point p is carried to (0, ..., 0, 1) and its image G(p)
+        to (0, ..., 0, 1) by similarities on both sides (after the
+        anchoring isometry for finite anchors), so jac (..., n, n) is the
+        Jacobian there and lap (..., n, n) holds the diagonal second
+        derivatives, lap[..., g, i] = d^2 F^g / dx_i^2.  Energy, distortion
+        and tension are isometry invariant, so they can be read off
+        this frame, where base and image heights are both 1.
         """
         pts = np.asarray(pts, dtype=float)
-        flat = np.atleast_2d(pts.reshape(-1, pts.shape[-1]))
+        n = self.n
+        flat = np.atleast_2d(pts.reshape(-1, n))
         if self.mob is not None:
             flat = self.mob.apply(flat)
-        taus = np.empty(flat.shape)
-        norms = np.empty(flat.shape[0])
-        for sl in _chunked(flat.shape[0], TENSION_CHUNK):
-            taus[sl], norms[sl] = self._tension_conjugated(flat[sl])
-        shape = pts.shape[:-1]
-        return taus.reshape(shape + (flat.shape[-1],)), norms.reshape(shape)
+        jac = np.empty((flat.shape[0], n, n))
+        lap = np.empty_like(jac)
+        for sl in _chunked(flat.shape[0]):
+            jac[sl], lap[sl] = self._jet_unit_frame(flat[sl])
+        shape = pts.shape[:-1] + (n, n)
+        return jac.reshape(shape), lap.reshape(shape)
 
-    def _stencil_geometry(self):
-        """Stencil around (0, 1) and the (stencil, node) argument grid eta."""
-        n = self.n
-        h = tn.FD_REL_STEP
-        q = np.zeros((2 * n + 1, n))
-        q[:, -1] = 1.0
-        for i in range(n):
-            q[1 + 2 * i, i] += h
-            q[2 + 2 * i, i] -= h
-        qx = q[:, :-1]
-        qs = q[:, -1]
-        # eta[p, k, :] = qx_p + qs_p * y_k, the scaled quadrature arguments
-        eta = qx[:, None, :] + qs[:, None, None] * self.quad.nodes[None, :, :]
-        return q, qx, qs, eta, h
-
-    def _stencil_vals_direct(self, x0, s0, y0, S0, qs, eta):
-        """Conjugated stencil values with f evaluated at physical points."""
-        f = self.f_inf
-        m = self.n - 1
-        w = self.quad.weights
-        args = x0[:, None, None, :] + s0[:, None, None, None] * eta[None, :, :, :]
-        fv = f(args) - y0[:, None, None, :]            # recentre before summing
-        horiz = np.einsum("bpqm,q->bpm", fv, w) / S0[:, None, None]
-        e = bd.boundary_energy_density(f, args, h_rel=TENSION_ENERGY_STEP)
-        avg_e = np.einsum("bpq,q->bp", e, w)
-        vert = qs[None, :] * (s0 / S0)[:, None] * np.sqrt(avg_e / m)
-        return np.concatenate([horiz, vert[:, :, None]], axis=-1)
-
-    def _stencil_vals_deep(self, x0, s0, y0, S0, qs, eta):
-        """Conjugated stencil values from a local quadratic model of f.
+    def _nodes_deep(self, x0, s0):
+        """f - f(x0) and e(f) at the scaled nodes from the fitted 2-jet of f.
 
         Below DEEP_HEIGHT the quadrature window has radius ~9 s, far under
-        the float64 resolution of f's outputs; evaluating the fitted
-        2-jet of f in scaled coordinates removes that rounding wall (the
-        model error is a smooth O(s^2 |D^3 f|) perturbation).
+        the float64 resolution of f's outputs; evaluating the 2-jet model
+        of f in scaled coordinates removes that rounding wall (the model
+        error is a smooth O(s^2 |D^3 f|) perturbation), and the model
+        Jacobian A + s H[., y] gives the energy without finite differences.
         """
-        f = self.f_inf
+        y = self.quad.nodes
+        A = bd.boundary_jacobian(self.f_inf, x0)              # (B, m, m)
+        H = bd.boundary_hessian(self.f_inf, x0)               # (B, m, m, m)
+        Jmod = A[:, None] + s0[:, None, None, None] * np.einsum("bijk,qk->bqij", H, y)
+        # f(x0 + s y) - f(x0) = s (A + s H[., y] / 2) y
+        step = np.einsum("bqij,qj->bqi", 0.5 * (A[:, None] + Jmod), y)
+        return s0[:, None, None] * step, np.sum(Jmod**2, axis=(-2, -1))
+
+    def _jet_unit_frame(self, pts):
+        """Moment jet of G_infinity(f_inf) at pts, each conjugated to (0, 1).
+
+        With Y ~ N(0, I_m) and u(y) = (f(x0 + s0 y) - y0) / S0, the
+        conjugated horizontal part is E u(x + sY), whose derivatives at
+        (0, 1) are Gaussian moments of u (Stein identities, see
+        `_stein_weights`); the vertical part s sqrt(E e(x + sY) / E e(Y))
+        follows from the same moments of e by the chain rule.
+        """
         m = self.n - 1
-        B = x0.shape[0]
-        P = eta.shape[0]
-        w = self.quad.weights
-        yf = f(x0)
-        A = bd.boundary_jacobian(f, x0)                # (B, m, m)
-        Qt = bd.boundary_hessian(f, x0)                # (B, m, m, m)
-
-        e2 = eta.reshape(-1, m)                        # (P*Q, m)
-        lin = np.matmul(e2[None, :, :], np.swapaxes(A, -1, -2))      # (B, PQ, m)
-        # Q[., eta] as a PQ-batch of m x m matrices contracted with eta
-        Qe = np.matmul(e2[None, :, :], Qt.reshape(B, m * m, m).swapaxes(-1, -2))
-        Qe = Qe.reshape(B, -1, m, m)                   # (B, PQ, m, m) = Q[i, j, eta]
-        quad_term = 0.5 * np.einsum("bpij,pj->bpi", Qe, e2)
-        base_shift = (yf - y0) / S0[:, None]
-        scale = (s0 / S0)[:, None, None]
-        fv = base_shift[:, None, :] + scale * (lin + s0[:, None, None] * quad_term)
-        horiz = np.einsum("bpqm,q->bpm", fv.reshape(B, P, -1, m), w)
-        # model Jacobian Df(x0 + s eta) = A + s Q[., eta]; energy is its
-        # squared Frobenius norm, no finite differences needed
-        Jmod = A[:, None, :, :] + s0[:, None, None, None] * Qe
-        e = np.sum(Jmod**2, axis=(-2, -1)).reshape(B, P, -1)
-        avg_e = np.einsum("bpq,q->bp", e, w)
-        vert = qs[None, :] * (s0 / S0)[:, None] * np.sqrt(avg_e / m)
-        return np.concatenate([horiz, vert[:, :, None]], axis=-1)
-
-    def _tension_conjugated(self, pts):
-        """Tension of G_infinity(f_inf) at pts via per-point conjugation."""
-        B = pts.shape[0]
         x0 = pts[:, :-1]
         s0 = pts[:, -1]
-        base = self._eval_inf(pts)
-        y0 = base[:, :-1]
-        S0 = base[:, -1]
-
-        q, qx, qs, eta, h = self._stencil_geometry()
         deep = s0 < DEEP_HEIGHT
         for sp in self.f_inf.singular_points:
             d_sing = np.linalg.norm(x0 - np.asarray(sp, dtype=float), axis=-1)
             deep &= d_sing > np.maximum(30.0 * s0, DEEP_GUARD)
-        vals = np.empty((B, q.shape[0], self.n))
-        if np.any(~deep):
-            idx = ~deep
-            vals[idx] = self._stencil_vals_direct(
-                x0[idx], s0[idx], y0[idx], S0[idx], qs, eta
-            )
-        if np.any(deep):
-            vals[deep] = self._stencil_vals_deep(
-                x0[deep], s0[deep], y0[deep], S0[deep], qs, eta
-            )
+        fv = np.empty(x0.shape[:1] + self.quad.nodes.shape)
+        e = np.empty(fv.shape[:-1])
+        for idx, nodes in ((~deep, self._nodes_direct), (deep, self._nodes_deep)):
+            if np.any(idx):
+                fv[idx], e[idx] = nodes(x0[idx], s0[idx])
 
-        val = vals[:, 0, :]
-        plus = vals[:, 1::2, :]                        # (B, n, n): F(q + h e_i)
-        minus = vals[:, 2::2, :]
-        jac = np.swapaxes((plus - minus) / (2.0 * h), -1, -2)
-        lap = np.swapaxes((plus - 2.0 * val[:, None, :] + minus) / h**2, -1, -2)
-        return tn.tension_from_jet(val, jac, lap, np.ones(B))
+        W = self._stein
+        mom_e = e @ W                                      # (B, 2m + 3)
+        S0 = s0 * np.sqrt(mom_e[:, 0] / m)
+        # the derivative columns of W sum to zero, so recentring by y0 is
+        # implicit and u's moments are f's divided by S0
+        mom_f = np.einsum("bqg,qk->bkg", fv, W[:, 1:]) / S0[:, None, None]
+        jac = np.empty((len(pts), m + 1, m + 1))
+        lap = np.empty_like(jac)
+        jac[:, :m] = np.swapaxes(mom_f[:, : m + 1], -1, -2)
+        lap[:, :m] = np.swapaxes(mom_f[:, m + 1 :], -1, -2)
+        # vertical part s sqrt(r), r = E e(x + sY) / E e(Y)
+        r = mom_e[:, 1:] / mom_e[:, :1]
+        d1 = 0.5 * r[:, : m + 1]                           # first derivatives of sqrt(r)
+        jac[:, m] = d1
+        jac[:, m, m] += 1.0
+        lap[:, m] = 0.5 * r[:, m + 1 :] - d1**2
+        lap[:, m, m] += 2.0 * d1[:, m]
+        return jac, lap
 
+    # -- tension -------------------------------------------------------------
 
-def good_extension_infty(f, p, order=DEFAULT_ORDER):
-    """Evaluate the infinity-anchored good extension of f at p."""
-    ext = GoodExtension(f, INFINITY, order)
-    pc = np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
-    return ext(pc)
+    def tension_norm(self, pts):
+        """|tau| at pts, stable arbitrarily close to the boundary."""
+        return self.tension_vector(pts)[1]
+
+    def tension_vector(self, pts):
+        """(tau, |tau|) from the moment jet, |tau| in the target metric.
+
+        The vector components live in the per-point unit frames of `jet`;
+        the norms are frame-invariant, which is all downstream consumers use.
+        """
+        jac, lap = self.jet(pts)
+        val = np.zeros(jac.shape[:-1])
+        val[..., -1] = 1.0
+        return tn.tension_from_jet(val, jac, lap, np.ones(val.shape[:-1]))
 
 
 def anchoring_isometry(a, n=3):
@@ -316,13 +301,6 @@ def _project_to_boundary(xi):
     if xi[-1] > 1.0 - 1e-14:
         return INFINITY
     return xi[:-1] / (1.0 - xi[-1])
-
-
-def good_extension_at(a, f, p, order=DEFAULT_ORDER):
-    """Evaluate the extension anchored at a (must be fixed by f) at p."""
-    ext = GoodExtension(f, a, order)
-    pc = np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
-    return ext(pc)
 
 
 def check_partial_conformal_naturality(f, I, J, a, b, pts, order=DEFAULT_ORDER):

@@ -24,7 +24,6 @@ __all__ = [
     "horocyclic_to_euclidean",
     "euclidean_to_horocyclic",
     "boundary_antipode",
-    "random_point",
 ]
 
 ORTHO_TOL = 1e-12
@@ -98,11 +97,6 @@ def dist(p, q):
     sp = pc[..., -1]
     sq = qc[..., -1]
     return 2.0 * np.arcsinh(np.sqrt(dd / (4.0 * sp * sq)))
-
-
-def hyperbolic_norm(v, s):
-    """Norm of a tangent vector v (Euclidean components) at height s."""
-    return np.linalg.norm(np.asarray(v, dtype=float), axis=-1) / s
 
 
 def geodesic_step(p, v, t):
@@ -479,10 +473,3 @@ def horocyclic_to_euclidean(c):
 def euclidean_to_horocyclic(p):
     p = p if isinstance(p, Point) else Point.from_coords(p)
     return HorocyclicCoord(p.x, -np.log(p.s))
-
-
-def random_point(rng, n=3, box=2.0, s_range=(0.2, 5.0)):
-    """Uniform sample in a coordinate box, for tests and sweeps."""
-    x = rng.uniform(-box, box, size=n - 1)
-    s = np.exp(rng.uniform(np.log(s_range[0]), np.log(s_range[1])))
-    return Point(x, s)

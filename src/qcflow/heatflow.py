@@ -70,6 +70,7 @@ class FlowGrid:
     """Map values on a coordinate grid with a frozen boundary layer."""
 
     def __init__(self, box, resolution, values, n=3):
+        """values: node values (..., n), or a map evaluated at the nodes."""
         X, s_lo, s_hi = box
         if s_lo <= 0:
             raise ValueError("box must sit strictly inside the half-space")
@@ -86,6 +87,8 @@ class FlowGrid:
         self.spacings = np.array([ax[1] - ax[0] for ax in axes])
         mesh = np.meshgrid(*axes, indexing="ij")
         self.nodes = np.stack(mesh, axis=-1)          # (..., n)
+        if callable(values):
+            values = values(self.nodes)
         self.u = np.array(values, dtype=float, copy=True)
         if self.u.shape != self.nodes.shape:
             raise ValueError("values shape does not match the grid")
@@ -95,11 +98,7 @@ class FlowGrid:
 
     @classmethod
     def from_map(cls, mapping, box, resolution, n=3):
-        grid = cls.__new__(cls)
-        FlowGrid.__init__(
-            grid, box, resolution, _init_values(mapping, box, resolution, n), n
-        )
-        return grid
+        return cls(box, resolution, mapping, n)
 
     def interior(self, margin=1):
         return tuple(slice(margin, -margin) for _ in range(self.n))
@@ -151,16 +150,6 @@ class FlowGrid:
         return float(np.max(dist(self.u, other_values)))
 
 
-def _init_values(mapping, box, resolution, n):
-    X, s_lo, s_hi = box
-    if isinstance(resolution, int):
-        resolution = (resolution,) * n
-    axes = [np.linspace(-X, X, resolution[i]) for i in range(n - 1)]
-    axes.append(np.linspace(s_lo, s_hi, resolution[-1]))
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return mapping(nodes)
-
-
 def init_flow(f, box, resolution, n=3, order=None):
     """Grid carrying the good extension of the boundary map f."""
     from .extension import DEFAULT_ORDER, GoodExtension
@@ -170,7 +159,7 @@ def init_flow(f, box, resolution, n=3, order=None):
 
 
 def cfl_time_step(grid):
-    """Stability-limited step 0.1 (min spacing / s_hi)^2."""
+    """Stability-limited step CFL_COEFF (min spacing / s_hi)^2."""
     return CFL_COEFF * (float(np.min(grid.spacings)) / grid.box[2]) ** 2
 
 

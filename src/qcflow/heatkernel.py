@@ -166,21 +166,6 @@ class RadialKernel:
         edges = _annulus_edges(t, self.n)
         return _panel_quad(lambda r: self.radial_mass_density(r, t), edges)
 
-    def truncation_tail_bound(self, t, hi):
-        """Upper bound on the mass beyond hi, from the upper envelope."""
-        # envelope * omega * sinh^{n-1} <= c (1+rho)(1+rho+t)^{(n-3)/2}
-        #   * exp(-(rho-(n-1)t)^2/4t) * omega / 2^{n-1}
-        n = self.n
-        st = math.sqrt(t)
-        r0 = (hi - (n - 1) * t) / st
-        if r0 < 2.0:
-            return math.inf
-        c = ENV_UPPER * sphere_area(n) / 2 ** (n - 1) * t ** (-n / 2.0)
-        poly = (1.0 + hi + t) ** ((n - 3) / 2.0) * (1.0 + hi)
-        # int_{r0}^inf poly-ish e^{-r^2/4} sqrt(t) dr, crude r <= poly(hi) bound
-        gauss_tail = math.sqrt(math.pi) * math.erfc(r0 / 2.0)
-        return c * poly * st * gauss_tail * 2.0
-
 
 def _log_sinh(x):
     """log(sinh x), overflow-safe for large x."""

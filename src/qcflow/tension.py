@@ -4,7 +4,8 @@ All operators work in upper half-space coordinates.  Derivatives are
 central finite differences with step proportional to the height of the
 base point, so accuracy is uniform in the hyperbolic metric.  The metric
 is diagonal, so the tension contraction only needs the diagonal second
-derivatives.
+derivatives.  Maps that carry their own evaluators (good extensions, with
+a `jet` and a `tension_norm` method) are dispatched to them.
 """
 
 from dataclasses import dataclass, field
@@ -185,8 +186,13 @@ def tension_norm(F, pts):
 
 
 def energy_density(F, pts, h_rel=FD_REL_STEP):
-    """e(F) = 1/2 g^{ij} h_{ab} dF^a_i dF^b_j = (s/S)^2 |dF|_F^2 / 2."""
+    """e(F) = 1/2 g^{ij} h_{ab} dF^a_i dF^b_j = (s/S)^2 |dF|_F^2 / 2.
+
+    A map's own `jet` is taken in unit frames, where s/S = 1.
+    """
     pts = np.asarray(pts, dtype=float)
+    if hasattr(F, "jet"):
+        return 0.5 * np.sum(F.jet(pts)[0] ** 2, axis=(-2, -1))
     val, jac, _ = _jac_lap(F, pts, h_rel)
     S = val[..., -1]
     s = pts[..., -1]
@@ -197,10 +203,14 @@ def map_distortion(F, pts, h_rel=FD_REL_STEP):
     """Ratio of extreme singular values of the metric-normalised differential.
 
     The s/S normalisation cancels in the ratio, so this is the singular
-    value ratio of the coordinate Jacobian; inf for singular differentials.
+    value ratio of the coordinate Jacobian (a map's own `jet` when present);
+    inf for singular differentials.
     """
     pts = np.asarray(pts, dtype=float)
-    _, jac, _ = _jac_lap(F, pts, h_rel)
+    if hasattr(F, "jet"):
+        jac = F.jet(pts)[0]
+    else:
+        _, jac, _ = _jac_lap(F, pts, h_rel)
     sv = np.linalg.svd(jac, compute_uv=False)
     smin = sv[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -232,6 +232,14 @@ def test_find_good_height_fails_near_center(ext_stretch):
     assert res["mean"] > 1e-6
 
 
+def test_find_good_height_rejects_r_max_below_one(ext_stretch):
+    # with r_max < 1 no slab reaches the first candidate height
+    d = SphericalDisk(np.array([0.0, 0.0, -1.0]), math.exp(-4.0))
+    with pytest.raises(ValueError, match="r_max"):
+        find_good_height(FRAME, 4.0, d, 0.01, 0.5, tension_sq_field(ext_stretch),
+                         rng=np.random.default_rng(11), n_slab=16)
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 
