@@ -17,10 +17,10 @@ import numpy as np
 
 from . import covering as cov
 from . import heatflow as hf
-from .boundary import make_boundary_map
+from .boundary import CATALOG, make_boundary_map
 from .extension import GoodExtension
 from .geometry import PolarFrame, Point
-from .heatkernel import RadialKernel, annulus_tail_mass, l_of_eps
+from .heatkernel import AnnulusSpec, RadialKernel, annulus_tail_mass, l_of_eps
 from .tension import energy_density, map_distortion, tension_norm
 
 __all__ = ["main"]
@@ -63,17 +63,29 @@ def _parse_config(path, allowed):
     return cfg
 
 
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _get(cfg, key, default, kind=float):
+    """cfg[key] read as kind, or default when absent; bad values name the key."""
+    if key not in cfg:
+        return default
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        raise ConfigError(f"{key}={cfg[key]!r} is not a valid value") from None
+
+
 def _boundary_from_config(cfg):
     name = cfg.get("map", "identity")
+    if name not in CATALOG:
+        raise ConfigError(f"map={name!r} is not one of {', '.join(CATALOG)}")
     if name == "linear":
-        flat = [float(v) for v in cfg.get("matrix", "2,0,0,1").split(",")]
+        flat = _get(cfg, "matrix", [2.0, 0.0, 0.0, 1.0], _floats)
         m = int(math.isqrt(len(flat)))
         return make_boundary_map("linear", matrix=np.array(flat).reshape(m, m))
-    params = {}
-    if "K" in cfg:
-        params["K"] = float(cfg["K"])
-    if "c" in cfg:
-        params["c"] = float(cfg["c"])
+    params = {key: _get(cfg, key, None) for key in ("K", "c") if key in cfg}
     return make_boundary_map(name, **params)
 
 
@@ -91,11 +103,11 @@ def _fmt(v):
 def cmd_extend(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
-    box_x = float(cfg.get("box_x", 1.0))
-    s_lo = float(cfg.get("s_lo", 0.25))
-    s_hi = float(cfg.get("s_hi", 2.0))
-    nx = int(cfg.get("nx", 7))
-    ns = int(cfg.get("ns", 5))
+    box_x = _get(cfg, "box_x", 1.0)
+    s_lo = _get(cfg, "s_lo", 0.25)
+    s_hi = _get(cfg, "s_hi", 2.0)
+    nx = _get(cfg, "nx", 7, int)
+    ns = _get(cfg, "ns", 5, int)
     xs = np.linspace(-box_x, box_x, nx)
     ss = np.geomspace(s_lo, s_hi, ns)
     grid = np.stack(np.meshgrid(xs, xs, ss, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -122,12 +134,14 @@ def cmd_extend(cfg, out, seed, order):
 
 def cmd_flow(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
-    box = (float(cfg.get("box_x", 2.0)), float(cfg.get("s_lo", 0.25)),
-           float(cfg.get("s_hi", 4.0)))
-    res = int(cfg.get("resolution", 17))
-    t_end = float(cfg.get("t_end", 0.1))
-    dt = float(cfg["dt"]) if "dt" in cfg else None
-    rec = int(cfg["record_every"]) if "record_every" in cfg else None
+    box = (_get(cfg, "box_x", 2.0), _get(cfg, "s_lo", 0.25), _get(cfg, "s_hi", 4.0))
+    res = _get(cfg, "resolution", 17, int)
+    if res < 2 * hf.STATS_MARGIN + 1:
+        raise ConfigError(f"resolution={res} is below the tension stencil's "
+                          f"minimum {2 * hf.STATS_MARGIN + 1}")
+    t_end = _get(cfg, "t_end", 0.1)
+    dt = _get(cfg, "dt", None)
+    rec = _get(cfg, "record_every", None, int)
     grid, _ = hf.init_flow(f, box, res, order=order)
     trace, _, _ = hf.run_flow(grid, t_end=t_end, dt=dt, record_every=rec)
     if trace.aborted:
@@ -137,9 +151,9 @@ def cmd_flow(cfg, out, seed, order):
 
 
 def cmd_kernel(cfg, out, seed, order):
-    t = float(cfg.get("t", 16.0))
-    r_span = float(cfg.get("r_span", 6.0))
-    n_rho = int(cfg.get("n_rho", 201))
+    t = _get(cfg, "t", 16.0)
+    r_span = _get(cfg, "r_span", 6.0)
+    n_rho = _get(cfg, "n_rho", 201, int)
     kern = RadialKernel(3)
 
     mass = kern.total_mass(t)
@@ -174,16 +188,19 @@ def cmd_kernel(cfg, out, seed, order):
 def cmd_cover(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
-    t = float(cfg.get("t", 16.0))
-    eps = float(cfg.get("eps", 0.1))
+    t = _get(cfg, "t", 16.0)
+    eps = _get(cfg, "eps", 0.1)
+    if AnnulusSpec(t, l_of_eps(eps)).r_in <= 0:
+        raise ConfigError(f"t={t}: the main annulus at eps={eps} reaches the center; "
+                          "increase t")
     frame = PolarFrame(Point([0.0, 0.0], 1.0))
     rep = cov.cover_annulus(
         frame, t, eps, lambda p: ext.tension_norm(p) ** 2,
-        r0=float(cfg.get("r0", 8.0)),
-        max_cylinders=int(cfg.get("max_cylinders", 2)),
-        enumeration_cap=int(cfg.get("enumeration_cap", 6)),
-        audit_branches=int(cfg.get("audit_branches", 2)),
-        n_slab=int(cfg.get("n_slab", 128)),
+        r0=_get(cfg, "r0", 8.0),
+        max_cylinders=_get(cfg, "max_cylinders", 2, int),
+        enumeration_cap=_get(cfg, "enumeration_cap", 6, int),
+        audit_branches=_get(cfg, "audit_branches", 2, int),
+        n_slab=_get(cfg, "n_slab", 128, int),
         seed=seed,
     )
     for c in rep.cylinders:
@@ -207,10 +224,10 @@ def cmd_cover(cfg, out, seed, order):
 def cmd_goodset(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
-    eps = float(cfg.get("eps", 0.1))
-    n_x = int(cfg.get("n_x", 200))
-    box_x = float(cfg.get("box_x", 1.0))
-    heights = [float(v) for v in cfg.get("heights", "1e-1,1e-2,1e-3").split(",")]
+    eps = _get(cfg, "eps", 0.1)
+    n_x = _get(cfg, "n_x", 200, int)
+    box_x = _get(cfg, "box_x", 1.0)
+    heights = _get(cfg, "heights", [1e-1, 1e-2, 1e-3], _floats)
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n_x, 2))
     r = box_x * np.sqrt(u[:, 0])
@@ -259,8 +276,10 @@ def main(argv=None):
 
     try:
         cfg = _parse_config(args.config, _KEYS[args.command])
-        seed = int(cfg.get("seed", args.seed))
-        order = int(cfg.get("quad_order", args.quad_order))
+        seed = _get(cfg, "seed", args.seed, int)
+        order = _get(cfg, "quad_order", args.quad_order, int)
+        if order < 1:
+            raise ConfigError(f"quad_order={order} must be at least 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, seed, order)

@@ -1,7 +1,8 @@
 """Sector coverings of the main annulus.
 
 Besicovitch-style disk covers of S^2 are built from a Fibonacci-spiral
-lattice with spacing 0.9 x disk radius; the overlap multiplicity is a
+lattice with spacing 0.9 x disk radius and held as one (N, 3) array of
+unit centers, all disks sharing one radius; the overlap multiplicity is a
 measured constant.  Cylinders over the main annulus are partitioned into
 admissible sectors by stacking: each good sector's top face, viewed as a
 Euclidean cube through a bi-Lipschitz chart, is partitioned into subcubes
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PolarFrame
-from .heatkernel import l_of_eps
+from .heatkernel import AnnulusSpec, l_of_eps
 
 __all__ = [
     "SphericalDisk",
@@ -31,8 +32,6 @@ __all__ = [
     "AdmissibilityCertificate",
     "besicovitch_cover",
     "fibonacci_sphere",
-    "build_cylinders",
-    "cube_to_disk",
     "partition_cube",
     "admissibility_check",
     "sector_average",
@@ -144,9 +143,10 @@ def fibonacci_sphere(n_points):
 def besicovitch_cover(R, sample_size=100_000, rng=None):
     """Disks of radius e^{-R}/2 covering S^2 with bounded multiplicity.
 
-    Returns (disks, report); the report carries the sampled coverage and
-    multiplicity measurements.  Centers come from a Fibonacci lattice with
-    spacing LATTICE_SPACING x radius, every lattice point one disk.
+    Returns (centers, report): centers is the (count, 3) array of unit
+    vectors of a Fibonacci lattice with spacing LATTICE_SPACING x radius,
+    each the center of one disk of radius report["radius"]; the report
+    also carries the sampled coverage and multiplicity measurements.
     """
     radius = math.exp(-R) / 2.0
     if radius > math.pi:
@@ -172,7 +172,6 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         mult = np.sum(dists <= chord, axis=1)
     cover_rad_sample = 2.0 * math.asin(min(1.0, float(np.max(dists[:, 0])) / 2.0))
 
-    disks = [SphericalDisk(c, radius) for c in centers]
     report = {
         "R": R,
         "radius": radius,
@@ -182,28 +181,7 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         "covered_fraction": float(np.mean(mult >= 1)),
         "covering_radius_sample": cover_rad_sample,
     }
-    return disks, report
-
-
-@dataclass
-class Cylinder:
-    """[R_in, R_out] x D_i in geodesic polar coordinates."""
-
-    disk: SphericalDisk
-    r_in: float
-    r_out: float
-
-    def measure(self):
-        """d rho d zeta measure."""
-        return (self.r_out - self.r_in) * self.disk.area()
-
-
-def build_cylinders(t, eps, cover, n=3):
-    """Cylinders over the main annulus from a disk cover built at R_in."""
-    l = l_of_eps(eps)
-    r_in = (n - 1) * t - l * math.sqrt(t)
-    r_out = (n - 1) * t + l * math.sqrt(t)
-    return [Cylinder(d, r_in, r_out) for d in cover]
+    return centers, report
 
 
 class CubeToDisk:
@@ -291,11 +269,6 @@ class CubeToDisk:
         ok = dE > 1e-12
         ratio = dS[ok] / dE[ok]
         return float(max(np.max(ratio), 1.0 / np.min(ratio)))
-
-
-def cube_to_disk(disk):
-    """Chart from the cube E (side 2 x radius = e^{-R}) onto the disk."""
-    return CubeToDisk(disk)
 
 
 @dataclass
@@ -411,7 +384,7 @@ def admissibility_check(omega, rho_min, alpha, n_witness=256, rng=None):
     pts = inner.sample(rng, n_witness)
     if not np.all(omega.contains(pts)):
         return None
-    pts = omega.sample(rng, n_witness) if hasattr(omega, "sample") else pts
+    pts = omega.sample(rng, n_witness)
     if not np.all(outer.contains(pts)):
         return None
     return AdmissibilityCertificate(alpha, inner, outer, rho_min)
@@ -610,9 +583,8 @@ def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
     rng = np.random.default_rng(seed)
     delta = eps if delta is None else delta
     r_max = r_max if r_max is not None else r0
-    l = l_of_eps(eps)
-    r_in = (n - 1) * t - l * math.sqrt(t)
-    r_out = (n - 1) * t + l * math.sqrt(t)
+    annulus = AnnulusSpec(t, l_of_eps(eps), n)
+    r_in, r_out = annulus.r_in, annulus.r_out
     if r_in <= 0:
         raise ValueError("main annulus touches the center; increase t")
 
@@ -623,10 +595,10 @@ def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
         chosen = disks[:max_cylinders]
         n_est = float(len(disks))
     elif n_est <= MAX_FULL_COVER:
-        cover, cover_report = besicovitch_cover(r_in, rng=rng)
-        step = max(1, len(cover) // max_cylinders)
-        chosen = cover[::step][:max_cylinders]
-        n_est = float(len(cover))
+        centers, cover_report = besicovitch_cover(r_in, rng=rng)
+        step = max(1, len(centers) // max_cylinders)
+        chosen = [SphericalDisk(c, radius) for c in centers[::step][:max_cylinders]]
+        n_est = float(len(centers))
     else:
         # sampled cylinders from the (virtual) cover: uniform random centers
         z = rng.uniform(-1.0, 1.0, size=max_cylinders)

@@ -49,6 +49,27 @@ def test_unknown_key_exits_one(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "cmd,cfg_text,flags,key",
+    [
+        ("extend", "map=radial_stretch\nK=abc\n", [], "K"),
+        ("extend", "map=bogus\n", [], "map"),
+        ("extend", "map=identity\nnx=2\nns=2\n", ["--quad-order", "0"], "quad_order"),
+        ("flow", "map=identity\nresolution=2\n", [], "resolution"),
+        ("cover", "map=identity\nt=1\n", [], "t"),
+    ],
+    ids=["K", "map", "quad_order", "resolution", "t"],
+)
+def test_bad_value_is_one_line_config_error(tmp_path, capsys, cmd, cfg_text, flags, key):
+    cfg = write_cfg(tmp_path, cfg_text)
+    rc = main([cmd, "--config", cfg, "--out", str(tmp_path / "o"), *flags])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error:")
+    assert f"{key}=" in lines[0]
+
+
 def test_malformed_line_exits_one(tmp_path):
     cfg = write_cfg(tmp_path, "just a line without equals\n")
     rc = main(["extend", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -7,14 +7,13 @@ from qcflow.covering import (
     BETA_IMPL,
     L0_IMPL,
     CubeImage,
+    CubeToDisk,
     Sector,
     SphericalDisk,
     admissibility_check,
     admissibility_factor,
     besicovitch_cover,
-    build_cylinders,
     cover_annulus,
-    cube_to_disk,
     fibonacci_sphere,
     find_good_height,
     partition_cube,
@@ -41,17 +40,17 @@ def test_fibonacci_sphere_on_unit_sphere():
 
 def test_coarse_cover_few_disks():
     # e^{-R}/2 = pi/2 at R = -log(pi): a handful of large caps suffice
-    disks, rep = besicovitch_cover(-math.log(math.pi), sample_size=5000)
+    _, rep = besicovitch_cover(-math.log(math.pi), sample_size=5000)
     assert rep["covered_fraction"] == 1.0
     assert rep["count"] <= 30
     assert rep["max_multiplicity"] <= BETA_IMPL
 
 
 def test_cover_radius_and_count_growth():
-    disks3, rep3 = besicovitch_cover(3.0, sample_size=20000)
+    _, rep3 = besicovitch_cover(3.0, sample_size=20000)
     assert rep3["radius"] == pytest.approx(math.exp(-3.0) / 2.0)
     assert rep3["radius"] == pytest.approx(0.0249, abs=1e-3)
-    disks4, rep4 = besicovitch_cover(4.0, sample_size=20000)
+    _, rep4 = besicovitch_cover(4.0, sample_size=20000)
     ratio = rep4["count"] / rep3["count"]
     assert math.e**2 / 2.0 <= ratio <= 2.0 * math.e**2
 
@@ -63,16 +62,12 @@ def test_cover_coverage_and_multiplicity():
         assert rep["max_multiplicity"] <= BETA_IMPL
 
 
-def test_build_cylinders_arithmetic():
-    # t = 25, l = 2 puts the main annulus at rho in [40, 60]
-    from qcflow.heatkernel import C3_TAIL
-
-    eps = C3_TAIL / math.exp(0.5)  # l(eps) = 2
-    whole = SphericalDisk(np.array([0.0, 0.0, 1.0]), math.pi)
-    cyls = build_cylinders(25.0, eps, [whole])
-    assert len(cyls) == 1
-    assert cyls[0].r_in == pytest.approx(40.0)
-    assert cyls[0].r_out == pytest.approx(60.0)
+def test_cover_is_the_lattice_center_array():
+    centers, rep = besicovitch_cover(3.0, sample_size=2000)
+    assert isinstance(centers, np.ndarray)
+    assert centers.shape == (rep["count"], 3)
+    assert np.array_equal(centers, fibonacci_sphere(rep["count"]))
+    assert np.allclose(np.linalg.norm(centers, axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +75,7 @@ def test_build_cylinders_arithmetic():
 
 def test_chart_center_and_roundtrip():
     d = SphericalDisk(np.array([1.0, 0.0, 0.0]), 0.02)
-    B = cube_to_disk(d)
+    B = CubeToDisk(d)
     assert np.allclose(B.forward(np.zeros(2)), d.center)
     rng = np.random.default_rng(0)
     u = rng.uniform(-0.02, 0.02, size=(200, 2))
@@ -91,14 +86,14 @@ def test_chart_bilipschitz_constant_stable():
     rng = np.random.default_rng(1)
     for R in (3.0, 5.0, 8.0):
         d = SphericalDisk(np.array([0.0, 0.0, 1.0]), math.exp(-R) / 2.0)
-        L = cube_to_disk(d).measured_bilipschitz(rng, n_pairs=10_000)
+        L = CubeToDisk(d).measured_bilipschitz(rng, n_pairs=10_000)
         assert L <= L0_IMPL
 
 
 def test_chart_image_contains_concentric_disk():
     R = 4.0
     d = SphericalDisk(np.array([0.0, 1.0, 0.0]), math.exp(-R) / 2.0)
-    B = cube_to_disk(d)
+    B = CubeToDisk(d)
     inner = SphericalDisk(d.center, math.exp(-R) / (2.0 * L0_IMPL))
     rng = np.random.default_rng(2)
     pts = inner.sample(rng, 2000)
@@ -108,14 +103,14 @@ def test_chart_image_contains_concentric_disk():
 
 def test_chart_rejects_large_caps():
     with pytest.raises(ValueError):
-        cube_to_disk(SphericalDisk(np.array([0.0, 0.0, 1.0]), 0.5))
+        CubeToDisk(SphericalDisk(np.array([0.0, 0.0, 1.0]), 0.5))
 
 
 def test_chart_resolves_sub_epsilon_cells():
     # tangent-plane geometry keeps full relative precision at depths where
     # unit vectors collapse
     d = SphericalDisk(np.array([0.0, 0.0, 1.0]), math.exp(-21.0) / 2.0)
-    B = cube_to_disk(d)
+    B = CubeToDisk(d)
     side = math.exp(-33.0)
     lo = np.array([3e-10, 1e-10])
     ci = CubeImage(B, lo, lo + side)
@@ -161,7 +156,7 @@ def test_admissibility_disk_cases():
 
 def test_admissibility_cube_image():
     rho = 5.0
-    chart = cube_to_disk(SphericalDisk(np.array([0.0, 0.0, 1.0]), 0.05))
+    chart = CubeToDisk(SphericalDisk(np.array([0.0, 0.0, 1.0]), 0.05))
     alpha = admissibility_factor(3)
     rng = np.random.default_rng(4)
     for side_fac in (1.0, 1.5, 2.0):
@@ -292,5 +287,10 @@ def test_cover_annulus_materialised_cover_branch(ext_linear):
     assert rep.cover_report  # the real cover was built and measured
     assert rep.cover_report["covered_fraction"] == 1.0
     assert len(rep.cylinders) == 2
-    for c in rep.cylinders:
+    # the cylinders sit over the strided lattice centers of the cover
+    count = rep.cover_report["count"]
+    lattice = fibonacci_sphere(count)[::max(1, count // 2)][:2]
+    for c, center in zip(rep.cylinders, lattice):
+        assert np.array_equal(c.disk.center, center)
+        assert c.disk.radius == rep.cover_report["radius"]
         assert c.disjoint and c.contained and c.all_good
