@@ -1,8 +1,10 @@
 """Experiment runner: extend | flow | kernel | cover | goodset.
 
-Configuration is a flat key=value file plus the overrides --out, --seed
-and --quad-order; unknown keys are rejected.  All Monte Carlo is driven
-by the seed, so outputs are byte-identical across runs.  Exit codes:
+Configuration is a flat key=value file checked against SCHEMA, which
+gives every key of every command its parser, default and allowed range;
+unknown keys and out-of-range values are rejected.  The flags --out,
+--seed and --quad-order set the rest.  All Monte Carlo is driven by the
+seed, so outputs are byte-identical across runs.  Exit codes:
 0 success, 1 configuration error, 2 internal contract violation (the
 violated check is named on stderr).
 """
@@ -12,6 +14,7 @@ import csv
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +23,8 @@ from . import heatflow as hf
 from .boundary import CATALOG, make_boundary_map
 from .extension import GoodExtension
 from .geometry import PolarFrame, Point
-from .heatkernel import AnnulusSpec, RadialKernel, annulus_tail_mass, l_of_eps
-from .tension import energy_density, map_distortion, tension_norm
+from .heatkernel import C3_TAIL, AnnulusSpec, RadialKernel, annulus_tail_mass, l_of_eps
+from .tension import energy_density, good_set_membership, map_distortion, tension_norm
 
 __all__ = ["main"]
 
@@ -34,59 +37,138 @@ class ContractViolation(Exception):
     pass
 
 
-_COMMON_KEYS = {"map", "K", "c", "matrix", "seed", "quad_order"}
-_KEYS = {
-    "extend": _COMMON_KEYS | {"box_x", "s_lo", "s_hi", "nx", "ns"},
-    "flow": _COMMON_KEYS | {"box_x", "s_lo", "s_hi", "resolution", "t_end", "dt",
-                            "record_every"},
-    "kernel": _COMMON_KEYS | {"t", "r_span", "n_rho"},
-    "cover": _COMMON_KEYS | {"t", "eps", "r0", "max_cylinders", "enumeration_cap",
-                             "audit_branches", "n_slab", "svg"},
-    "goodset": _COMMON_KEYS | {"eps", "n_x", "heights", "box_x"},
+class Key(NamedTuple):
+    """One config key: parser, default and allowed range."""
+
+    parse: object     # config text -> value; ValueError when malformed
+    default: object   # config text, or None when the key has no value
+    allowed: str      # the range, as stated in errors and the README
+    ok: object = None  # value -> bool; None accepts every parsed value
+
+
+def _real(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(text)
+    return v
+
+
+def _reals(text):
+    return [_real(v) for v in text.split(",")]
+
+
+def _matrix(text):
+    return np.array(_reals(text)).reshape(2, 2)
+
+
+def _bool(text):
+    if text.lower() not in ("0", "1", "false", "true"):
+        raise ValueError(text)
+    return text.lower() in ("1", "true")
+
+
+def _above(default, lo):
+    return Key(_real, default, f"number > {lo}", lambda v: v > lo)
+
+
+def _at_least(default, lo):
+    return Key(_real, default, f"number >= {lo}", lambda v: v >= lo)
+
+
+def _count(default, lo=1):
+    return Key(int, default, f"integer >= {lo}", lambda v: v >= lo)
+
+
+# Every config key of every command: its parser, default and allowed range.
+_COMMON = {
+    "map": Key(str, "identity", ", ".join(CATALOG), lambda v: v in CATALOG),
+    "matrix": Key(_matrix, "2,0,0,1", "nonsingular 2x2, row-major",
+                  lambda A: np.linalg.matrix_rank(A) == 2),
+    "K": _at_least("1.5", 1),
+    "c": Key(_real, "0.5", "number"),
+}
+SCHEMA = {
+    "extend": {
+        **_COMMON,
+        "box_x": _above("1.0", 0),
+        "s_lo": _above("0.25", 0),
+        "s_hi": _above("2.0", 0),
+        "nx": _count("7"),
+        "ns": _count("5"),
+    },
+    "flow": {
+        **_COMMON,
+        "box_x": _above("2.0", 0),
+        "s_lo": _above("0.25", 0),
+        "s_hi": _above("4.0", 0),
+        "resolution": _count("17", 2 * hf.STATS_MARGIN + 1),
+        "t_end": _above("0.1", 0),
+        "dt": _above(None, 0),
+        "record_every": _count(None),
+    },
+    "kernel": {
+        **_COMMON,
+        "t": _at_least("16.0", 1),
+        "r_span": _above("6.0", 0),
+        "n_rho": _count("201"),
+    },
+    "cover": {
+        **_COMMON,
+        "t": _above("16.0", 0),
+        "eps": Key(_real, "0.1", f"number in (0, {C3_TAIL})", lambda v: 0 < v < C3_TAIL),
+        "r0": _at_least("8.0", 1),
+        "max_cylinders": _count("2"),
+        "enumeration_cap": _count("6", 0),
+        "audit_branches": _count("2", 0),
+        "n_slab": _count("128"),
+        "svg": Key(_bool, "0", "0, 1, false, true"),
+    },
+    "goodset": {
+        **_COMMON,
+        "eps": _above("0.1", 0),
+        "n_x": _count("200"),
+        "box_x": _above("1.0", 0),
+        "heights": Key(_reals, "1e-1,1e-2,1e-3", "numbers > 0, comma-separated",
+                       lambda v: min(v) > 0),
+    },
 }
 
 
-def _parse_config(path, allowed):
+def _value(name, key, text):
+    try:
+        v = key.parse(text)
+        if key.ok is None or key.ok(v):
+            return v
+    except ValueError:
+        pass
+    raise ConfigError(f"{name}={text!r}: expected {key.allowed}")
+
+
+def _parse_config(path, schema):
+    """Every key of schema, parsed and range-checked, with defaults filled in."""
+    raw = {}
+    if path is not None:
+        for lineno, text in enumerate(Path(path).read_text().splitlines(), 1):
+            line = text.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+            name, val = (s.strip() for s in line.split("=", 1))
+            if name not in schema:
+                raise ConfigError(f"{path}:{lineno}: unknown key {name!r}")
+            raw[name] = val
     cfg = {}
-    if path is None:
-        return cfg
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in allowed:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = val
+    for name, key in schema.items():
+        text = raw.get(name, key.default)
+        cfg[name] = None if text is None else _value(name, key, text)
     return cfg
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",")]
-
-
-def _get(cfg, key, default, kind=float):
-    """cfg[key] read as kind, or default when absent; bad values name the key."""
-    if key not in cfg:
-        return default
-    try:
-        return kind(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key}={cfg[key]!r} is not a valid value") from None
-
-
 def _boundary_from_config(cfg):
-    name = cfg.get("map", "identity")
-    if name not in CATALOG:
-        raise ConfigError(f"map={name!r} is not one of {', '.join(CATALOG)}")
-    if name == "linear":
-        flat = _get(cfg, "matrix", [2.0, 0.0, 0.0, 1.0], _floats)
-        m = int(math.isqrt(len(flat)))
-        return make_boundary_map("linear", matrix=np.array(flat).reshape(m, m))
-    params = {key: _get(cfg, key, None) for key in ("K", "c") if key in cfg}
-    return make_boundary_map(name, **params)
+    if cfg["map"] == "linear":
+        return make_boundary_map("linear", matrix=cfg["matrix"])
+    return make_boundary_map(cfg["map"], K=cfg["K"], c=cfg["c"])
 
 
 def _writer(path):
@@ -103,13 +185,8 @@ def _fmt(v):
 def cmd_extend(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
-    box_x = _get(cfg, "box_x", 1.0)
-    s_lo = _get(cfg, "s_lo", 0.25)
-    s_hi = _get(cfg, "s_hi", 2.0)
-    nx = _get(cfg, "nx", 7, int)
-    ns = _get(cfg, "ns", 5, int)
-    xs = np.linspace(-box_x, box_x, nx)
-    ss = np.geomspace(s_lo, s_hi, ns)
+    xs = np.linspace(-cfg["box_x"], cfg["box_x"], cfg["nx"])
+    ss = np.geomspace(cfg["s_lo"], cfg["s_hi"], cfg["ns"])
     grid = np.stack(np.meshgrid(xs, xs, ss, indexing="ij"), axis=-1).reshape(-1, 3)
     vals = ext(grid)
     en = energy_density(ext, grid)
@@ -134,16 +211,10 @@ def cmd_extend(cfg, out, seed, order):
 
 def cmd_flow(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
-    box = (_get(cfg, "box_x", 2.0), _get(cfg, "s_lo", 0.25), _get(cfg, "s_hi", 4.0))
-    res = _get(cfg, "resolution", 17, int)
-    if res < 2 * hf.STATS_MARGIN + 1:
-        raise ConfigError(f"resolution={res} is below the tension stencil's "
-                          f"minimum {2 * hf.STATS_MARGIN + 1}")
-    t_end = _get(cfg, "t_end", 0.1)
-    dt = _get(cfg, "dt", None)
-    rec = _get(cfg, "record_every", None, int)
-    grid, _ = hf.init_flow(f, box, res, order=order)
-    trace, _, _ = hf.run_flow(grid, t_end=t_end, dt=dt, record_every=rec)
+    box = (cfg["box_x"], cfg["s_lo"], cfg["s_hi"])
+    grid, _ = hf.init_flow(f, box, cfg["resolution"], order=order)
+    trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
+                              record_every=cfg["record_every"])
     if trace.aborted:
         raise ContractViolation(f"flow: aborted ({trace.abort_reason})")
     trace.write_csv(Path(out) / "flow.csv")
@@ -151,9 +222,7 @@ def cmd_flow(cfg, out, seed, order):
 
 
 def cmd_kernel(cfg, out, seed, order):
-    t = _get(cfg, "t", 16.0)
-    r_span = _get(cfg, "r_span", 6.0)
-    n_rho = _get(cfg, "n_rho", 201, int)
+    t = cfg["t"]
     kern = RadialKernel(3)
 
     mass = kern.total_mass(t)
@@ -161,8 +230,8 @@ def cmd_kernel(cfg, out, seed, order):
         raise ContractViolation(f"kernel: mass {mass} deviates from 1 beyond 1e-6")
 
     center = 2.0 * t
-    st = math.sqrt(t)
-    rho = np.linspace(max(center - r_span * st, 1e-6), center + r_span * st, n_rho)
+    half = cfg["r_span"] * math.sqrt(t)
+    rho = np.linspace(max(center - half, 1e-6), center + half, cfg["n_rho"])
     dens = kern.radial_mass_density(rho, t) / (4.0 * math.pi)
 
     fh, w = _writer(Path(out) / "kernel_profile.csv")
@@ -188,19 +257,16 @@ def cmd_kernel(cfg, out, seed, order):
 def cmd_cover(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
-    t = _get(cfg, "t", 16.0)
-    eps = _get(cfg, "eps", 0.1)
+    t, eps = cfg["t"], cfg["eps"]
     if AnnulusSpec(t, l_of_eps(eps)).r_in <= 0:
         raise ConfigError(f"t={t}: the main annulus at eps={eps} reaches the center; "
                           "increase t")
     frame = PolarFrame(Point([0.0, 0.0], 1.0))
     rep = cov.cover_annulus(
         frame, t, eps, lambda p: ext.tension_norm(p) ** 2,
-        r0=_get(cfg, "r0", 8.0),
-        max_cylinders=_get(cfg, "max_cylinders", 2, int),
-        enumeration_cap=_get(cfg, "enumeration_cap", 6, int),
-        audit_branches=_get(cfg, "audit_branches", 2, int),
-        n_slab=_get(cfg, "n_slab", 128, int),
+        r0=cfg["r0"], max_cylinders=cfg["max_cylinders"],
+        enumeration_cap=cfg["enumeration_cap"], audit_branches=cfg["audit_branches"],
+        n_slab=cfg["n_slab"],
         seed=seed,
     )
     for c in rep.cylinders:
@@ -216,7 +282,7 @@ def cmd_cover(cfg, out, seed, order):
     with fh:
         for row in rep.csv_rows():
             w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-    if cfg.get("svg", "0") not in ("0", "", "false"):
+    if cfg["svg"]:
         (Path(out) / "cover.svg").write_text(cov.sector_svg(rep, 0))
     return 0
 
@@ -224,13 +290,10 @@ def cmd_cover(cfg, out, seed, order):
 def cmd_goodset(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
-    eps = _get(cfg, "eps", 0.1)
-    n_x = _get(cfg, "n_x", 200, int)
-    box_x = _get(cfg, "box_x", 1.0)
-    heights = _get(cfg, "heights", [1e-1, 1e-2, 1e-3], _floats)
+    n_x = cfg["n_x"]
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n_x, 2))
-    r = box_x * np.sqrt(u[:, 0])
+    r = cfg["box_x"] * np.sqrt(u[:, 0])
     th = 2.0 * math.pi * u[:, 1]
     X = np.column_stack([r * np.cos(th), r * np.sin(th)])
 
@@ -238,15 +301,10 @@ def cmd_goodset(cfg, out, seed, order):
     with fh:
         w.writerow(["s", "fraction", "frac_energy", "frac_distortion",
                     "frac_tension"])
-        for s in heights:
+        for s in cfg["heights"]:
             pts = np.column_stack([X, np.full(n_x, s)])
-            e = energy_density(ext, pts)
-            d = map_distortion(ext, pts)
-            tau = tension_norm(ext, pts)
-            ok_e = e > 1.0
-            ok_k = d < 2.0 * f.declared_K
-            ok_t = tau < eps
-            frac = float(np.mean(ok_e & ok_k & ok_t))
+            ok_e, ok_k, ok_t, ok = good_set_membership(f, cfg["eps"], pts, ext=ext)
+            frac = float(np.mean(ok))
             if not np.isfinite(frac) or not 0.0 <= frac <= 1.0:
                 raise ContractViolation("goodset: fraction out of range")
             w.writerow([_fmt(v) for v in
@@ -275,14 +333,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = _parse_config(args.config, _KEYS[args.command])
-        seed = _get(cfg, "seed", args.seed, int)
-        order = _get(cfg, "quad_order", args.quad_order, int)
-        if order < 1:
-            raise ConfigError(f"quad_order={order} must be at least 1")
+        cfg = _parse_config(args.config, SCHEMA[args.command])
+        if args.quad_order < 1:
+            raise ConfigError(f"quad_order={args.quad_order} must be at least 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, seed, order)
+        return _COMMANDS[args.command](cfg, out, args.seed, args.quad_order)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -96,10 +96,6 @@ class FlowGrid:
             raise ValueError("initial map has non-positive heights")
         self.u0 = self.u.copy()
 
-    @classmethod
-    def from_map(cls, mapping, box, resolution, n=3):
-        return cls(box, resolution, mapping, n)
-
     def interior(self, margin=1):
         return tuple(slice(margin, -margin) for _ in range(self.n))
 
@@ -155,7 +151,7 @@ def init_flow(f, box, resolution, n=3, order=None):
     from .extension import DEFAULT_ORDER, GoodExtension
 
     ext = GoodExtension(f, order=order or DEFAULT_ORDER)
-    return FlowGrid.from_map(ext, box, resolution, n), ext
+    return FlowGrid(box, resolution, ext, n), ext
 
 
 def cfl_time_step(grid):

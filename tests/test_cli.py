@@ -1,8 +1,11 @@
 import csv
+from pathlib import Path
 
 import pytest
 
-from qcflow.cli import main
+from qcflow.cli import SCHEMA, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):
@@ -44,9 +47,11 @@ def test_extend_linear_tension_column_small(tmp_path):
 
 
 def test_unknown_key_exits_one(tmp_path):
-    cfg = write_cfg(tmp_path, "bogus=1\n")
-    rc = main(["extend", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 1
+    # seed and quad_order are the flags --seed and --quad-order, not keys
+    for text in ("bogus=1\n", "seed=3\n", "quad_order=21\n"):
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["extend", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1, text
 
 
 @pytest.mark.parametrize(
@@ -57,8 +62,24 @@ def test_unknown_key_exits_one(tmp_path):
         ("extend", "map=identity\nnx=2\nns=2\n", ["--quad-order", "0"], "quad_order"),
         ("flow", "map=identity\nresolution=2\n", [], "resolution"),
         ("cover", "map=identity\nt=1\n", [], "t"),
+        ("extend", "map=linear\nmatrix=2,0,0\n", [], "matrix"),
+        ("extend", "map=linear\nmatrix=1,0,0,0,1,0,0,0,1\n", [], "matrix"),
+        ("extend", "map=linear\nmatrix=0,0,0,0\n", [], "matrix"),
+        ("cover", "map=identity\neps=5\n", [], "eps"),
+        ("cover", "map=identity\neps=0\n", [], "eps"),
+        ("cover", "map=identity\nr0=0.5\n", [], "r0"),
+        ("extend", "map=identity\nnx=0\n", [], "nx"),
+        ("extend", "map=identity\ns_lo=0\n", [], "s_lo"),
+        ("kernel", "t=0\n", [], "t"),
+        ("flow", "map=identity\nbox_x=0\n", [], "box_x"),
+        ("flow", "map=identity\ndt=0\n", [], "dt"),
+        ("flow", "map=identity\nrecord_every=0\n", [], "record_every"),
+        ("goodset", "map=identity\nheights=0\n", [], "heights"),
     ],
-    ids=["K", "map", "quad_order", "resolution", "t"],
+    ids=["K", "map", "quad_order", "resolution", "t", "matrix_len3", "matrix_3x3",
+         "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
+         "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
+         "goodset_heights"],
 )
 def test_bad_value_is_one_line_config_error(tmp_path, capsys, cmd, cfg_text, flags, key):
     cfg = write_cfg(tmp_path, cfg_text)
@@ -117,6 +138,15 @@ def test_cover_outputs_and_svg(tmp_path):
     assert rows[1][-1] == "1"  # all good
     assert (out / "cover.svg").read_text().startswith("<svg")
 
+    for svg, rc_want in (("false", 0), ("False", 0), ("maybe", 1)):
+        rc, out = run(
+            tmp_path, "cover",
+            "map=linear\nmatrix=2,0,0,1\nt=16\nmax_cylinders=1\nenumeration_cap=2\n"
+            f"audit_branches=1\nn_slab=32\nsvg={svg}\n", out_name=f"svg_{svg}",
+        )
+        assert rc == rc_want, svg
+        assert not (out / "cover.svg").exists(), svg
+
 
 @pytest.mark.parametrize(
     "cmd,cfg",
@@ -141,3 +171,30 @@ def test_quad_order_flag_accepted(tmp_path):
     rc = main(["extend", "--config", cfg, "--out", str(tmp_path / "q"),
                "--quad-order", "11"])
     assert rc == 0
+
+
+def _readme_tables():
+    """Data rows of each README table, keyed by the table's header cells."""
+    tables, rows = {}, None
+    for line in README.read_text().splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = tuple(c.strip() for c in line.strip("|").split("|"))
+        if rows is None:
+            rows = tables.setdefault(cells, [])
+        elif set(cells[0]) != {"-"}:
+            rows.append(cells)
+    return tables
+
+
+def test_readme_table_matches_schema():
+    tables = _readme_tables()
+    common = {k: (d, a) for k, d, a in tables[("common key", "default", "allowed")]}
+    listed = {cmd: dict(common) for cmd in SCHEMA}
+    for cmd, k, d, a in tables[("command", "key", "default", "allowed")]:
+        listed[cmd][k] = (d, a)
+    for cmd, schema in SCHEMA.items():
+        want = {k: ("unset" if key.default is None else key.default, key.allowed)
+                for k, key in schema.items()}
+        assert listed[cmd] == want, cmd

@@ -138,7 +138,7 @@ def _bump_grid(amp=0.08, width=0.8, res=17):
     box = (2.5, 0.2, 3.4)
     center = np.array([0.0, 0.0, 1.0])
     bump = hf.radial_bump_map(center, amp, width)
-    return hf.FlowGrid.from_map(bump, box, res), center
+    return hf.FlowGrid(box, res, bump), center
 
 
 def test_radial_bump_tension_is_radial():
