@@ -148,7 +148,11 @@ def _parse_config(path, schema):
     """Every key of schema, parsed and range-checked, with defaults filled in."""
     raw = {}
     if path is not None:
-        for lineno, text in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            lines = Path(path).read_text().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the config file ({exc.strerror})")
+        for lineno, text in enumerate(lines, 1):
             line = text.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -212,6 +216,8 @@ def cmd_extend(cfg, out, seed, order):
 def cmd_flow(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     box = (cfg["box_x"], cfg["s_lo"], cfg["s_hi"])
+    if box[1] >= box[2]:
+        raise ConfigError(f"s_lo={box[1]}, s_hi={box[2]}: the flow box needs s_lo < s_hi")
     grid, _ = hf.init_flow(f, box, cfg["resolution"], order=order)
     trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
                               record_every=cfg["record_every"])

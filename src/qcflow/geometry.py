@@ -102,55 +102,59 @@ def dist(p, q):
 def geodesic_step(p, v, t):
     """Point at hyperbolic distance t*|v| along the geodesic from p with velocity v.
 
-    Works by conjugating p to (0, 1) with a similarity, splitting off the
-    plane spanned by the horizontal part of v and the vertical axis, and
-    using the closed-form semicircle geodesic there.  Broadcasts over
-    leading axes.
+    Closed form of the semicircle geodesic in the plane spanned by the
+    horizontal part of v and the vertical axis.  With u = v/|v|,
+    a^2 = |u_h|^2, b = u_n, E = e^{-l} and l = t|v|/s0, put q = 1 + |b| and
+    D = a^2 + q^2 E^2 (b > 0) or D = q^2 + a^2 E^2 (b <= 0); then the point
+    is (x0 + s0 q (1 - E^2)/D u_h, s0 2qE/D).  Nothing divides by the
+    horizontal speed, so nearly vertical velocities lose no digits.
+    Broadcasts over leading axes.
     """
     pc = _coords(p)
     v = np.asarray(v, dtype=float)
     pc, v = np.broadcast_arrays(pc, v)
-    t = np.broadcast_to(np.asarray(t, dtype=float), pc.shape[:-1])
-
-    x0 = pc[..., :-1]
+    single = pc.ndim == 1
+    if single:  # 0-d results would be numpy scalars, which do not update in place
+        pc, v = pc[None], v[None]
+    n = pc.shape[-1]
     s0 = pc[..., -1]
-    vnorm = np.linalg.norm(v, axis=-1)
-    ell = t * vnorm / s0  # signed arc length
+    vn = v[..., -1]
 
-    zero_step = (vnorm == 0.0) | (t == 0.0)
-    u = v / np.where(zero_step, 1.0, vnorm)[..., None]
-    a = np.linalg.norm(u[..., :-1], axis=-1)  # horizontal speed
-    b = u[..., -1]                            # vertical speed
-    degenerate = (a < 1e-14) | zero_step
+    a2 = v[..., 0] * v[..., 0]  # |v_h|^2, divided by |v|^2 below
+    for k in range(1, n - 1):
+        a2 += v[..., k] * v[..., k]
+    w = vn * vn
+    w += a2
+    np.sqrt(w, out=w)
+    ell = w * np.asarray(t, dtype=float)
+    ell /= s0  # signed arc length
+    rest = w == 0.0
+    w[rest] = 1.0
+    b = vn / w
+    b[rest] = 1.0  # at rest: any unit u with a = 0
+    a2 /= w * w
+    q = np.abs(b)
+    q += 1.0
+    E = np.exp(-ell)
+    E2 = E * E
+    qq = q * q
+    D = qq * E2
+    D += a2  # b > 0
+    np.copyto(D, qq + a2 * E2, where=b <= 0.0)
+    q *= s0
+    q /= D  # s0 q / D
 
-    # vertical geodesic: (0, e^{sign(b) ell})
-    sign_b = np.where(b >= 0.0, 1.0, -1.0)
-    s_vert = np.where(zero_step, 1.0, np.exp(sign_b * ell))
-
-    # semicircle geodesic: center c = b/a on the axis spanned by e = u_x/a,
-    # radius r = 1/a; the arc angle phi satisfies tan(phi/2) = tan(phi0/2) e^{-ell}
-    # with tan(phi0/2) = r + c, written in the cancellation-free form below
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        a_safe = np.where(degenerate, 1.0, a)
-        c = b / a_safe
-        r = 1.0 / a_safe
-        half0 = np.where(b <= 0.0, a_safe / (1.0 - b), (1.0 + b) / a_safe)
-        half = half0 * np.exp(-ell)
-        denom = 1.0 + half**2
-        xi = c + r * (1.0 - half**2) / denom
-        sigma = r * 2.0 * half / denom
-        e_hat = u[..., :-1] / a_safe[..., None]
-
-    xi = np.where(degenerate, 0.0, xi)
-    sigma = np.where(degenerate, s_vert, sigma)
-
-    out = np.empty_like(pc)
-    out[..., :-1] = x0 + s0[..., None] * xi[..., None] * np.where(
-        degenerate[..., None], 0.0, e_hat
-    )
-    out[..., -1] = s0 * sigma
-    if isinstance(p, Point) and out.ndim == 1:
-        return Point.from_coords(out)
+    out = np.empty(pc.shape)
+    move = np.expm1(-2.0 * ell)
+    move *= q
+    move /= w  # -(horizontal move) per unit of v_h
+    for k in range(n - 1):
+        out[..., k] = pc[..., k] - move * v[..., k]
+    out[..., -1] = q * (2.0 * E)
+    if single:
+        out = out[0]
+        if isinstance(p, Point):
+            return Point.from_coords(out)
     return out
 
 

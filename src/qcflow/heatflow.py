@@ -32,6 +32,7 @@ CFL_COEFF = 0.2   # dt = CFL_COEFF * (min spacing / s_hi)^2; sits just at the
                   # frozen-coefficient FTCS boundary but the pinned top layer
                   # keeps it stable in practice (the blow-up guard watches it)
 BLOWUP_FACTOR = 10.0
+BLOWUP_REASON = "energy blow-up: CFL violation"
 STATS_MARGIN = 3  # stencil widths excluded from interior statistics
 
 
@@ -74,6 +75,8 @@ class FlowGrid:
         X, s_lo, s_hi = box
         if s_lo <= 0:
             raise ValueError("box must sit strictly inside the half-space")
+        if s_lo >= s_hi:
+            raise ValueError(f"box needs s_lo < s_hi, got s_lo={s_lo}, s_hi={s_hi}")
         if isinstance(resolution, int):
             resolution = (resolution,) * n
         if min(resolution) < 2 * STATS_MARGIN + 1:
@@ -100,35 +103,53 @@ class FlowGrid:
         return tuple(slice(margin, -margin) for _ in range(self.n))
 
     def interior_jets(self):
-        """Value, Jacobian and diagonal second derivatives at interior nodes."""
+        """Value, Jacobian and diagonal second derivatives at interior nodes.
+
+        jac[..., g, i] and lap[..., g, i] are views of component-major
+        arrays, so every component is one contiguous block.
+        """
         u = self.u
         core = self.interior()
         n = self.n
         val = u[core]
-        jac = np.empty(val.shape[:-1] + (n, n))
-        lap = np.empty(val.shape[:-1] + (n, n))
-        for ax in range(n):
-            h = self.spacings[ax]
-            sl_p = list(core)
-            sl_m = list(core)
-            sl_p[ax] = slice(2, None)
-            sl_m[ax] = slice(0, -2)
-            up = u[tuple(sl_p)]
-            um = u[tuple(sl_m)]
-            jac[..., :, ax] = (up - um) / (2.0 * h)
-            lap[..., :, ax] = (up - 2.0 * val + um) / h**2
+        jac = np.empty((n, n) + val.shape[:-1])
+        lap = np.empty((n, n) + val.shape[:-1])
+        for g in range(n):
+            ug = np.ascontiguousarray(u[..., g])
+            minus_2val = -2.0 * ug[core]
+            for ax in range(n):
+                h = self.spacings[ax]
+                sl_p = list(core)
+                sl_m = list(core)
+                sl_p[ax] = slice(2, None)
+                sl_m[ax] = slice(0, -2)
+                up = ug[tuple(sl_p)]
+                um = ug[tuple(sl_m)]
+                np.subtract(up, um, out=jac[g, ax])
+                jac[g, ax] /= 2.0 * h
+                np.add(up, minus_2val, out=lap[g, ax])
+                lap[g, ax] += um
+                lap[g, ax] /= h**2
         s_dom = self.nodes[core][..., -1]
+        jac, lap = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (jac, lap))
         return val, jac, lap, s_dom
 
-    def tension(self):
-        """Tension vectors and norms at interior nodes (grid stencil)."""
+    def tension(self, energy=False):
+        """Tension vectors and norms at interior nodes (grid stencil).
+
+        With energy=True the energy density, read off the same jets, is
+        returned as a third array.
+        """
         val, jac, lap, s_dom = self.interior_jets()
-        return tn.tension_from_jet(val, jac, lap, s_dom)
+        tau, norm = tn.tension_from_jet(val, jac, lap, s_dom)
+        if energy:
+            return tau, norm, _energy_density(val, jac, s_dom)
+        return tau, norm
 
     def energy(self):
         """Energy density at interior nodes."""
         val, jac, _, s_dom = self.interior_jets()
-        return 0.5 * (s_dom / val[..., -1]) ** 2 * np.sum(jac**2, axis=(-2, -1))
+        return _energy_density(val, jac, s_dom)
 
     def stats_view(self, arr):
         """Restrict an interior-shaped array to the statistics region."""
@@ -146,6 +167,16 @@ class FlowGrid:
         return float(np.max(dist(self.u, other_values)))
 
 
+def _energy_density(val, jac, s_dom):
+    """e = (s/S)^2 |dF|^2 / 2, summed one Jacobian entry at a time."""
+    entries = [jac[..., g, i] for g in range(jac.shape[-2]) for i in range(jac.shape[-1])]
+    sq = entries[0] * entries[0]
+    for d in entries[1:]:
+        sq += d * d
+    sq *= 0.5 * (s_dom / val[..., -1]) ** 2
+    return sq
+
+
 def init_flow(f, box, resolution, n=3, order=None):
     """Grid carrying the good extension of the boundary map f."""
     from .extension import DEFAULT_ORDER, GoodExtension
@@ -159,19 +190,23 @@ def cfl_time_step(grid):
     return CFL_COEFF * (float(np.min(grid.spacings)) / grid.box[2]) ** 2
 
 
-def flow_step(grid, dt):
+def flow_step(grid, dt, max_energy=np.inf):
     """One intrinsic forward-Euler step; boundary layer untouched.
 
     Every interior node moves along the geodesic from its current value
-    in the direction of the tension vector.
+    in the direction of the tension vector.  Raises FloatingPointError
+    when the energy density of the current values exceeds max_energy at
+    an interior node (the blow-up guard), or when the step produces
+    invalid node values.
     """
-    tau, _ = grid.tension()
+    tau, _, energy = grid.tension(energy=True)
+    if np.max(energy) > max_energy:
+        raise FloatingPointError(BLOWUP_REASON)
     core = grid.interior()
-    vals = grid.u[core]
-    moved = geodesic_step(vals.reshape(-1, grid.n), tau.reshape(-1, grid.n), dt)
+    moved = geodesic_step(grid.u[core], tau, dt)
     if not np.all(np.isfinite(moved)) or np.any(moved[..., -1] <= 0.0):
         raise FloatingPointError("flow step produced invalid node values")
-    grid.u[core] = moved.reshape(vals.shape)
+    grid.u[core] = moved
     return grid
 
 
@@ -179,9 +214,10 @@ def run_flow(f_or_grid, box=None, resolution=None, t_end=1.0, dt=None,
              record_every=None, n=3, snapshot_times=None):
     """Run the heat flow and record (t, sup|tau|, sup drift, mean energy).
 
-    Aborts with a partial trace on energy blow-up (the CFL guard) or
-    invalid node values.  Returns (FlowTrace, FlowGrid, snapshots) where
-    snapshots maps requested times to copies of the node values.
+    Aborts with a partial trace on energy blow-up (the CFL guard, checked
+    before every step and at every record) or invalid node values.
+    Returns (FlowTrace, FlowGrid, snapshots) where snapshots maps requested
+    times to copies of the node values.
     """
     if isinstance(f_or_grid, FlowGrid):
         grid = f_or_grid
@@ -192,7 +228,8 @@ def run_flow(f_or_grid, box=None, resolution=None, t_end=1.0, dt=None,
     n_steps = int(np.ceil(t_end / dt))
     if record_every is None:
         record_every = max(1, n_steps // 40)
-    e0 = float(np.max(grid.stats_view(grid.energy())))
+    e0 = grid.energy()
+    max_energy = BLOWUP_FACTOR * max(float(np.max(e0)), 1e-30)
     snapshot_times = sorted(snapshot_times or [])
     snaps = {}
     next_snap = 0
@@ -200,13 +237,13 @@ def run_flow(f_or_grid, box=None, resolution=None, t_end=1.0, dt=None,
     times = [0.0]
     sup_tau = [grid.sup_tension()]
     sup_drift = [0.0]
-    mean_e = [float(np.mean(grid.stats_view(grid.energy())))]
+    mean_e = [float(np.mean(grid.stats_view(e0)))]
     aborted = False
     reason = ""
     t = 0.0
     for k in range(1, n_steps + 1):
         try:
-            flow_step(grid, dt)
+            flow_step(grid, dt, max_energy)
         except FloatingPointError as exc:
             aborted, reason = True, str(exc)
             break
@@ -218,10 +255,10 @@ def run_flow(f_or_grid, box=None, resolution=None, t_end=1.0, dt=None,
             times.append(t)
             sup_tau.append(grid.sup_tension())
             sup_drift.append(grid.sup_drift())
-            e_now = grid.stats_view(grid.energy())
-            mean_e.append(float(np.mean(e_now)))
-            if float(np.max(e_now)) > BLOWUP_FACTOR * max(e0, 1e-30):
-                aborted, reason = True, "energy blow-up: CFL violation"
+            e_now = grid.energy()
+            mean_e.append(float(np.mean(grid.stats_view(e_now))))
+            if float(np.max(e_now)) > max_energy:
+                aborted, reason = True, BLOWUP_REASON
                 break
     trace = FlowTrace(
         np.array(times), np.array(sup_tau), np.array(sup_drift),

@@ -119,22 +119,45 @@ def tension_from_jet(value, jac, lap_diag, s_dom):
     value = np.asarray(value, dtype=float)
     n = value.shape[-1]
     S = value[..., -1]
-    s2 = s_dom**2
+    s2 = s_dom * s_dom
+    n2_s = (n - 2) * s_dom
+    two_s2_S = 2.0 * s2 / S
+    buf = np.empty(S.shape)
+    d = [[jac[..., g, i] for i in range(n)] for g in range(n)]  # dF^g/dx^i
 
-    lap_sum = np.sum(lap_diag, axis=-1)                # (..., n)
-    jac_vert = jac[..., -1, :]                         # dF^n/dx^i, (..., n)
-    tau = s2[..., None] * lap_sum
-    tau -= (n - 2) * s_dom[..., None] * jac[..., :, -1]
+    # target Christoffel terms at height S = F^n need the horizontal and
+    # vertical parts of |dF|^2, summed left to right over (g, i)
+    horiz_sq = _dot(d[0], d[0], buf)
+    for row in d[1:-1]:
+        for r in row:
+            horiz_sq += np.multiply(r, r, out=buf)
+    vert_sq = _dot(d[-1], d[-1], buf)
 
-    # target Christoffel terms at height S = F^n
-    cross = np.einsum("...gi,...i->...g", jac[..., :-1, :], jac_vert)
-    horiz_sq = np.sum(jac[..., :-1, :] ** 2, axis=(-2, -1))
-    vert_sq = np.sum(jac_vert**2, axis=-1)
-    tau[..., :-1] -= (2.0 * s2 / S)[..., None] * cross
-    tau[..., -1] += (s2 / S) * (horiz_sq - vert_sq)
+    tau = np.empty(value.shape)
+    taus = []
+    for g in range(n):
+        tau_g = lap_diag[..., g, 0] + lap_diag[..., g, 1]
+        for i in range(2, n):
+            tau_g += lap_diag[..., g, i]
+        tau_g *= s2
+        tau_g -= np.multiply(n2_s, d[g][-1], out=buf)
+        if g < n - 1:
+            tau_g -= np.multiply(two_s2_S, _dot(d[g], d[-1], buf), out=buf)
+        else:
+            tau_g += np.multiply(s2 / S, horiz_sq - vert_sq, out=buf)
+        tau[..., g] = tau_g
+        taus.append(tau_g)
 
-    norm = np.linalg.norm(tau, axis=-1) / S
+    norm = np.sqrt(_dot(taus, taus, buf)) / S
     return tau, norm
+
+
+def _dot(xs, ys, buf):
+    """sum_i xs[i] * ys[i], accumulated left to right; buf holds each product."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc += np.multiply(x, y, out=buf)
+    return acc
 
 
 def _diag_stencil_eval(F, pts, h_rel):

@@ -75,11 +75,12 @@ def test_unknown_key_exits_one(tmp_path):
         ("flow", "map=identity\ndt=0\n", [], "dt"),
         ("flow", "map=identity\nrecord_every=0\n", [], "record_every"),
         ("goodset", "map=identity\nheights=0\n", [], "heights"),
+        ("flow", "map=identity\ns_lo=4\ns_hi=1\nresolution=7\n", [], "s_lo"),
     ],
     ids=["K", "map", "quad_order", "resolution", "t", "matrix_len3", "matrix_3x3",
          "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
          "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
-         "goodset_heights"],
+         "goodset_heights", "flow_s_lo_s_hi"],
 )
 def test_bad_value_is_one_line_config_error(tmp_path, capsys, cmd, cfg_text, flags, key):
     cfg = write_cfg(tmp_path, cfg_text)
@@ -89,6 +90,16 @@ def test_bad_value_is_one_line_config_error(tmp_path, capsys, cmd, cfg_text, fla
     assert len(lines) == 1
     assert lines[0].startswith("config error:")
     assert f"{key}=" in lines[0]
+
+
+def test_missing_config_file_is_one_line_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    rc = main(["extend", "--config", str(missing), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error:")
+    assert str(missing) in lines[0]
 
 
 def test_malformed_line_exits_one(tmp_path):

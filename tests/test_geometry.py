@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcflow.geometry import (
     INFINITY,
@@ -138,6 +140,69 @@ def test_log_map_inverts_geodesic_step():
     q = box_points(rng, 40)
     v = log_map(p, q)
     assert np.allclose(geodesic_step(p, v, 1.0), q, atol=1e-9)
+
+
+@pytest.mark.parametrize("delta", [10.0**-k for k in range(6, 14)])
+def test_geodesic_step_nearly_vertical_moves_sideways(delta):
+    # v = (delta, 0, 0.7): as delta -> 0 the sideways move tends to
+    # delta s0 (e^{2l} - 1) / (2|v|) with l = |v|/s0, the Jacobi field along
+    # the vertical geodesic.  x0 = 0 along the move, so no rounding of
+    # x0 + dx enters the ratio.
+    p = np.array([0.0, -0.2, 1.5])
+    q = geodesic_step(p, np.array([delta, 0.0, 0.7]), 1.0)
+    limit = 1.5 * math.expm1(2.0 * 0.7 / 1.5) / 1.4
+    assert q[0] / delta == pytest.approx(limit, rel=1e-4)
+    assert q[1] == p[1]
+    assert q[2] == pytest.approx(1.5 * math.exp(0.7 / 1.5), rel=1e-14)
+
+
+# hypothesis: geodesic_step against dist, log_map and the isometries fixing
+# infinity.  Speeds are drawn per unit height, so the arc length stays below 6
+# and the end point above 1e-3 of the start height; nearly vertical
+# directions are drawn on purpose.
+coord = st.floats(-3.0, 3.0)
+points = st.tuples(coord, coord, st.floats(0.05, 20.0)).map(np.array)
+tilt = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-9, 1e-9))
+directions = st.tuples(tilt, tilt, st.floats(-1.0, 1.0)).filter(
+    lambda c: abs(c[0]) + abs(c[1]) + abs(c[2]) > 1e-3
+).map(lambda c: np.array(c) / np.linalg.norm(c))
+rates = st.floats(0.01, 3.0)  # hyperbolic speed |v|/s0
+GEODESIC_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+
+
+@GEODESIC_SETTINGS
+@given(p=points, u=directions, rate=rates, t=st.floats(0.0, 2.0))
+def test_geodesic_step_has_unit_speed_property(p, u, rate, t):
+    q = geodesic_step(p, rate * p[-1] * u, t)
+    assert q[-1] > 0.0
+    assert dist(p, q) == pytest.approx(t * rate, rel=1e-9, abs=1e-12)
+
+
+@GEODESIC_SETTINGS
+@given(p=points, u=directions, rate=rates)
+def test_log_map_inverts_geodesic_step_property(p, u, rate):
+    v = rate * p[-1] * u
+    q = geodesic_step(p, v, 1.0)
+    back = log_map(p, q)
+    assert np.allclose(back, v, rtol=0.0, atol=1e-8 * p[-1])
+    assert np.allclose(geodesic_step(p, back, 1.0), q, rtol=1e-9, atol=1e-9 * p[-1])
+
+
+@GEODESIC_SETTINGS
+@given(p=points, u=directions, rate=rates, t=st.floats(0.0, 2.0),
+       angle=st.floats(0.0, 2 * math.pi), scale=st.floats(0.2, 5.0),
+       shift=st.tuples(coord, coord))
+def test_geodesic_step_commutes_with_isometries_property(p, u, rate, t, angle, scale,
+                                                          shift):
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    iso = IsometryFixingInfinity(scale, rot, np.array(shift))
+    v = rate * p[-1] * u
+    # the differential of (x, s) -> (a O x + b, a s) is a diag(O, 1)
+    dv = scale * np.concatenate([rot @ v[:2], v[2:]])
+    left = iso.apply(geodesic_step(p, v, t))
+    right = geodesic_step(iso.apply(p), dv, t)
+    assert dist(left, right) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

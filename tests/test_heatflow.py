@@ -47,6 +47,23 @@ def test_box_must_be_inside_half_space():
         hf.FlowGrid((2.0, 0.0, 4.0), 9, identity_values((2.0, 0.0, 4.0), 9))
 
 
+@pytest.mark.parametrize("s_lo,s_hi", [(4.0, 1.0), (2.0, 2.0)])
+def test_box_heights_must_increase(s_lo, s_hi):
+    with pytest.raises(ValueError, match="s_lo < s_hi"):
+        hf.FlowGrid((2.0, s_lo, s_hi), 9, lambda nodes: nodes)
+
+
+def test_grid_energy_matches_reference():
+    bump = hf.radial_bump_map(np.array([0.0, 0.0, 1.0]), 0.2, 0.8)
+    grid = hf.FlowGrid(BOX, 9, bump)
+    val, jac, _, s = grid.interior_jets()
+    want = 0.5 * (s / val[..., -1]) ** 2 * np.sum(jac**2, axis=(-2, -1))
+    energy = grid.energy()
+    assert np.allclose(energy, want, rtol=1e-14, atol=0.0)
+    _, _, step_energy = grid.tension(energy=True)
+    assert np.array_equal(step_energy, energy)
+
+
 def test_step_keeps_identity_fixed():
     f = make_boundary_map("identity")
     grid, _ = hf.init_flow(f, BOX, 9)
@@ -90,6 +107,18 @@ def test_harmonic_stationarity_thousand_steps(f_linear):
     trace, final, _ = hf.run_flow(grid, t_end=1000 * dt, dt=dt, record_every=250)
     assert not trace.aborted
     assert final.distance_to(u0) < 1e-4
+
+
+@pytest.mark.parametrize("cfl_multiple", [1.5, 2.0])
+def test_blowup_guard_runs_every_step(f_stretch, cfl_multiple):
+    # past the CFL limit the frozen boundary layer seeds a growing mode; with
+    # no record step before t_end only a guard run at every step can name it
+    grid, _ = hf.init_flow(f_stretch, BOX, 9)
+    dt = cfl_multiple * hf.cfl_time_step(grid)
+    trace, _, _ = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=10**6)
+    assert trace.aborted
+    assert trace.abort_reason == hf.BLOWUP_REASON
+    assert len(trace.times) == 1
 
 
 def test_run_flow_stretch_decays(f_stretch):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, general_isometry
 from qcflow.tension import (
@@ -11,6 +12,7 @@ from qcflow.tension import (
     jet,
     map_distortion,
     tension_field,
+    tension_from_jet,
     tension_norm,
 )
 
@@ -96,6 +98,39 @@ def test_tension_square_height_matches_hand_formula():
     _, norm = tension_field(SQUARE_HEIGHT, pts)
     want = np.abs(2.0 - 4.0 * s**2) / s**2
     assert np.allclose(norm, want, rtol=1e-5, atol=1e-5)
+
+
+def reference_tension(value, jac, lap, s):
+    """The contraction in tension_from_jet's docstring, as whole-array sums."""
+    n = value.shape[-1]
+    S = value[..., -1]
+    s2 = s**2
+    tau = s2[..., None] * np.sum(lap, axis=-1) - (n - 2) * s[..., None] * jac[..., :, -1]
+    cross = np.einsum("...gi,...i->...g", jac[..., :-1, :], jac[..., -1, :])
+    tau[..., :-1] -= (2.0 * s2 / S)[..., None] * cross
+    tau[..., -1] += (s2 / S) * (np.sum(jac[..., :-1, :] ** 2, axis=(-2, -1))
+                                - np.sum(jac[..., -1, :] ** 2, axis=-1))
+    return tau, np.linalg.norm(tau, axis=-1) / S
+
+
+@pytest.mark.parametrize("n,shape", [(2, (40,)), (3, (5, 6, 7)), (4, (30,))])
+def test_tension_from_jet_matches_reference_contraction(n, shape):
+    rng = np.random.default_rng(n)
+    value = rng.normal(size=shape + (n,))
+    value[..., -1] = rng.uniform(0.5, 2.0, shape)
+    jac, lap = rng.normal(size=(2,) + shape + (n, n))
+    s = rng.uniform(0.5, 2.0, shape)
+    tau, norm = tension_from_jet(value, jac, lap, s)
+    want_tau, want_norm = reference_tension(value, jac, lap, s)
+    # the same O(10) products summed in another order: a few ulps of the scale
+    assert np.max(np.abs(tau - want_tau)) <= 1e-13 * np.max(np.abs(want_tau))
+    assert np.max(np.abs(norm - want_norm)) <= 1e-13 * np.max(want_norm)
+    # component-major jets (as FlowGrid.interior_jets returns) give the same bits
+    def component_major(a):
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))),
+                           (0, 1), (-2, -1))
+    tau_t, norm_t = tension_from_jet(value, component_major(jac), component_major(lap), s)
+    assert np.array_equal(tau_t, tau) and np.array_equal(norm_t, norm)
 
 
 def test_tension_isometry_not_fixing_infinity():
