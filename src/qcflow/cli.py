@@ -215,9 +215,10 @@ def cmd_extend(cfg, out, seed, order):
 
 def cmd_flow(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
+    if cfg["s_lo"] >= cfg["s_hi"]:
+        raise ConfigError(f"s_lo={cfg['s_lo']}, s_hi={cfg['s_hi']}: the flow box needs "
+                          "s_lo < s_hi")
     box = (cfg["box_x"], cfg["s_lo"], cfg["s_hi"])
-    if box[1] >= box[2]:
-        raise ConfigError(f"s_lo={box[1]}, s_hi={box[2]}: the flow box needs s_lo < s_hi")
     grid, _ = hf.init_flow(f, box, cfg["resolution"], order=order)
     trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
                               record_every=cfg["record_every"])
