@@ -1,8 +1,23 @@
 """Quasiconformal boundary maps of R^{n-1} u {infinity} and their measurements.
 
 A BoundaryMap wraps a vectorised evaluator together with its declared
-fixed point and a claimed distortion bound.  Energy density and
-distortion are measured by central finite differences of the evaluator.
+fixed point, a claimed distortion bound and its exact 2-jet: `jacobian`
+and `hessian` callables.  Energy density and distortion are read off the
+exact Jacobian; nothing here finite-differences the evaluator.
+
+Catalog jets, with r = |x| and p = K - 1 for the radial stretch |x|^p x:
+
+    identity, linear     J = I or A, H = 0
+    radial_stretch       J_ij = r^p d_ij + p r^(p-2) x_i x_j
+                         H_ijk = p r^(p-2) (d_ij x_k + d_ik x_j + d_jk x_i)
+                                 + p (p-2) r^(p-4) x_i x_j x_k
+    shear                J = I + c sech^2(x_2) e_1 e_2^T,
+                         H_122 = -2 c sech^2(x_2) tanh(x_2)
+
+At the origin the radial-stretch terms with negative powers of r are
+taken as 0, so J is 0 there when K > 1.  Conjugates I o f o J^{-1} carry
+the jet through the Mobius chains by the chain rule
+(`geometry.Mobius.boundary_jet`).
 """
 
 from dataclasses import dataclass
@@ -10,10 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import INFINITY, is_infinity
+from .geometry import INFINITY, chain_rule, is_infinity
 
 __all__ = [
     "BoundaryMap",
+    "MissingJetError",
     "boundary_energy_density",
     "boundary_jacobian",
     "distortion_estimate",
@@ -22,15 +38,18 @@ __all__ = [
     "CATALOG",
 ]
 
-FD_REL_STEP = 1e-5  # h_fd = 1e-5 * max(1, |x|), central differences
-ORIGIN_NUDGE = 1e-8
+
+class MissingJetError(ValueError):
+    """A BoundaryMap was built without its exact jacobian and hessian."""
 
 
 @dataclass
 class BoundaryMap:
-    """Evaluable boundary map with declared fixed point and distortion bound.
+    """Evaluable boundary map with declared fixed point, distortion bound and 2-jet.
 
-    evaluator acts on arrays of shape (..., n-1) and is vectorised.
+    evaluator acts on arrays of shape (..., n-1) and is vectorised, and so
+    are jacobian, returning (..., m, m) with J[..., i, j] = d f_i / dx_j, and
+    hessian, returning (..., m, m, m) with H[..., i, j, k] = d^2 f_i / dx_j dx_k.
     singular_points lists finite boundary points where the map fails to be
     smooth (local models must keep away from them).
     """
@@ -41,6 +60,14 @@ class BoundaryMap:
     name: str = ""
     dim: int = 2  # boundary dimension n-1
     singular_points: tuple = ()
+    jacobian: Callable[[np.ndarray], np.ndarray] = None
+    hessian: Callable[[np.ndarray], np.ndarray] = None
+
+    def __post_init__(self):
+        if self.jacobian is None or self.hessian is None:
+            raise MissingJetError(
+                f"boundary map {self.name!r} needs exact jacobian and hessian callables"
+            )
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
@@ -56,70 +83,27 @@ class BoundaryMap:
         return np.max(np.abs(self(fp) - fp)) <= tol * max(1.0, np.max(np.abs(fp)))
 
 
-def _fd_steps(x, h_rel):
-    return h_rel * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+def boundary_jacobian(f, x):
+    """Exact Jacobian of f at x, shape (..., m, m)."""
+    return f.jacobian(np.asarray(x, dtype=float))
 
 
-def boundary_jacobian(f, x, h_rel=FD_REL_STEP):
-    """Finite-difference Jacobian of f at x, shape (..., m, m).
-
-    Points within ORIGIN_NUDGE of the origin are nudged off it; catalog
-    maps may be non-differentiable there (measure zero).
-    """
-    x = np.asarray(x, dtype=float)
-    m = x.shape[-1]
-    r = np.linalg.norm(x, axis=-1)
-    x = np.where((r < ORIGIN_NUDGE)[..., None], x + ORIGIN_NUDGE, x)
-    h = _fd_steps(x, h_rel)
-    J = np.empty(x.shape[:-1] + (m, m))
-    for j in range(m):
-        dx = np.zeros(m)
-        dx[j] = 1.0
-        step = h[..., None] * dx
-        J[..., :, j] = (f(x + step) - f(x - step)) / (2.0 * h[..., None])
-    return J
-
-
-def boundary_hessian(f, x, h_rel=1.2e-4):
-    """Finite-difference second-derivative tensor of f at x.
-
-    Returns H with H[..., i, j, k] = d^2 f_i / dx_j dx_k, symmetric in
-    (j, k).  Used to build local quadratic models of the boundary map.
-    """
-    x = np.asarray(x, dtype=float)
-    m = x.shape[-1]
-    h = h_rel * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-    f0 = f(x)
-    H = np.empty(x.shape[:-1] + (m, m, m))
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        sj = h[..., None] * ej
-        H[..., :, j, j] = (f(x + sj) - 2.0 * f0 + f(x - sj)) / (h**2)[..., None]
-        for k in range(j + 1, m):
-            ek = np.zeros(m)
-            ek[k] = 1.0
-            sk = h[..., None] * ek
-            mixed = (
-                f(x + sj + sk) - f(x + sj - sk) - f(x - sj + sk) + f(x - sj - sk)
-            ) / (4.0 * h**2)[..., None]
-            H[..., :, j, k] = mixed
-            H[..., :, k, j] = mixed
-    return H
-
-
-def boundary_energy_density(f, x, h_rel=FD_REL_STEP):
+def boundary_energy_density(f, x):
     """Squared Frobenius norm of the Jacobian of f at x.
 
-    Normalised so the identity has energy n-1; non-finite differences are
-    returned as nan for the caller to flag.
+    Normalised so the identity has energy n-1; a non-finite Jacobian (at a
+    pole) gives a non-finite energy for the caller to flag.
     """
-    J = boundary_jacobian(f, x, h_rel)
-    return np.sum(J**2, axis=(-2, -1))
+    J = boundary_jacobian(f, x)
+    e = np.zeros(J.shape[:-2])
+    for i in range(J.shape[-2]):
+        for j in range(J.shape[-1]):
+            e += J[..., i, j] ** 2
+    return e
 
 
 def distortion_estimate(f, x):
-    """Ratio of extreme singular values of the Jacobian of f at x.
+    """Ratio of extreme singular values of the exact Jacobian of f at x.
 
     Equals the displacement-ratio distortion for differentiable f.  A
     singular Jacobian gives inf.
@@ -139,11 +123,23 @@ def conjugate_boundary(f, I, J, fixed_point=None):
     boundary.  The conjugate fixes I(b) for every fixed point b of f with
     I(b) = J(b); pass fixed_point to select which one to record when f
     fixes several (e.g. the radial stretch fixes both 0 and infinity).
+    Its jet is f's jet pushed through both Mobius chains by the chain rule.
     """
     Jinv = J.inverse()
 
     def ev(x):
         return I.boundary_array(f(Jinv.boundary_array(x)))
+
+    def jet(x, second):
+        x = np.asarray(x, dtype=float)
+        m = x.shape[-1]
+        start = (np.broadcast_to(np.eye(m), x.shape + (m,)),)
+        if second:
+            start += (np.zeros(x.shape + (m, m)),)
+        y, inner = Jinv.boundary_jet(x, start)
+        with np.errstate(invalid="ignore"):  # non-finite at the poles of J^{-1}
+            f_jet = (f.jacobian(y), f.hessian(y)) if second else (f.jacobian(y),)
+            return I.boundary_jet(f(y), chain_rule(f_jet, inner))[1]
 
     fp = I.boundary(f.fixed_point) if fixed_point is None else fixed_point
     sing = []
@@ -157,23 +153,49 @@ def conjugate_boundary(f, I, J, fixed_point=None):
     return BoundaryMap(
         ev, fp, declared_K=f.declared_K, name=f"conj({f.name})", dim=f.dim,
         singular_points=tuple(sing),
+        jacobian=lambda x: jet(x, False)[0],
+        hessian=lambda x: jet(x, True)[1],
     )
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
+def _affine_jet(A):
+    """Jacobian and Hessian callables of x -> A x: A (a read-only view) and 0."""
+    m = A.shape[0]
+    return (lambda x: np.broadcast_to(A, x.shape + (m,)),
+            lambda x: np.zeros(x.shape + (m, m)))
+
+
 def _identity(dim):
-    return BoundaryMap(lambda x: np.array(x, copy=True), INFINITY, 1.0, "identity", dim)
+    jac, hess = _affine_jet(np.eye(dim))
+    return BoundaryMap(lambda x: np.array(x, copy=True), INFINITY, 1.0, "identity", dim,
+                       jacobian=jac, hessian=hess)
 
 
 def _linear(matrix):
     A = np.asarray(matrix, dtype=float)
     sv = np.linalg.svd(A, compute_uv=False)
     K = sv[0] / sv[-1]
+    jac, hess = _affine_jet(A)
     return BoundaryMap(
-        lambda x: x @ A.T, INFINITY, float(K), "linear", A.shape[0]
+        lambda x: x @ A.T, INFINITY, float(K), "linear", A.shape[0],
+        jacobian=jac, hessian=hess,
     )
+
+
+def _sq_norm(x):
+    """|x|^2 summed one component at a time."""
+    r2 = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        r2 += x[..., k] * x[..., k]
+    return r2
+
+
+def _over_r2(a, r2):
+    """a / r^2, taken as 0 where r = 0."""
+    return np.divide(a, r2, out=np.zeros_like(r2), where=r2 > 0.0)
 
 
 def _radial_stretch(K, dim):
@@ -181,14 +203,39 @@ def _radial_stretch(K, dim):
     expo = K - 1.0
 
     def ev(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r = np.sqrt(_sq_norm(x))[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
             fac = np.where(r > 0.0, r**expo, 0.0)
         return fac * x
 
+    def coeffs(x):
+        """r^2, r^p and p r^(p-2), the last 0 at the origin."""
+        r2 = _sq_norm(x)
+        with np.errstate(divide="ignore"):  # r^p at the origin for K < 1
+            fac = np.sqrt(r2) ** expo
+        return r2, fac, _over_r2(expo * fac, r2)
+
+    def jac(x):
+        _, fac, c2 = coeffs(x)
+        J = np.empty(x.shape + (dim,))
+        for i in range(dim):
+            c2x = c2 * x[..., i]
+            for j in range(dim):
+                J[..., i, j] = c2x * x[..., j]
+            J[..., i, i] += fac
+        return J
+
+    def hess(x):
+        r2, _, c2 = coeffs(x)
+        c3 = _over_r2((expo - 2.0) * c2, r2)
+        eye = np.eye(dim)
+        xi, xj, xk = x[..., :, None, None], x[..., None, :, None], x[..., None, None, :]
+        sym = eye[:, :, None] * xk + eye[:, None, :] * xj + eye * xi
+        return c2[..., None, None, None] * sym + c3[..., None, None, None] * (xi * xj * xk)
+
     return BoundaryMap(
         ev, INFINITY, float(K), f"radial_stretch[{K}]", dim,
-        singular_points=(np.zeros(dim),),
+        singular_points=(np.zeros(dim),), jacobian=jac, hessian=hess,
     )
 
 
@@ -200,9 +247,26 @@ def _shear(c, dim):
         out[..., 0] = out[..., 0] + c * np.tanh(x[..., 1])
         return out
 
+    def sech2(t):
+        """sech^2 t = 4 e^{-2|t|} / (1 + e^{-2|t|})^2, free of overflow."""
+        e = np.exp(-2.0 * np.abs(t))
+        return 4.0 * e / (1.0 + e) ** 2
+
+    def jac(x):
+        J = np.zeros(x.shape + (dim,))
+        for i in range(dim):
+            J[..., i, i] = 1.0
+        J[..., 0, 1] = c * sech2(x[..., 1])
+        return J
+
+    def hess(x):
+        H = np.zeros(x.shape + (dim, dim))
+        H[..., 0, 1, 1] = -2.0 * c * sech2(x[..., 1]) * np.tanh(x[..., 1])
+        return H
+
     q = abs(c)  # sup |g'| = 1
     K = ((q + np.sqrt(4.0 + q * q)) / 2.0) ** 2
-    return BoundaryMap(ev, INFINITY, float(K), f"shear[{c}]", dim)
+    return BoundaryMap(ev, INFINITY, float(K), f"shear[{c}]", dim, jacobian=jac, hessian=hess)
 
 
 def make_boundary_map(name, dim=2, **params):

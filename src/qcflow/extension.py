@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 21
-CHUNK = 4096         # points per evaluation chunk
+CHUNK = 4096         # points per jet chunk
+EVAL_CHUNK = 256     # points per evaluation chunk: its node arrays stay in cache
 DEEP_HEIGHT = 1e-4   # below this, the jet uses the local-model evaluation
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
 
@@ -154,7 +155,7 @@ class GoodExtension:
     def _eval_chunked(self, pts):
         flat = pts.reshape(-1, pts.shape[-1])
         out = np.empty_like(flat)
-        for sl in _chunked(flat.shape[0]):
+        for sl in _chunked(flat.shape[0], EVAL_CHUNK):
             out[sl] = self._eval_inf(flat[sl])
         return out.reshape(pts.shape)
 
@@ -189,12 +190,13 @@ class GoodExtension:
         Below DEEP_HEIGHT the quadrature window has radius ~9 s, far under
         the float64 resolution of f's outputs; evaluating the 2-jet model
         of f in scaled coordinates removes that rounding wall (the model
-        error is a smooth O(s^2 |D^3 f|) perturbation), and the model
-        Jacobian A + s H[., y] gives the energy without finite differences.
+        error is a smooth O(s^2 |D^3 f|) perturbation).  A and H are f's
+        exact jet at x0, and the model Jacobian A + s H[., y] gives the
+        energy.
         """
         y = self.quad.nodes
         A = bd.boundary_jacobian(self.f_inf, x0)              # (B, m, m)
-        H = bd.boundary_hessian(self.f_inf, x0)               # (B, m, m, m)
+        H = self.f_inf.hessian(x0)                            # (B, m, m, m)
         Jmod = A[:, None] + s0[:, None, None, None] * np.einsum("bijk,qk->bqij", H, y)
         # f(x0 + s y) - f(x0) = s (A + s H[., y] / 2) y
         step = np.einsum("bqij,qj->bqi", 0.5 * (A[:, None] + Jmod), y)

@@ -18,6 +18,7 @@ __all__ = [
     "log_map",
     "IsometryFixingInfinity",
     "Mobius",
+    "chain_rule",
     "general_isometry",
     "PolarFrame",
     "HorocyclicCoord",
@@ -320,6 +321,44 @@ class Mobius:
                     x = x / np.sum(x**2, axis=-1, keepdims=True)
         return x
 
+    def boundary_jet(self, x, jet):
+        """Push a jet through the boundary action, one primitive at a time.
+
+        x holds the values h(.) of some map h and jet = (Dh,) or (Dh, D2h)
+        its derivatives there, D[..., i, j] = d_j h_i and
+        D2[..., i, j, k] = d_j d_k h_i.  Returns (M(x), jet of M o h) by
+        `chain_rule`.  A similarity a O x + b contributes a O; the
+        inversion x/|x|^2 contributes (I - 2 x x^T/|x|^2)/|x|^2, conformal
+        with factor |x|^{-2} (Ahlfors, Mobius transformations in several
+        dimensions, 1981), and second derivatives
+        (-2 (d_ij x_k + d_ik x_j + d_jk x_i) + 8 x_i x_j x_k/|x|^2)/|x|^4.
+        At a pole the jet is non-finite, like the boundary action.
+        """
+        x = np.asarray(x, dtype=float)
+        m = x.shape[-1]
+        eye = np.eye(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for prim in self.chain:
+                if prim[0] == "sim":
+                    _, a, O, b = prim
+                    x = a * (x @ O.T) + b
+                    jet = ((a * O) @ jet[0],) + tuple(
+                        a * np.einsum("ia,...ajk->...ijk", O, d2) for d2 in jet[1:])
+                else:
+                    nn = np.sum(x**2, axis=-1, keepdims=True)[..., None]
+                    xi, xj = x[..., :, None], x[..., None, :]
+                    outer = ((eye - 2.0 * xi * xj / nn) / nn,)
+                    if len(jet) == 2:
+                        xk = x[..., None, None, :]
+                        sym = (eye[:, :, None] * xk + eye[:, None, :] * xj[..., None]
+                               + eye * xi[..., None])
+                        cube = xi[..., None] * xj[..., None] * xk
+                        outer += ((8.0 * cube / nn[..., None] - 2.0 * sym)
+                                  / (nn * nn)[..., None],)
+                    jet = chain_rule(outer, jet)
+                    x = x / nn[..., 0]
+        return x, jet
+
     def compose(self, other):
         """self o other (apply other first)."""
         return Mobius(other.chain + self.chain)
@@ -333,6 +372,21 @@ class Mobius:
             else:
                 inv_chain.append(prim)
         return Mobius(inv_chain)
+
+
+def chain_rule(outer, inner):
+    """Jet of g o h from the jet of g at h(x) and the jet of h at x.
+
+    Jets are (D,) or (D, D2) with D[..., i, j] = d_j y_i and
+    D2[..., i, j, k] = d_j d_k y_i:  D(g o h) = Dg Dh and
+    D^2(g o h) = D^2 g[Dh ., Dh .] + Dg D^2 h.
+    """
+    D = outer[0] @ inner[0]
+    if len(inner) == 1:
+        return (D,)
+    D2 = np.einsum("...iab,...aj,...bk->...ijk", outer[1], inner[0], inner[0])
+    D2 += np.einsum("...ia,...ajk->...ijk", outer[0], inner[1])
+    return D, D2
 
 
 def _rotation_to_e1(u):

@@ -3,13 +3,15 @@ import pytest
 
 from qcflow.boundary import (
     BoundaryMap,
+    MissingJetError,
     boundary_energy_density,
     boundary_jacobian,
     conjugate_boundary,
     distortion_estimate,
     make_boundary_map,
 )
-from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius
+from qcflow.extension import anchoring_isometry
+from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, chain_rule
 
 
 def test_eval_identity_and_linear():
@@ -89,7 +91,10 @@ def test_composition_submultiplicative_distortion():
     f = make_boundary_map("radial_stretch", K=1.5)
     g = make_boundary_map("shear", c=0.5)
     comp = BoundaryMap(lambda x: f(g(x)), INFINITY, f.declared_K * g.declared_K,
-                       "comp", 2)
+                       "comp", 2,
+                       jacobian=lambda x: f.jacobian(g(x)) @ g.jacobian(x),
+                       hessian=lambda x: chain_rule((f.jacobian(g(x)), f.hessian(g(x))),
+                                                    (g.jacobian(x), g.hessian(x)))[1])
     rng = np.random.default_rng(4)
     x = rng.normal(size=(60, 2)) * 1.5
     Kf = distortion_estimate(f, g(x))
@@ -141,3 +146,120 @@ def test_jacobian_shape_and_nudge_at_origin():
 def test_unknown_catalog_name_rejected():
     with pytest.raises(KeyError):
         make_boundary_map("mystery")
+
+
+def test_boundary_map_without_jet_is_rejected():
+    with pytest.raises(MissingJetError, match="'bare'"):
+        BoundaryMap(lambda x: x, INFINITY, 1.0, "bare", 2)
+    with pytest.raises(ValueError, match="jacobian and hessian"):
+        BoundaryMap(lambda x: x, INFINITY, 1.0, "half", 2, jacobian=lambda x: x)
+
+
+# ---------------------------------------------------------------------------
+# exact jets against a central-difference oracle
+
+def fd_jacobian(f, x, h):
+    m = x.shape[-1]
+    J = np.empty(x.shape + (m,))
+    for j in range(m):
+        step = h * np.eye(m)[j]
+        J[..., :, j] = (f(x + step) - f(x - step)) / (2.0 * h)
+    return J
+
+
+def fd_hessian(f, x, h):
+    m = x.shape[-1]
+    H = np.empty(x.shape + (m, m))
+    for j in range(m):
+        sj = h * np.eye(m)[j]
+        for k in range(m):
+            sk = h * np.eye(m)[k]
+            H[..., :, j, k] = (f(x + sj + sk) - f(x + sj - sk) - f(x - sj + sk)
+                               + f(x - sj - sk)) / (4.0 * h * h)
+    return H
+
+
+def _rel_err(exact, approx, scale):
+    """Worst entry error per point over the point's largest jet entry."""
+    axes = tuple(range(1, exact.ndim))
+    return float(np.max(np.max(np.abs(exact - approx), axis=axes) / scale))
+
+
+def _jet_maps():
+    catalog = {
+        "identity": make_boundary_map("identity"),
+        "linear": make_boundary_map("linear", matrix=np.array([[2.0, 0.3], [-0.1, 1.0]])),
+        "radial_stretch[1.5]": make_boundary_map("radial_stretch", K=1.5),
+        "radial_stretch[2]": make_boundary_map("radial_stretch", K=2.0),
+        "shear": make_boundary_map("shear", c=0.5),
+    }
+    th = 0.7
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    iso = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2])).as_mobius()
+    anchor = anchoring_isometry(np.array([0.3, -0.5]), 3)  # a chain with an inversion
+    assert any(prim[0] == "inv" for prim in anchor.chain)
+    maps = dict(catalog)
+    for name, f in catalog.items():
+        maps[f"iso({name})"] = conjugate_boundary(f, iso, iso)
+        maps[f"anchor({name})"] = conjugate_boundary(f, anchor, anchor)
+    return maps
+
+
+# Calibration sweep of the oracle step h: worst relative error (`_rel_err`)
+# over the 15 maps of `_jet_maps` on the points of the test below.
+#
+#   h            1e-3     1e-4     1e-5     1e-6     1e-7
+#   Jacobian     4.5e-5   4.5e-7   4.5e-9   2.3e-9   1.6e-8
+#   h            1e-2     1e-3     1e-4     1e-5
+#   Hessian      1.7e-2   1.7e-4   1.7e-6   1.9e-5
+#
+# The error falls as h^2 (truncation) down to the rounding floor, eps/h for
+# J and eps/h^2 for H; the worst maps are the anchored conjugates, whose
+# jets vary on the unit scale of the inversion.  Each step is the one with
+# the least worst error, and each tolerance is about 4x that error.  The
+# exact H is symmetric in its last two axes to 3.2e-15 (worst, same scale).
+ORACLE_STEP_J, ORACLE_TOL_J = 1e-6, 1e-8
+ORACLE_STEP_H, ORACLE_TOL_H = 1e-4, 7e-6
+
+
+@pytest.mark.parametrize("name", sorted(_jet_maps()))
+def test_exact_jet_matches_central_differences(name):
+    f = _jet_maps()[name]
+    x = np.random.default_rng(7).normal(size=(200, 2)) * 1.5
+    for sp in f.singular_points:
+        x = x[np.linalg.norm(x - sp, axis=-1) > 0.2]
+    J = boundary_jacobian(f, x)
+    H = f.hessian(x)
+    assert J.shape == (len(x), 2, 2) and H.shape == (len(x), 2, 2, 2)
+    scale_j = np.max(np.abs(J), axis=(1, 2))
+    scale_h = np.maximum(np.max(np.abs(H), axis=(1, 2, 3)), scale_j)
+    assert _rel_err(J, fd_jacobian(f, x, ORACLE_STEP_J), scale_j) < ORACLE_TOL_J
+    assert _rel_err(H, fd_hessian(f, x, ORACLE_STEP_H), scale_h) < ORACLE_TOL_H
+    assert _rel_err(H, np.swapaxes(H, -1, -2), scale_h) < 1e-13
+
+
+@pytest.mark.parametrize("K", [1.0, 1.25, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_stretch_energy_closed_form(K, dim):
+    f = make_boundary_map("radial_stretch", K=K, dim=dim)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(500, dim)) * np.exp(rng.uniform(-3.0, 3.0, size=(500, 1)))
+    r = np.linalg.norm(x, axis=-1)
+    want = (dim - 1 + K * K) * r ** (2.0 * (K - 1.0))
+    assert np.max(np.abs(boundary_energy_density(f, x) / want - 1.0)) < 1e-14
+
+
+def test_radial_stretch_jet_at_origin():
+    for K, J0 in [(1.5, np.zeros((2, 2))), (2.0, np.zeros((2, 2))), (1.0, np.eye(2))]:
+        f = make_boundary_map("radial_stretch", K=K)
+        assert np.array_equal(boundary_jacobian(f, np.zeros(2)), J0)
+        assert np.array_equal(f.hessian(np.zeros(2)), np.zeros((2, 2, 2)))
+
+
+def test_conjugate_jet_is_non_finite_at_the_pole():
+    f = make_boundary_map("shear", c=0.5)
+    inv = Mobius.inversion(3)
+    g = conjugate_boundary(f, inv, inv)
+    assert any(np.array_equal(s, np.zeros(2)) for s in g.singular_points)
+    assert not np.any(np.isfinite(boundary_jacobian(g, np.zeros(2))))
+    assert not np.any(np.isfinite(g.hessian(np.zeros(2))))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcflow.geometry import (
@@ -288,6 +288,79 @@ def test_inversion_is_isometry_swapping_zero_and_infinity():
     rng = np.random.default_rng(7)
     p, q = box_points(rng, 40), box_points(rng, 40)
     assert np.allclose(dist(V.apply(p), V.apply(q)), dist(p, q), atol=1e-10)
+
+
+# hypothesis: Mobius chains that contain inversions.  A chain alternates 2-3
+# random similarities with inversions in the unit sphere.  Boundary points
+# that pass within 0.1 of an inversion's pole are discarded; boundary points
+# are compared in the chordal metric of the sphere, which is scale-free.
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+def _alternate(sims):
+    chain = [sims[0]]
+    for sim in sims[1:]:
+        chain += [("inv", 3), sim]
+    return Mobius(chain)
+
+
+similarities = st.builds(lambda a, th, b: ("sim", a, _rotation(th), np.array(b)),
+                         st.floats(0.2, 5.0), st.floats(0.0, 2 * math.pi),
+                         st.tuples(coord, coord))
+chains = st.lists(similarities, min_size=2, max_size=3).map(_alternate)
+boundary_points = st.tuples(coord, coord).map(np.array)
+
+
+def _conformal_factor(M, x, clearance=0.1):
+    """M's conformal factor at x; None if x passes within clearance of a pole."""
+    factor = 1.0
+    for prim in M.chain:
+        if prim[0] == "sim":
+            factor *= prim[1]
+        else:
+            nn = float(x @ x)
+            if nn <= clearance**2:
+                return None
+            factor /= nn
+        x = Mobius([prim]).boundary_array(x)
+    return factor
+
+
+def _chordal(x, y):
+    return 2.0 * np.linalg.norm(x - y) / math.sqrt((1.0 + x @ x) * (1.0 + y @ y))
+
+
+@GEODESIC_SETTINGS
+@given(M=chains, p=points, q=points)
+def test_mobius_chain_preserves_dist_property(M, p, q):
+    d = dist(p, q)
+    assert dist(M.apply(p), M.apply(q)) == pytest.approx(d, rel=1e-9, abs=1e-12)
+
+
+@GEODESIC_SETTINGS
+@given(M=chains, N=chains, p=points, x=boundary_points)
+def test_mobius_chain_compose_and_inverse_round_trip_property(M, N, p, x):
+    assert np.array_equal(M.compose(N).apply(p), M.apply(N.apply(p)))
+    assert dist(M.inverse().apply(M.apply(p)), p) < 1e-9
+    assert dist(M.compose(M.inverse()).apply(p), p) < 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(M.compose(N).boundary_array(x),
+                              M.boundary_array(N.boundary_array(x)), equal_nan=True)
+    assume(_conformal_factor(M, x) is not None)
+    assert _chordal(M.inverse().boundary_array(M.boundary_array(x)), x) < 1e-9
+
+
+@GEODESIC_SETTINGS
+@given(M=st.one_of(chains, st.just(Mobius.inversion(3))), x=boundary_points)
+def test_mobius_boundary_jacobian_is_conformal_property(M, x):
+    factor = _conformal_factor(M, x)
+    assume(factor is not None)
+    y, (D,) = M.boundary_jet(x, (np.eye(2),))
+    assert np.array_equal(y, M.boundary_array(x))
+    # J^T J = lambda^2 I, lambda the product of the chain's factors
+    # (a for a similarity, |x|^-2 for the inversion at its argument x)
+    assert np.allclose(D.T @ D, factor**2 * np.eye(2), rtol=0.0, atol=1e-12 * factor**2)
 
 
 def test_boundary_antipode():
