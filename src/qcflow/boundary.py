@@ -102,18 +102,21 @@ def boundary_energy_density(f, x):
     return e
 
 
+def singular_value_ratio(J):
+    """Largest over smallest singular value of J (..., m, m); inf where J is singular."""
+    sv = np.linalg.svd(J, compute_uv=False)
+    smin = sv[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(smin > 0.0, sv[..., 0] / np.where(smin > 0, smin, 1.0), np.inf)
+
+
 def distortion_estimate(f, x):
     """Ratio of extreme singular values of the exact Jacobian of f at x.
 
     Equals the displacement-ratio distortion for differentiable f.  A
     singular Jacobian gives inf.
     """
-    J = boundary_jacobian(f, x)
-    sv = np.linalg.svd(J, compute_uv=False)
-    smin = sv[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = np.where(smin > 0.0, sv[..., 0] / np.where(smin > 0, smin, 1.0), np.inf)
-    return K
+    return singular_value_ratio(boundary_jacobian(f, x))
 
 
 def conjugate_boundary(f, I, J, fixed_point=None):

@@ -131,6 +131,14 @@ def _stable_angle(a, b):
     return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
 
+def _uniform_sphere(rng, k):
+    """k points uniform on S^2: height z and azimuth drawn uniformly (Archimedes)."""
+    z = rng.uniform(-1.0, 1.0, size=k)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    rad = np.sqrt(1.0 - z * z)
+    return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
+
+
 def fibonacci_sphere(n_points):
     """Deterministic spiral lattice of n_points on S^2."""
     i = np.arange(n_points, dtype=float)
@@ -156,11 +164,7 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
     centers = fibonacci_sphere(n_pts)
     tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
 
-    rng = rng or np.random.default_rng(0)
-    z = rng.uniform(-1.0, 1.0, size=sample_size)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=sample_size)
-    rad = np.sqrt(1.0 - z * z)
-    samples = np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
+    samples = _uniform_sphere(rng or np.random.default_rng(0), sample_size)
 
     chord = _chord(radius)
     k = 24
@@ -182,6 +186,14 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         "covering_radius_sample": cover_rad_sample,
     }
     return centers, report
+
+
+def _squish(u):
+    """Radial squish factor |u|_inf / |u|_2 of cube coordinates (0 at the origin)."""
+    sup = np.max(np.abs(u), axis=-1)
+    eu = np.linalg.norm(u, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(eu > 0.0, sup / np.where(eu > 0, eu, 1.0), 0.0)
 
 
 class CubeToDisk:
@@ -208,11 +220,7 @@ class CubeToDisk:
     def flatten(self, u):
         """Cube coordinates -> tangent-plane disk coordinates (radial squish)."""
         u = np.asarray(u, dtype=float)
-        sup = np.max(np.abs(u), axis=-1)
-        eu = np.linalg.norm(u, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fac = np.where(eu > 0.0, sup / np.where(eu > 0, eu, 1.0), 0.0)
-        return u * fac[..., None]
+        return u * _squish(u)[..., None]
 
     def unflatten(self, v):
         v = np.asarray(v, dtype=float)
@@ -242,22 +250,17 @@ class CubeToDisk:
         v = fac[..., None] * np.stack([diff @ self.t1, diff @ self.t2], axis=-1)
         return self.unflatten(v)
 
-    def jacobian(self, u, h_rel=1e-4):
-        """|det D(forward)| by central differences at the chart scale.
+    def jacobian(self, u):
+        """|det D(forward)| = (|u|_inf / |u|_2)^2 sin(theta) / theta, theta = |flatten(u)|.
 
-        The step is proportional to the cap radius, not the queried cell,
-        so the estimate stays meaningful for sub-resolution subcells.
+        The radial squish scales area by its factor squared and the
+        exponential map at the cap center by sin(theta) / theta; the closed
+        form keeps full relative precision at every cap size.
         """
         u = np.asarray(u, dtype=float)
-        h = self.half_side * h_rel
-        J = np.empty(u.shape[:-1] + (3, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            J[..., :, j] = (self.forward(u + e) - self.forward(u - e)) / (2.0 * h)
-        gram = np.einsum("...ki,...kj->...ij", J, J)
-        det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] ** 2
-        return np.sqrt(np.maximum(det, 0.0))
+        fac = _squish(u)
+        theta = fac * np.linalg.norm(u, axis=-1)
+        return fac * fac * np.sinc(theta / np.pi)
 
     def measured_bilipschitz(self, rng, n_pairs=10_000):
         """Max two-sided distortion of sampled pair distances."""
@@ -601,13 +604,7 @@ def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
         n_est = float(len(centers))
     else:
         # sampled cylinders from the (virtual) cover: uniform random centers
-        z = rng.uniform(-1.0, 1.0, size=max_cylinders)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=max_cylinders)
-        rad = np.sqrt(1.0 - z * z)
-        chosen = [
-            SphericalDisk(np.array([rad[i] * np.cos(phi[i]), rad[i] * np.sin(phi[i]), z[i]]), radius)
-            for i in range(max_cylinders)
-        ]
+        chosen = [SphericalDisk(c, radius) for c in _uniform_sphere(rng, max_cylinders)]
 
     reports = []
     for ci, disk in enumerate(chosen):

@@ -17,7 +17,8 @@ derivatives are Gaussian moments of the same node values the average
 uses (Stein identities, as in the Gaussian-smoothing gradient of
 Nesterov and Spokoiny, Found. Comput. Math. 17, 2017).  `GoodExtension.jet`
 reads them off one set of node evaluations per point, in a frame
-conjugated to unit scale, and feeds energy, distortion and tension.
+conjugated to unit scale, as the jet tuple that energy, distortion and
+tension take.
 """
 
 import numpy as np
@@ -43,8 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 21
-CHUNK = 4096         # points per jet chunk
-EVAL_CHUNK = 256     # points per evaluation chunk: its node arrays stay in cache
+CHUNK = 256          # points per evaluation and jet chunk: node arrays stay small
 DEEP_HEIGHT = 1e-4   # below this, the jet uses the local-model evaluation
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
 
@@ -93,9 +93,9 @@ def _stein_weights(quad):
     return np.stack(cols, axis=-1) * quad.weights[:, None]
 
 
-def _chunked(n_pts, size=CHUNK):
-    for start in range(0, n_pts, size):
-        yield slice(start, min(start + size, n_pts))
+def _chunked(n_pts):
+    for start in range(0, n_pts, CHUNK):
+        yield slice(start, min(start + CHUNK, n_pts))
 
 
 class GoodExtension:
@@ -139,9 +139,8 @@ class GoodExtension:
         pts = np.asarray(pts, dtype=float)
         s = pts[..., -1]
         fv, e = self._nodes_direct(pts[..., :-1], s)
-        w = self.quad.weights
-        horiz = np.einsum("...qm,q->...m", fv, w)
-        vert = s * np.sqrt((e @ w) / (self.n - 1))
+        horiz = self.quad.integrate(fv)
+        vert = s * np.sqrt(self.quad.integrate(e) / (self.n - 1))
         return np.concatenate([horiz, vert[..., None]], axis=-1)
 
     def __call__(self, pts):
@@ -155,22 +154,22 @@ class GoodExtension:
     def _eval_chunked(self, pts):
         flat = pts.reshape(-1, pts.shape[-1])
         out = np.empty_like(flat)
-        for sl in _chunked(flat.shape[0], EVAL_CHUNK):
+        for sl in _chunked(flat.shape[0]):
             out[sl] = self._eval_inf(flat[sl])
         return out.reshape(pts.shape)
 
     # -- moment jet ----------------------------------------------------------
 
     def jet(self, pts):
-        """(jac, lap) of the extension at pts in per-point unit frames.
+        """Jet tuple (val, jac, lap, s_dom) of the extension in per-point unit frames.
 
         Each base point p is carried to (0, ..., 0, 1) and its image G(p)
         to (0, ..., 0, 1) by similarities on both sides (after the
-        anchoring isometry for finite anchors), so jac (..., n, n) is the
-        Jacobian there and lap (..., n, n) holds the diagonal second
-        derivatives, lap[..., g, i] = d^2 F^g / dx_i^2.  Energy, distortion
-        and tension are isometry invariant, so they can be read off
-        this frame, where base and image heights are both 1.
+        anchoring isometry for finite anchors), so val is e_n, s_dom is 1,
+        jac (..., n, n) is the Jacobian there and lap (..., n, n) holds the
+        diagonal second derivatives, lap[..., g, i] = d^2 F^g / dx_i^2.
+        Energy, distortion and tension are isometry invariant, so they can
+        be read off this frame (see `tension`).
         """
         pts = np.asarray(pts, dtype=float)
         n = self.n
@@ -182,7 +181,9 @@ class GoodExtension:
         for sl in _chunked(flat.shape[0]):
             jac[sl], lap[sl] = self._jet_unit_frame(flat[sl])
         shape = pts.shape[:-1] + (n, n)
-        return jac.reshape(shape), lap.reshape(shape)
+        val = np.zeros(pts.shape)
+        val[..., -1] = 1.0
+        return val, jac.reshape(shape), lap.reshape(shape), np.ones(pts.shape[:-1])
 
     def _nodes_deep(self, x0, s0):
         """f - f(x0) and e(f) at the scaled nodes from the fitted 2-jet of f.
@@ -255,10 +256,7 @@ class GoodExtension:
         The vector components live in the per-point unit frames of `jet`;
         the norms are frame-invariant, which is all downstream consumers use.
         """
-        jac, lap = self.jet(pts)
-        val = np.zeros(jac.shape[:-1])
-        val[..., -1] = 1.0
-        return tn.tension_from_jet(val, jac, lap, np.ones(val.shape[:-1]))
+        return tn.tension_from_jet(*self.jet(pts))
 
 
 def anchoring_isometry(a, n=3):

@@ -204,61 +204,6 @@ def _check_rotation(O, n_minus_1):
     return O
 
 
-@dataclass(frozen=True)
-class IsometryFixingInfinity:
-    """Isometry (x, s) -> (a O(x) + b, a s) of the upper half-space."""
-
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(
-            self, "translation", np.asarray(self.translation, dtype=float)
-        )
-        m = self.translation.shape[-1]
-        object.__setattr__(self, "rotation", _check_rotation(self.rotation, m))
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(1.0, np.eye(n - 1), np.zeros(n - 1))
-
-    def apply(self, p):
-        pc = _coords(p)
-        out = np.empty_like(pc)
-        out[..., :-1] = self.scale * (pc[..., :-1] @ self.rotation.T) + self.translation
-        out[..., -1] = self.scale * pc[..., -1]
-        if isinstance(p, Point) and out.ndim == 1:
-            return Point.from_coords(out)
-        return out
-
-    def boundary(self, x):
-        if is_infinity(x):
-            return INFINITY
-        x = np.asarray(x, dtype=float)
-        return self.scale * (x @ self.rotation.T) + self.translation
-
-    def compose(self, other):
-        """self o other (apply other first)."""
-        return IsometryFixingInfinity(
-            self.scale * other.scale,
-            self.rotation @ other.rotation,
-            self.scale * (other.translation @ self.rotation.T) + self.translation,
-        )
-
-    def inverse(self):
-        Rinv = self.rotation.T
-        return IsometryFixingInfinity(
-            1.0 / self.scale, Rinv, -(self.translation @ Rinv.T) / self.scale
-        )
-
-    def as_mobius(self):
-        return Mobius([("sim", self.scale, self.rotation, self.translation)])
-
-
 class Mobius:
     """General isometry of H^n as a chain of similarities and inversions.
 
@@ -270,13 +215,13 @@ class Mobius:
     def __init__(self, chain):
         self.chain = list(chain)
 
-    @classmethod
-    def identity(cls, n):
-        return cls([("sim", 1.0, np.eye(n - 1), np.zeros(n - 1))])
+    @staticmethod
+    def identity(n):
+        return Mobius([("sim", 1.0, np.eye(n - 1), np.zeros(n - 1))])
 
-    @classmethod
-    def inversion(cls, n):
-        return cls([("inv", n)])
+    @staticmethod
+    def inversion(n):
+        return Mobius([("inv", n)])
 
     def apply(self, p):
         pc = _coords(p)
@@ -372,6 +317,29 @@ class Mobius:
             else:
                 inv_chain.append(prim)
         return Mobius(inv_chain)
+
+
+class IsometryFixingInfinity(Mobius):
+    """Isometry (x, s) -> (a O(x) + b, a s) of the upper half-space.
+
+    A Mobius chain of one similarity; composing or inverting it gives a
+    plain Mobius.
+    """
+
+    def __init__(self, scale, rotation, translation):
+        translation = np.asarray(translation, dtype=float)
+        rotation = _check_rotation(rotation, translation.shape[-1])
+        scale = float(scale)
+        if not scale > 0.0:
+            raise ValueError("scale must be positive")
+        super().__init__([("sim", scale, rotation, translation)])
+
+    @classmethod
+    def identity(cls, n):
+        return cls(1.0, np.eye(n - 1), np.zeros(n - 1))
+
+    def as_mobius(self):
+        return self
 
 
 def chain_rule(outer, inner):

@@ -11,10 +11,12 @@ log(1/(1-r^2)) for the calibrated lower-bound constant C_g.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from . import tension as tn
+from .heatkernel import _panel_quad as _panel_quad_rule
 
 __all__ = [
     "green",
@@ -31,16 +33,8 @@ __all__ = [
 # margin under both.
 C_GREEN = 0.04
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_quad(f, edges):
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(vals @ _GL_WEIGHTS * half))
+# the Green's-function integrals use a 16-point rule on every panel
+_panel_quad = partial(_panel_quad_rule, rule=np.polynomial.legendre.leggauss(16))
 
 
 def green(r, rho, n=3):

@@ -143,13 +143,13 @@ class FlowGrid:
         val, jac, lap, s_dom = self.interior_jets()
         tau, norm = tn.tension_from_jet(val, jac, lap, s_dom)
         if energy:
-            return tau, norm, _energy_density(val, jac, s_dom)
+            return tau, norm, tn.energy_from_jet(val, jac, s_dom)
         return tau, norm
 
     def energy(self):
         """Energy density at interior nodes."""
         val, jac, _, s_dom = self.interior_jets()
-        return _energy_density(val, jac, s_dom)
+        return tn.energy_from_jet(val, jac, s_dom)
 
     def stats_view(self, arr):
         """Restrict an interior-shaped array to the statistics region."""
@@ -165,16 +165,6 @@ class FlowGrid:
 
     def distance_to(self, other_values):
         return float(np.max(dist(self.u, other_values)))
-
-
-def _energy_density(val, jac, s_dom):
-    """e = (s/S)^2 |dF|^2 / 2, summed one Jacobian entry at a time."""
-    entries = [jac[..., g, i] for g in range(jac.shape[-2]) for i in range(jac.shape[-1])]
-    sq = entries[0] * entries[0]
-    for d in entries[1:]:
-        sq += d * d
-    sq *= 0.5 * (s_dom / val[..., -1]) ** 2
-    return sq
 
 
 def init_flow(f, box, resolution, n=3, order=None):

@@ -40,7 +40,7 @@ C3_SANDWICH = 50.0
 ENV_LOWER = 0.022
 ENV_UPPER = 0.046
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+GL12 = np.polynomial.legendre.leggauss(12)  # (nodes, weights) on [-1, 1]
 
 
 def sphere_area(n):
@@ -48,15 +48,20 @@ def sphere_area(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _panel_quad(f, edges):
-    """Composite Gauss-Legendre quadrature over consecutive panel edges."""
+def _panel_quad(f, edges, rule=GL12):
+    """Composite Gauss-Legendre quadrature over consecutive panel edges.
+
+    rule is the (nodes, weights) pair of the Gauss-Legendre rule on [-1, 1]
+    that is mapped onto every panel; f is evaluated once on all nodes.
+    """
+    nodes, weights = rule
     lo = edges[:-1]
     hi = edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
     vals = f(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(vals @ _GL_WEIGHTS * half))
+    return float(np.sum(vals @ weights * half))
 
 
 def _annulus_edges(t, n, lo=0.0, hi=None, r_span=14.0):

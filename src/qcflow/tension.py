@@ -1,17 +1,22 @@
 """Energy density, tension field and distortion of maps H^n -> H^n.
 
-All operators work in upper half-space coordinates.  Derivatives are
-central finite differences with step proportional to the height of the
-base point, so accuracy is uniform in the hyperbolic metric.  The metric
+All operators work in upper half-space coordinates and read one jet
+tuple (val, jac, lap, s_dom): image points val (..., n), Jacobian
+jac[..., g, i] = dF^g/dx^i, diagonal second derivatives
+lap[..., g, i] = d^2 F^g/dx_i^2 and base heights s_dom (...).  The metric
 is diagonal, so the tension contraction only needs the diagonal second
-derivatives.  Maps that carry their own evaluators (good extensions, with
-a `jet` and a `tension_norm` method) are dispatched to them.
+derivatives.  A map with its own `jet` method (a good extension, in unit
+frames) supplies the tuple itself; for any other map `fd_jet` takes it by
+central differences with step proportional to the height of the base
+point, so accuracy is uniform in the hyperbolic metric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .boundary import singular_value_ratio
 
 __all__ = [
     "HyperMap",
@@ -22,6 +27,8 @@ __all__ = [
     "tension_norm",
     "map_distortion",
     "good_set_membership",
+    "fd_jet",
+    "energy_from_jet",
     "tension_from_jet",
 ]
 
@@ -35,7 +42,6 @@ class HyperMap:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, pts):
         return self.evaluator(np.asarray(pts, dtype=float))
@@ -82,13 +88,10 @@ def jet(F, p, h_rel=FD_REL_STEP):
     val = F(pc)
     jac = np.empty((n, n))
     hess = np.empty((n, n, n))
-    plus = np.empty((n, n))
-    minus = np.empty((n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
         fp, fm = F(pc + e), F(pc - e)
-        plus[:, i], minus[:, i] = fp, fm
         jac[:, i] = (fp - fm) / (2.0 * h)
         hess[:, i, i] = (fp - 2.0 * val + fm) / h**2
     for i in range(n):
@@ -160,41 +163,47 @@ def _dot(xs, ys, buf):
     return acc
 
 
-def _diag_stencil_eval(F, pts, h_rel):
-    """Values of F on the center +/- h e_i stencil; returns (val, plus, minus, h)."""
+def fd_jet(F, pts, h_rel=FD_REL_STEP):
+    """Jet tuple (val, jac, lap, s_dom) of F at pts by central differences.
+
+    The step is h_rel times the base height, so the 2n-point stencil stays
+    inside the half-space.  Batched over leading axes.
+    """
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[-1]
     h = _steps(pts, h_rel)
     val = F(pts)
-    plus = np.empty(pts.shape[:-1] + (n, n))
-    minus = np.empty(pts.shape[:-1] + (n, n))
+    jac = np.empty(val.shape + (n,))
+    lap = np.empty_like(jac)
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        step = h[..., None] * e
-        plus[..., i, :] = F(pts + step)
-        minus[..., i, :] = F(pts - step)
-    # plus[..., i, g] = F^g(p + h e_i)
-    return val, plus, minus, h
+        step = np.zeros(pts.shape)
+        step[..., i] = h
+        fp, fm = F(pts + step), F(pts - step)
+        jac[..., i] = (fp - fm) / (2.0 * h[..., None])
+        lap[..., i] = (fp - 2.0 * val + fm) / (h**2)[..., None]
+    return val, jac, lap, pts[..., -1]
 
 
-def _jac_lap(F, pts, h_rel=FD_REL_STEP):
-    val, plus, minus, h = _diag_stencil_eval(F, pts, h_rel)
-    jac = (plus - minus) / (2.0 * h[..., None, None])
-    lap = (plus - 2.0 * val[..., None, :] + minus) / (h**2)[..., None, None]
-    # reorder to [..., g, i]
-    return val, np.swapaxes(jac, -1, -2), np.swapaxes(lap, -1, -2)
+def _jet_of(F, pts):
+    """F's own jet tuple when it has one, else its central-difference jet."""
+    return F.jet(pts) if hasattr(F, "jet") else fd_jet(F, pts)
+
+
+def energy_from_jet(val, jac, s_dom):
+    """e = (s/S)^2 |dF|^2 / 2, summed one Jacobian entry at a time."""
+    entries = [jac[..., g, i] for g in range(jac.shape[-2]) for i in range(jac.shape[-1])]
+    e = _dot(entries, entries, np.empty(jac.shape[:-2]))
+    e *= 0.5 * (s_dom / val[..., -1]) ** 2
+    return e
 
 
 def tension_field(F, pts, h_rel=FD_REL_STEP):
     """Tension vector and its hyperbolic norm at pts (batched).
 
     Returns (tau (..., n) in Euclidean components at F(p), |tau| measured
-    in the target metric at F(p)).
+    in the target metric at F(p)), from central differences of F.
     """
-    pts = np.asarray(pts, dtype=float)
-    val, jac, lap = _jac_lap(F, pts, h_rel)
-    return tension_from_jet(val, jac, lap, pts[..., -1])
+    return tension_from_jet(*fd_jet(F, pts, h_rel))
 
 
 def tension_norm(F, pts):
@@ -208,36 +217,19 @@ def tension_norm(F, pts):
     return tension_field(F, pts)[1]
 
 
-def energy_density(F, pts, h_rel=FD_REL_STEP):
-    """e(F) = 1/2 g^{ij} h_{ab} dF^a_i dF^b_j = (s/S)^2 |dF|_F^2 / 2.
-
-    A map's own `jet` is taken in unit frames, where s/S = 1.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if hasattr(F, "jet"):
-        return 0.5 * np.sum(F.jet(pts)[0] ** 2, axis=(-2, -1))
-    val, jac, _ = _jac_lap(F, pts, h_rel)
-    S = val[..., -1]
-    s = pts[..., -1]
-    return 0.5 * (s / S) ** 2 * np.sum(jac**2, axis=(-2, -1))
+def energy_density(F, pts):
+    """e(F) = 1/2 g^{ij} h_{ab} dF^a_i dF^b_j = (s/S)^2 |dF|_F^2 / 2."""
+    val, jac, _, s_dom = _jet_of(F, np.asarray(pts, dtype=float))
+    return energy_from_jet(val, jac, s_dom)
 
 
-def map_distortion(F, pts, h_rel=FD_REL_STEP):
+def map_distortion(F, pts):
     """Ratio of extreme singular values of the metric-normalised differential.
 
     The s/S normalisation cancels in the ratio, so this is the singular
-    value ratio of the coordinate Jacobian (a map's own `jet` when present);
-    inf for singular differentials.
+    value ratio of the coordinate Jacobian; inf for singular differentials.
     """
-    pts = np.asarray(pts, dtype=float)
-    if hasattr(F, "jet"):
-        jac = F.jet(pts)[0]
-    else:
-        _, jac, _ = _jac_lap(F, pts, h_rel)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    smin = sv[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(smin > 0.0, sv[..., 0] / np.where(smin > 0, smin, 1.0), np.inf)
+    return singular_value_ratio(_jet_of(F, np.asarray(pts, dtype=float))[1])
 
 
 def good_set_membership(f, eps, pts, ext=None, big_K=None):

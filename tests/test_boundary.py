@@ -11,7 +11,7 @@ from qcflow.boundary import (
     make_boundary_map,
 )
 from qcflow.extension import anchoring_isometry
-from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, chain_rule
+from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, chain_rule, is_infinity
 
 
 def test_eval_identity_and_linear():
@@ -113,6 +113,23 @@ def test_conjugate_identity_cases():
     I = IsometryFixingInfinity(2.0, np.eye(2), np.array([1.0, 0.0])).as_mobius()
     gid = conjugate_boundary(fid, I, I)
     assert np.allclose(gid(x), x, atol=1e-12)
+
+
+def test_conjugate_by_bare_isometry_fixing_infinity():
+    # an IsometryFixingInfinity is a one-similarity Mobius chain: it conjugates
+    # without as_mobius() and agrees bit for bit with the hand-built chain
+    f = make_boundary_map("radial_stretch", K=1.5)
+    th = 0.7
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    b = np.array([0.4, -0.2])
+    I = IsometryFixingInfinity(1.6, rot, b)
+    M = Mobius([("sim", 1.6, rot, b)])
+    g, h = conjugate_boundary(f, I, I), conjugate_boundary(f, M, M)
+    assert is_infinity(g.fixed_point)
+    x = np.random.default_rng(21).normal(size=(40, 2))
+    assert np.array_equal(g(x), h(x))
+    assert np.array_equal(g.jacobian(x), h.jacobian(x))
+    assert np.array_equal(g.hessian(x), h.hessian(x))
 
 
 def test_conjugate_preserves_distortion():

@@ -121,6 +121,42 @@ def test_chart_resolves_sub_epsilon_cells():
 # ---------------------------------------------------------------------------
 # partitions and admissibility
 
+def _fd_chart_jacobian(chart, u, h):
+    """|det D(forward)| by central differences: the oracle for the closed form."""
+    J = np.empty(u.shape[:-1] + (3, 2))
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        J[..., :, j] = (chart.forward(u + e) - chart.forward(u - e)) / (2.0 * h)
+    gram = np.einsum("...ki,...kj->...ij", J, J)
+    return np.sqrt(gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] ** 2)
+
+
+TILTED = np.array([0.3, -0.4, math.sqrt(0.75)])
+
+
+def test_chart_jacobian_matches_finite_differences():
+    # the squish has kinks on the diagonals |u1| = |u2|; keep the stencil
+    # off them.  With h = 1e-7 a sweep of 2e4 points measured <= 1.9e-9.
+    r = 0.05
+    chart = CubeToDisk(SphericalDisk(TILTED, r))
+    u = np.random.default_rng(41).uniform(-r, r, size=(2000, 2))
+    u = u[np.abs(np.abs(u[:, 0]) - np.abs(u[:, 1])) > 0.02 * r]
+    ratio = chart.jacobian(u) / _fd_chart_jacobian(chart, u, 1e-7)
+    assert float(np.max(np.abs(ratio - 1.0))) < 1e-7
+
+
+def test_chart_jacobian_exact_at_tiny_caps():
+    # at r = 1e-7, sin(theta)/theta = 1 - theta^2/6 is 1 to 2e-15, so the
+    # Jacobian is the squish's area factor; central differences at the chart
+    # scale were off by a median of 1.6e-6 here (unit vectors round at 1e-16)
+    r = 1e-7
+    chart = CubeToDisk(SphericalDisk(TILTED, r))
+    u = np.random.default_rng(42).uniform(-r, r, size=(2000, 2))
+    squish = np.max(np.abs(u), axis=1) / np.linalg.norm(u, axis=1)
+    assert float(np.max(np.abs(chart.jacobian(u) / squish**2 - 1.0))) < 1e-12
+
+
 def test_partition_cube_example():
     n, side = partition_cube([0.0, 0.0], [1.0, 1.0], -math.log(0.3))
     assert n == 2 and side == pytest.approx(0.5)

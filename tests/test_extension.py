@@ -14,7 +14,7 @@ from qcflow.extension import (
     tension_sup_estimate,
 )
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, Point, dist
-from qcflow.tension import as_hypermap, energy_density, map_distortion
+from qcflow.tension import as_hypermap, energy_density, map_distortion, tension_from_jet
 
 from conftest import box_points
 
@@ -291,7 +291,7 @@ def test_jet_continuous_across_deep_height(name, request):
     x = x[np.linalg.norm(x, axis=1) > 0.05]
     below = np.column_stack([x, np.full(len(x), DEEP_HEIGHT * (1.0 - 1e-9))])
     above = np.column_stack([x, np.full(len(x), DEEP_HEIGHT)])
-    (ja, la), (jb, lb) = ext.jet(below), ext.jet(above)
+    (_, ja, la, _), (_, jb, lb, _) = ext.jet(below), ext.jet(above)
     assert float(np.max(np.abs(ja - jb))) < 1e-5
     assert float(np.max(np.abs(la - lb))) < 1e-5
     ta, tb = ext.tension_norm(below), ext.tension_norm(above)
@@ -302,7 +302,21 @@ def test_jet_of_linear_extension_is_exact(ext_linear):
     # the extension of diag(2, 1) is (Lx, sqrt(5/2) s): in the unit frame
     # its Jacobian is diag(2, 1, sqrt(5/2)) / sqrt(5/2) and it is flat
     pts = box_points(np.random.default_rng(16), 20, s_range=(1e-6, 4.0))
-    jac, lap = ext_linear.jet(pts)
+    _, jac, lap, _ = ext_linear.jet(pts)
     want = np.diag([2.0, 1.0, math.sqrt(2.5)]) / math.sqrt(2.5)
     assert np.max(np.abs(jac - want)) < 1e-9
     assert np.max(np.abs(lap)) < 1e-9
+
+
+@pytest.mark.parametrize("anchor", [INFINITY, np.zeros(2)])
+def test_tension_vector_is_the_jet_tuple_fed_to_tension_from_jet(f_stretch, anchor):
+    # heights on both sides of DEEP_HEIGHT, so the deep and direct paths both run
+    ext = GoodExtension(f_stretch, anchor=anchor)
+    pts = box_points(np.random.default_rng(17), 30, box=1.0, s_range=(1e-6, 2.0))
+    val, jac, lap, s_dom = ext.jet(pts)
+    assert val.shape == pts.shape and s_dom.shape == pts.shape[:-1]
+    assert np.all(val[:, :-1] == 0.0) and np.all(val[:, -1] == 1.0) and np.all(s_dom == 1.0)
+    tau, norm = tension_from_jet(val, jac, lap, s_dom)
+    tau_ext, norm_ext = ext.tension_vector(pts)
+    assert np.array_equal(tau, tau_ext)
+    assert np.array_equal(norm, norm_ext)

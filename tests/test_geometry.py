@@ -249,6 +249,23 @@ def test_isometry_group_closure_and_composition_action():
         assert np.allclose(back, p, atol=1e-12)
 
 
+def test_isometry_fixing_infinity_is_a_one_similarity_mobius():
+    th = 0.4
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    iso = IsometryFixingInfinity(1.5, rot, np.array([0.2, -0.1]))
+    assert isinstance(iso, Mobius) and iso.as_mobius() is iso
+    assert len(iso.chain) == 1 and iso.chain[0][0] == "sim"
+    assert iso.boundary(INFINITY) is INFINITY
+    # the group operations and the Mobius constructors return plain chains
+    assert type(iso.compose(iso)) is Mobius and type(iso.inverse()) is Mobius
+    assert type(IsometryFixingInfinity.inversion(3)) is Mobius
+    assert type(IsometryFixingInfinity.identity(3)) is IsometryFixingInfinity
+    x = np.random.default_rng(8).normal(size=(10, 2))
+    assert np.array_equal(iso.boundary_array(x), 1.5 * (x @ rot.T) + np.array([0.2, -0.1]))
+    with pytest.raises(ValueError):
+        IsometryFixingInfinity(0.0, np.eye(2), np.zeros(2))
+
+
 def test_general_isometry_trivial_and_scaling():
     e1 = np.array([1.0, 0.0])
     triple = [np.zeros(2), e1, INFINITY]

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qcflow.boundary import singular_value_ratio
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, general_isometry
 from qcflow.tension import (
     HyperMap,
     as_hypermap,
     energy_density,
+    energy_from_jet,
+    fd_jet,
     good_set_membership,
     jet,
     map_distortion,
@@ -219,3 +222,25 @@ def test_good_set_fraction_nondecreasing_as_height_drops(f_stretch, ext_stretch,
             *_, ok = good_set_membership(f, 0.1, pts, ext=ext)
             fracs.append(np.mean(ok))
         assert fracs[0] <= fracs[1] + 1e-12 and fracs[1] <= fracs[2] + 1e-12
+
+
+def test_fd_jet_matches_the_single_point_jet():
+    # the batched stencil takes the same differences as the full 2-jet
+    pts = box_points(np.random.default_rng(31), 5)
+    val, jac, lap, s_dom = fd_jet(SQUARE_HEIGHT, pts)
+    assert np.array_equal(s_dom, pts[:, -1])
+    for k, p in enumerate(pts):
+        J = jet(SQUARE_HEIGHT, p)
+        assert np.array_equal(val[k], J.value)
+        assert np.array_equal(jac[k], J.jacobian)
+        assert np.array_equal(lap[k], np.diagonal(J.hessian, axis1=1, axis2=2))
+
+
+@pytest.mark.parametrize("F", [SQUARE_HEIGHT, DOUBLE_HEIGHT])
+def test_hypermap_quantities_are_functions_of_fd_jet(F):
+    pts = box_points(np.random.default_rng(32), 40)
+    val, jac, lap, s_dom = fd_jet(F, pts)
+    assert np.array_equal(energy_density(F, pts), energy_from_jet(val, jac, s_dom))
+    assert np.array_equal(map_distortion(F, pts), singular_value_ratio(jac))
+    for got, want in zip(tension_field(F, pts), tension_from_jet(val, jac, lap, s_dom)):
+        assert np.array_equal(got, want)
