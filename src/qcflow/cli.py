@@ -276,6 +276,14 @@ def cmd_cover(cfg, out, seed, order):
         n_slab=cfg["n_slab"],
         seed=seed,
     )
+    measured = rep.cover_report  # empty when the cylinders are sampled
+    if measured and (measured["covered_fraction"] < 1.0
+                     or measured["max_multiplicity"] > cov.BETA_IMPL):
+        raise ContractViolation(
+            f"cover: sphere cover at R={measured['R']:.6g} has coverage "
+            f"{measured['covered_fraction']} and multiplicity "
+            f"{measured['max_multiplicity']} (need 1 and <= {cov.BETA_IMPL})"
+        )
     for c in rep.cylinders:
         if not c.disjoint:
             raise ContractViolation(f"cover: cylinder {c.index} stack not disjoint")

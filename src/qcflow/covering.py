@@ -1,9 +1,10 @@
 """Sector coverings of the main annulus.
 
 Besicovitch-style disk covers of S^2 are built from a Fibonacci-spiral
-lattice with spacing 0.9 x disk radius and held as one (N, 3) array of
-unit centers, all disks sharing one radius; the overlap multiplicity is a
-measured constant.  Cylinders over the main annulus are partitioned into
+lattice with spacing 0.9 x disk radius and held in closed form (count,
+radius), all disks sharing one radius; the overlap multiplicity is a
+measured constant, counted through the inverse Fibonacci map with no
+centre array.  Cylinders over the main annulus are partitioned into
 admissible sectors by stacking: each good sector's top face, viewed as a
 Euclidean cube through a bi-Lipschitz chart, is partitioned into subcubes
 of the next admissible scale and a good sector is erected over each.
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import PolarFrame
 from .heatkernel import AnnulusSpec, l_of_eps
@@ -30,6 +30,7 @@ __all__ = [
     "CubeToDisk",
     "Sector",
     "AdmissibilityCertificate",
+    "FibonacciCover",
     "besicovitch_cover",
     "fibonacci_sphere",
     "partition_cube",
@@ -139,43 +140,137 @@ def _uniform_sphere(rng, k):
     return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
 
 
-def fibonacci_sphere(n_points):
-    """Deterministic spiral lattice of n_points on S^2."""
-    i = np.arange(n_points, dtype=float)
+def _lattice_xyz(i, n_points):
+    """Coordinates of the spiral-lattice points with (float) indices i."""
     z = 1.0 - (2.0 * i + 1.0) / n_points
     theta = 2.0 * math.pi * i / GOLDEN_RATIO**2
     rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([rad * np.cos(theta), rad * np.sin(theta), z])
+    return rad * np.cos(theta), rad * np.sin(theta), z
+
+
+def fibonacci_sphere(n_points):
+    """Deterministic spiral lattice of n_points on S^2."""
+    return np.column_stack(_lattice_xyz(np.arange(n_points, dtype=float), n_points))
+
+
+# theta_i = 2 pi i / phi^2 is at most 2 pi N / phi^2 < 2.4 N.  Its float64 value
+# carries the rounding of two operations, and the inverse's basis rounds the
+# same products, so centre and assumed lattice point differ by at most about
+# 4 ulp(2.4 N) <= 4 * 2.4 N * 2^-52 radians: no more than that along the
+# centre's latitude circle.  Keeping it below 1% of the lattice spacing
+# sqrt(4 pi / N) bounds N^(3/2) and gives N <= ~6.5e8 (R ~ 8.08).
+MAX_LATTICE_COUNT = int((0.01 * math.sqrt(4.0 * math.pi) / (4 * 2.4 * 2.0**-52)) ** (2.0 / 3.0))
+POLAR_ROWS = 50     # rows at each pole searched directly (the inverse fails within ~2)
+_PATCH = np.mgrid[-1:3, -1:3].reshape(2, -1)   # (a, b) offsets around the cell
+_FIB = np.round(GOLDEN_RATIO ** np.arange(32) / math.sqrt(5.0)).astype(np.int64)
+_BLOCK = 1 << 16    # point-centre distances held at once by caps_at
+
+
+@dataclass(frozen=True)
+class FibonacciCover:
+    """count disks of one radius centred on the count-point spiral lattice.
+
+    The centres are closed-form (center(i) is fibonacci_sphere(count)[i],
+    bit for bit), so the cover holds no array; caps_at counts the caps over
+    points through the inverse spherical-Fibonacci map (Keinert et al.,
+    Spherical Fibonacci Mapping, ACM TOG 34(6), 2015), valid for
+    count <= MAX_LATTICE_COUNT.
+    """
+
+    count: int
+    radius: float
+
+    def center(self, i):
+        """Unit centre(s) of the disk(s) with index (array) i."""
+        return np.stack(_lattice_xyz(np.asarray(i, dtype=float), self.count), axis=-1)
+
+    def caps_at(self, points):
+        """(multiplicity, nearest centre chord) for each unit vector in points.
+
+        A point at height z lies in zone k = max(2, floor(log_phi^2(sqrt5 pi
+        N (1 - z^2)))), where the lattice in (theta, z) has the local basis
+        of consecutive Fibonacci numbers F_k, F_k+1: index F moves theta by
+        2 pi (F/phi^2 - round(F/phi^2)) and z by -2F/N.  The point's cell in
+        that basis and a 4 x 4 patch of offsets around it hold every centre
+        within one chord; lattice point (a, b) is index a F_k + b F_k+1.
+        Outside the polar rows k >= 6, so no two offsets share an index.
+        Points in the first or last POLAR_ROWS rows, where the local basis
+        fails, are checked against the polar band: every centre within one
+        chord in height of those rows.
+        """
+        points = np.asarray(points, dtype=float)
+        n, chord = self.count, _chord(self.radius)
+        mult = np.zeros(len(points), dtype=np.int64)
+        near = np.empty(len(points))
+        polar = np.abs(points[:, 2]) > 1.0 - 2.0 * POLAR_ROWS / n
+        band = np.arange(min(n, POLAR_ROWS + int(n * chord / 2.0) + 1))
+        for south in (False, True):
+            idx = np.flatnonzero(polar & ((points[:, 2] < 0.0) == south))
+            rows = n - 1 - band if south else band
+            cx, cy, cz = _lattice_xyz(rows.astype(float), n)
+            step = max(1, _BLOCK // len(band))
+            for j in range(0, len(idx), step):
+                blk = idx[j:j + step]
+                mult[blk], near[blk] = _count_caps(points[blk], (cx, cy, cz), chord)
+        idx = np.flatnonzero(~polar)
+        step = _BLOCK // _PATCH.shape[1]
+        for j in range(0, len(idx), step):
+            blk = idx[j:j + step]
+            mult[blk], near[blk] = self._caps_by_inverse(points[blk], chord)
+        return mult, near
+
+    def _caps_by_inverse(self, p, chord):
+        n = self.count
+        z = p[:, 2]
+        k = np.maximum(2, np.floor(np.log(math.sqrt(5.0) * n * math.pi * (1.0 - z * z))
+                                   / math.log(GOLDEN_RATIO**2)).astype(np.int64))
+        f0, f1 = _FIB[k], _FIB[k + 1]
+        q0, q1 = f0 / GOLDEN_RATIO**2, f1 / GOLDEN_RATIO**2
+        t0, t1 = 2.0 * math.pi * (q0 - np.round(q0)), 2.0 * math.pi * (q1 - np.round(q1))
+        z0, z1 = -2.0 * f0 / n, -2.0 * f1 / n
+        x = np.arctan2(p[:, 1], p[:, 0])
+        y = z - (1.0 - 1.0 / n)
+        det = t0 * z1 - t1 * z0
+        ca = np.floor((z1 * x - t1 * y) / det).astype(np.int64)
+        cb = np.floor((t0 * y - z0 * x) / det).astype(np.int64)
+        i = ((ca[:, None] + _PATCH[0]) * f0[:, None]
+             + (cb[:, None] + _PATCH[1]) * f1[:, None])
+        valid = (i >= 0) & (i < n)
+        centres = _lattice_xyz(np.where(valid, i, 0).astype(float), n)
+        return _count_caps(p, centres, chord, valid)
+
+
+def _count_caps(p, centres, chord, valid=True):
+    """(caps within chord, nearest chord) of each point p[j] over centres[j] (or all).
+
+    The squared chord sums x, y, z in that order, as a KD-tree does.
+    """
+    dx, dy, dz = (p[:, j, None] - c for j, c in enumerate(centres))
+    d = np.where(valid, np.sqrt(dx * dx + dy * dy + dz * dz), np.inf)
+    return np.sum(d <= chord, axis=1), np.min(d, axis=1)
 
 
 def besicovitch_cover(R, sample_size=100_000, rng=None):
     """Disks of radius e^{-R}/2 covering S^2 with bounded multiplicity.
 
-    Returns (centers, report): centers is the (count, 3) array of unit
-    vectors of a Fibonacci lattice with spacing LATTICE_SPACING x radius,
-    each the center of one disk of radius report["radius"]; the report
-    also carries the sampled coverage and multiplicity measurements.
+    Returns (cover, report): cover is the FibonacciCover of report["count"]
+    disks of radius report["radius"] on a Fibonacci lattice with spacing
+    LATTICE_SPACING x radius; the report also carries the coverage and
+    multiplicity measured at sample_size uniform points.
     """
     radius = math.exp(-R) / 2.0
     if radius > math.pi:
         raise ValueError("disk radius exceeds pi")
+    if sample_size < 1:
+        raise ValueError(f"sample_size={sample_size}: need at least one sample")
     spacing = LATTICE_SPACING * radius
     n_pts = max(4, int(math.ceil(4.0 * math.pi / spacing**2)))
-    centers = fibonacci_sphere(n_pts)
-    tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
-
+    if n_pts > MAX_LATTICE_COUNT:
+        raise ValueError(f"R={R}: {n_pts} caps exceed the {MAX_LATTICE_COUNT} "
+                         "that float64 resolves on the Fibonacci lattice")
+    cover = FibonacciCover(n_pts, radius)
     samples = _uniform_sphere(rng or np.random.default_rng(0), sample_size)
-
-    chord = _chord(radius)
-    k = 24
-    dists, _ = tree.query(samples, k=k, workers=-1)
-    mult = np.sum(dists <= chord, axis=1)
-    while np.any(mult >= k) and k < 512:
-        k *= 2
-        dists, _ = tree.query(samples, k=k, workers=-1)
-        mult = np.sum(dists <= chord, axis=1)
-    cover_rad_sample = 2.0 * math.asin(min(1.0, float(np.max(dists[:, 0])) / 2.0))
-
+    mult, near = cover.caps_at(samples)
     report = {
         "R": R,
         "radius": radius,
@@ -183,9 +278,9 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         "max_multiplicity": int(np.max(mult)),
         "mean_multiplicity": float(np.mean(mult)),
         "covered_fraction": float(np.mean(mult >= 1)),
-        "covering_radius_sample": cover_rad_sample,
+        "covering_radius_sample": 2.0 * math.asin(min(1.0, float(np.max(near)) / 2.0)),
     }
-    return centers, report
+    return cover, report
 
 
 def _squish(u):
@@ -598,10 +693,11 @@ def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
         chosen = disks[:max_cylinders]
         n_est = float(len(disks))
     elif n_est <= MAX_FULL_COVER:
-        centers, cover_report = besicovitch_cover(r_in, rng=rng)
-        step = max(1, len(centers) // max_cylinders)
-        chosen = [SphericalDisk(c, radius) for c in centers[::step][:max_cylinders]]
-        n_est = float(len(centers))
+        cover, cover_report = besicovitch_cover(r_in, rng=rng)
+        step = max(1, cover.count // max_cylinders)
+        centers = cover.center(np.arange(0, cover.count, step)[:max_cylinders])
+        chosen = [SphericalDisk(c, radius) for c in centers]
+        n_est = float(cover.count)
     else:
         # sampled cylinders from the (virtual) cover: uniform random centers
         chosen = [SphericalDisk(c, radius) for c in _uniform_sphere(rng, max_cylinders)]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qcflow import covering as cov
 from qcflow.cli import SCHEMA, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -157,6 +158,27 @@ def test_cover_outputs_and_svg(tmp_path):
         )
         assert rc == rc_want, svg
         assert not (out / "cover.svg").exists(), svg
+
+
+@pytest.mark.parametrize("bad", [{"covered_fraction": 0.99999},
+                                 {"max_multiplicity": cov.BETA_IMPL + 1}])
+def test_cover_contract_on_measured_sphere_cover(tmp_path, capsys, monkeypatch, bad):
+    # t = 3.5 puts the annulus at R_in ~ 2.6, so the sphere cover is built
+    # and measured; a report outside the contract must stop the command
+    real = cov.besicovitch_cover
+
+    def measured_badly(*args, **kwargs):
+        cover, rep = real(*args, **kwargs)
+        return cover, {**rep, **bad}
+
+    monkeypatch.setattr(cov, "besicovitch_cover", measured_badly)
+    rc, _ = run(tmp_path, "cover",
+                "map=linear\nmatrix=2,0,0,1\nt=3.5\nmax_cylinders=1\n"
+                "enumeration_cap=0\naudit_branches=0\nn_slab=16\n")
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("contract violation: cover: sphere cover")
 
 
 @pytest.mark.parametrize(

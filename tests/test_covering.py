@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcflow.covering import (
     BETA_IMPL,
+    GOLDEN_RATIO,
     L0_IMPL,
+    LATTICE_SPACING,
+    MAX_LATTICE_COUNT,
+    POLAR_ROWS,
     CubeImage,
     CubeToDisk,
+    FibonacciCover,
     Sector,
     SphericalDisk,
     admissibility_check,
@@ -20,6 +27,7 @@ from qcflow.covering import (
     sector_average,
     sector_svg,
     subcube,
+    _uniform_sphere,
 )
 from qcflow.geometry import PolarFrame, Point
 
@@ -63,11 +71,72 @@ def test_cover_coverage_and_multiplicity():
 
 
 def test_cover_is_the_lattice_center_array():
-    centers, rep = besicovitch_cover(3.0, sample_size=2000)
-    assert isinstance(centers, np.ndarray)
-    assert centers.shape == (rep["count"], 3)
+    cover, rep = besicovitch_cover(3.0, sample_size=2000)
+    assert isinstance(cover, FibonacciCover)
+    assert (cover.count, cover.radius) == (rep["count"], rep["radius"])
+    centers = cover.center(np.arange(cover.count))
     assert np.array_equal(centers, fibonacci_sphere(rep["count"]))
+    assert np.array_equal(cover.center(17), centers[17])
     assert np.allclose(np.linalg.norm(centers, axis=1), 1.0, atol=1e-12)
+
+
+def _polar_and_zone_samples(n, rng, per=64):
+    """Points in the polar rows and just either side of every zone boundary."""
+    rows = np.arange(min(n, 3 * POLAR_ROWS))
+    rows = np.concatenate([rows, n - 1 - rows])
+    zs = [1.0 - (2.0 * rows + 1.0 + rng.uniform(-1.0, 1.0, rows.size)) / n]
+    # zone k starts where sqrt5 pi N (1 - z^2) = phi^(2k)
+    for k in range(2, 64):
+        w = GOLDEN_RATIO ** (2 * k) / (math.sqrt(5.0) * n * math.pi)
+        if w >= 1.0:
+            break
+        for rel in (-1e-9, -1e-6, -1e-3, 1e-9, 1e-6, 1e-3):
+            z = math.sqrt(1.0 - w) * (1.0 + rel)
+            if z < 1.0:
+                zs += [np.full(per, z), np.full(per, -z)]
+    z = np.clip(np.concatenate(zs), -1.0, 1.0)
+    phi = rng.uniform(0.0, 2.0 * math.pi, z.size)
+    rad = np.sqrt(1.0 - z * z)
+    return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
+
+
+@pytest.mark.parametrize("R", [-math.log(math.pi), 0.5, 2.0, 3.0, 4.0])
+def test_inverse_caps_equal_kdtree_oracle(R):
+    # the inverse Fibonacci map finds exactly the caps a KD-tree over every
+    # centre finds, with the same nearest chord to the last bit
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    cover, _ = besicovitch_cover(R, sample_size=1)
+    rng = np.random.default_rng(5)
+    pts = np.vstack([_uniform_sphere(rng, 20_000),
+                     _polar_and_zone_samples(cover.count, rng)])
+    mult, near = cover.caps_at(pts)
+    k = min(32, cover.count)
+    d, _ = cKDTree(fibonacci_sphere(cover.count)).query(pts, k=k)
+    d = d.reshape(len(pts), k)
+    want = np.sum(d <= 2.0 * math.sin(cover.radius / 2.0), axis=1)
+    assert want.max() < k
+    assert np.array_equal(mult, want)
+    assert np.array_equal(near, d[:, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, MAX_LATTICE_COUNT), frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_inverse_finds_every_center_at_distance_zero(n, frac):
+    i = min(n - 1, int(frac * n))
+    radius = math.sqrt(4.0 * math.pi / n) / LATTICE_SPACING
+    cover = FibonacciCover(n, radius)
+    mult, near = cover.caps_at(cover.center([i]))
+    assert near[0] == 0.0
+    assert mult[0] >= 1
+
+
+def test_cover_guards_allocate_nothing_large():
+    # R = 8.5 would need ~1.2e9 caps, beyond the float64 limit of the lattice
+    with pytest.raises(ValueError, match="R=8.5"):
+        besicovitch_cover(8.5)
+    with pytest.raises(ValueError, match="sample_size"):
+        besicovitch_cover(2.0, sample_size=0)
+    assert 6e8 < MAX_LATTICE_COUNT < 7e8
 
 
 # ---------------------------------------------------------------------------
