@@ -16,9 +16,10 @@ G(., s) = exp((s^2/2) Delta) f, its Jacobian and diagonal second
 derivatives are Gaussian moments of the same node values the average
 uses (Stein identities, as in the Gaussian-smoothing gradient of
 Nesterov and Spokoiny, Found. Comput. Math. 17, 2017).  `GoodExtension.jet`
-reads them off one set of node evaluations per point, in a frame
-conjugated to unit scale, as the jet tuple that energy, distortion and
-tension take.
+reads them, in a frame conjugated to unit scale, as the jet tuple that
+energy, distortion and tension take: above DEEP_HEIGHT from one set of node
+evaluations per point, below it in closed form from the exact 2-jet of f
+(its Gaussian moments are polynomials in the Jacobian, Hessian and s).
 """
 
 import numpy as np
@@ -45,7 +46,7 @@ __all__ = [
 
 DEFAULT_ORDER = 21
 CHUNK = 256          # points per evaluation and jet chunk: node arrays stay small
-DEEP_HEIGHT = 1e-4   # below this, the jet uses the local-model evaluation
+DEEP_HEIGHT = 1e-4   # below this, the jet takes closed-form moments of the local 2-jet
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
 
 
@@ -185,23 +186,39 @@ class GoodExtension:
         val[..., -1] = 1.0
         return val, jac.reshape(shape), lap.reshape(shape), np.ones(pts.shape[:-1])
 
-    def _nodes_deep(self, x0, s0):
-        """f - f(x0) and e(f) at the scaled nodes from the fitted 2-jet of f.
+    def _moments_direct(self, x0, s0):
+        """Stein moments of e(f), (B, 2m+3), and of f / s0, (B, m, 2m+2), from node sums."""
+        fv, e = self._nodes_direct(x0, s0)
+        W = self._stein
+        return e @ W, np.swapaxes(fv, 1, 2) @ W[:, 1:] / s0[:, None, None]
+
+    def _moments_deep(self, x0, s0):
+        """The same moments in closed form from f's exact 2-jet A, H at x0.
 
         Below DEEP_HEIGHT the quadrature window has radius ~9 s, far under
-        the float64 resolution of f's outputs; evaluating the 2-jet model
-        of f in scaled coordinates removes that rounding wall (the model
-        error is a smooth O(s^2 |D^3 f|) perturbation).  A and H are f's
-        exact jet at x0, and the model Jacobian A + s H[., y] gives the
-        energy.
+        the float64 resolution of f's outputs, so f(x0 + s y) - f(x0) is
+        replaced by its quadratic model u(y) = s A y + (s^2/2) H[y, y] (the
+        model error is a smooth O(s^2 |D^3 f|) perturbation), with energy
+        e(y) = |A + s H[., ., y]|^2.  The Gaussian moments of u and e
+        against the columns of `_stein_weights` are polynomials in A, H and
+        s, on which the order-21 rule is exact.  With c_k = sum A_ij H_ijk
+        and M_k = sum H_ijk^2 they are, column by column:
+        e: |A|^2 + s^2 tr M, 2 s c, 2 s^2 tr M, 2 s^2 M, 2 s^2 tr M;
+        u / s: A, s tr H_g, s H_gii, s tr H_g.
         """
-        y = self.quad.nodes
-        A = bd.boundary_jacobian(self.f_inf, x0)              # (B, m, m)
-        H = self.f_inf.hessian(x0)                            # (B, m, m, m)
-        Jmod = A[:, None] + s0[:, None, None, None] * np.einsum("bijk,qk->bqij", H, y)
-        # f(x0 + s y) - f(x0) = s (A + s H[., y] / 2) y
-        step = np.einsum("bqij,qj->bqi", 0.5 * (A[:, None] + Jmod), y)
-        return s0[:, None, None] * step, np.sum(Jmod**2, axis=(-2, -1))
+        A = bd.boundary_jacobian(self.f_inf, x0)                  # (B, m, m)
+        H = self.f_inf.hessian(x0)                                # (B, m, m, m)
+        s = s0[:, None]
+        s2 = s * s
+        c = np.sum(A[..., None] * H, axis=(1, 2))                 # (B, m)
+        M = np.sum(H * H, axis=(1, 2))                            # (B, m)
+        trM = np.sum(M, axis=-1, keepdims=True)
+        e0 = np.sum(A * A, axis=(1, 2))[:, None] + s2 * trM
+        mom_e = np.concatenate([e0, 2.0 * s * c, 2.0 * s2 * trM, 2.0 * s2 * M, 2.0 * s2 * trM],
+                               axis=-1)
+        Hdiag = s[..., None] * np.diagonal(H, axis1=-2, axis2=-1)  # (B, m, m)
+        trH = np.sum(Hdiag, axis=-1, keepdims=True)
+        return mom_e, np.concatenate([A, trH, Hdiag, trH], axis=-1)
 
     def _jet_unit_frame(self, pts):
         """Moment jet of G_infinity(f_inf) at pts, each conjugated to (0, 1).
@@ -210,7 +227,9 @@ class GoodExtension:
         conjugated horizontal part is E u(x + sY), whose derivatives at
         (0, 1) are Gaussian moments of u (Stein identities, see
         `_stein_weights`); the vertical part s sqrt(E e(x + sY) / E e(Y))
-        follows from the same moments of e by the chain rule.
+        follows from the same moments of e by the chain rule.  The moments
+        are node sums above DEEP_HEIGHT and closed-form polynomials in f's
+        2-jet below it (`_moments_deep`).
         """
         m = self.n - 1
         x0 = pts[:, :-1]
@@ -219,22 +238,20 @@ class GoodExtension:
         for sp in self.f_inf.singular_points:
             d_sing = np.linalg.norm(x0 - np.asarray(sp, dtype=float), axis=-1)
             deep &= d_sing > np.maximum(30.0 * s0, DEEP_GUARD)
-        fv = np.empty(x0.shape[:1] + self.quad.nodes.shape)
-        e = np.empty(fv.shape[:-1])
-        for idx, nodes in ((~deep, self._nodes_direct), (deep, self._nodes_deep)):
+        mom_e = np.empty((len(pts), 2 * m + 3))
+        mom_f = np.empty((len(pts), m, 2 * m + 2))
+        for idx, moments in ((~deep, self._moments_direct), (deep, self._moments_deep)):
             if np.any(idx):
-                fv[idx], e[idx] = nodes(x0[idx], s0[idx])
+                mom_e[idx], mom_f[idx] = moments(x0[idx], s0[idx])
 
-        W = self._stein
-        mom_e = e @ W                                      # (B, 2m + 3)
-        S0 = s0 * np.sqrt(mom_e[:, 0] / m)
         # the derivative columns of W sum to zero, so recentring by y0 is
-        # implicit and u's moments are f's divided by S0
-        mom_f = np.einsum("bqg,qk->bkg", fv, W[:, 1:]) / S0[:, None, None]
+        # implicit and u's moments are f's divided by S0 = s0 sqrt(E e(Y) / m);
+        # mom_f already holds f's divided by s0
+        mom_f /= np.sqrt(mom_e[:, 0] / m)[:, None, None]
         jac = np.empty((len(pts), m + 1, m + 1))
         lap = np.empty_like(jac)
-        jac[:, :m] = np.swapaxes(mom_f[:, : m + 1], -1, -2)
-        lap[:, :m] = np.swapaxes(mom_f[:, m + 1 :], -1, -2)
+        jac[:, :m] = mom_f[:, :, : m + 1]
+        lap[:, :m] = mom_f[:, :, m + 1 :]
         # vertical part s sqrt(r), r = E e(x + sY) / E e(Y)
         r = mom_e[:, 1:] / mom_e[:, :1]
         d1 = 0.5 * r[:, : m + 1]                           # first derivatives of sqrt(r)
