@@ -16,7 +16,7 @@ from .geometry import (
     geodesic_step,
 )
 from .heatkernel import RadialKernel
-from .tension import HyperMap, energy_density, map_distortion, tension_field
+from .tension import energy_density, map_distortion, tension_field
 
 __all__ = [
     "BoundaryMap",
@@ -33,7 +33,6 @@ __all__ = [
     "general_isometry",
     "geodesic_step",
     "RadialKernel",
-    "HyperMap",
     "energy_density",
     "map_distortion",
     "tension_field",

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+FIXED_POINT_TOL = 1e-10
+
+
 class MissingJetError(ValueError):
     """A BoundaryMap was built without its exact jacobian and hessian."""
 
@@ -76,11 +79,12 @@ class BoundaryMap:
     def fixes_infinity(self):
         return is_infinity(self.fixed_point)
 
-    def check_fixed_point(self, tol=1e-10):
+    def check_fixed_point(self):
+        """f fixes its declared fixed point to FIXED_POINT_TOL relative."""
         if self.fixes_infinity:
             return True
         fp = np.asarray(self.fixed_point, dtype=float)
-        return np.max(np.abs(self(fp) - fp)) <= tol * max(1.0, np.max(np.abs(fp)))
+        return np.max(np.abs(self(fp) - fp)) <= FIXED_POINT_TOL * max(1.0, np.max(np.abs(fp)))
 
 
 def boundary_jacobian(f, x):

@@ -219,7 +219,7 @@ def cmd_flow(cfg, out, seed, order):
         raise ConfigError(f"s_lo={cfg['s_lo']}, s_hi={cfg['s_hi']}: the flow box needs "
                           "s_lo < s_hi")
     box = (cfg["box_x"], cfg["s_lo"], cfg["s_hi"])
-    grid, _ = hf.init_flow(f, box, cfg["resolution"], order=order)
+    grid = hf.init_flow(f, box, cfg["resolution"], order=order)
     trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
                               record_every=cfg["record_every"])
     if trace.aborted:
@@ -298,7 +298,7 @@ def cmd_cover(cfg, out, seed, order):
         for row in rep.csv_rows():
             w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
     if cfg["svg"]:
-        (Path(out) / "cover.svg").write_text(cov.sector_svg(rep, 0))
+        (Path(out) / "cover.svg").write_text(cov.sector_svg(rep))
     return 0
 
 
@@ -318,7 +318,7 @@ def cmd_goodset(cfg, out, seed, order):
                     "frac_tension"])
         for s in cfg["heights"]:
             pts = np.column_stack([X, np.full(n_x, s)])
-            ok_e, ok_k, ok_t, ok = good_set_membership(f, cfg["eps"], pts, ext=ext)
+            ok_e, ok_k, ok_t, ok = good_set_membership(ext, cfg["eps"], pts)
             frac = float(np.mean(ok))
             if not np.isfinite(frac) or not 0.0 <= frac <= 1.0:
                 raise ContractViolation("goodset: fraction out of range")
@@ -351,8 +351,13 @@ def main(argv=None):
         cfg = _parse_config(args.config, SCHEMA[args.command])
         if args.quad_order < 1:
             raise ConfigError(f"quad_order={args.quad_order} must be at least 1")
+        if args.seed < 0:
+            raise ConfigError(f"seed={args.seed}: expected integer >= 0")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{out}: cannot create the output directory ({exc.strerror})")
         return _COMMANDS[args.command](cfg, out, args.seed, args.quad_order)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

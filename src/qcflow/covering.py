@@ -17,7 +17,7 @@ branch obeys.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,12 @@ BETA_IMPL = 9           # measured max multiplicity fixture (R in {2,4,6})
 L0_IMPL = 2.2           # measured cube-to-disk bi-Lipschitz fixture (~2.12)
 SMALL_CAP = 0.1         # cube charts only in the almost-flat regime
 MAX_FULL_COVER = 2_000_000
+BILIPSCHITZ_PAIRS = 10_000  # sampled pairs behind measured_bilipschitz
+EDGE_SAMPLES = 64   # points per cube edge in CubeImage.radii_estimate
+N_WITNESS = 256     # samples per containment in admissibility_check
+SLAB_WIDTH = 0.25   # radial slab of find_good_height: candidate heights 1, 1.25, ...
+SE_FACTOR = 2.0     # find_good_height accepts mean + SE_FACTOR * se < delta
+SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
 def admissibility_factor(n=3):
@@ -357,10 +363,10 @@ class CubeToDisk:
         theta = fac * np.linalg.norm(u, axis=-1)
         return fac * fac * np.sinc(theta / np.pi)
 
-    def measured_bilipschitz(self, rng, n_pairs=10_000):
-        """Max two-sided distortion of sampled pair distances."""
+    def measured_bilipschitz(self, rng):
+        """Max two-sided distortion of BILIPSCHITZ_PAIRS sampled pair distances."""
         r = self.half_side
-        u = rng.uniform(-r, r, size=(n_pairs, 2, 2))
+        u = rng.uniform(-r, r, size=(BILIPSCHITZ_PAIRS, 2, 2))
         a, b = self.forward(u[:, 0]), self.forward(u[:, 1])
         dS = _stable_angle(a, b)
         dE = np.linalg.norm(u[:, 0] - u[:, 1], axis=-1)
@@ -399,18 +405,19 @@ class CubeImage:
         tol = 1e-9 * self.side() + 1e-30
         return np.all((u >= self.lo - tol) & (u <= self.hi + tol), axis=-1)
 
-    def radii_estimate(self, n_side=64):
+    def radii_estimate(self):
         """(inner, outer) geodesic radii about the image of the center.
 
-        Distances are measured in the flattened tangent plane (exact to
-        O(radius^2) relative), so they remain meaningful for cells far
-        below the resolution of unit vectors.
+        Distances from the center to EDGE_SAMPLES points per cube edge are
+        measured in the flattened tangent plane (exact to O(radius^2)
+        relative), so they remain meaningful for cells far below the
+        resolution of unit vectors.
         """
-        ts = np.linspace(0.0, 1.0, n_side)
+        ts = np.linspace(0.0, 1.0, EDGE_SAMPLES)
         edges = []
         for a in range(2):
             for val in (self.lo[a], self.hi[a]):
-                pts = np.empty((n_side, 2))
+                pts = np.empty((EDGE_SAMPLES, 2))
                 pts[:, a] = val
                 pts[:, 1 - a] = self.lo[1 - a] + ts * (self.hi[1 - a] - self.lo[1 - a])
                 edges.append(pts)
@@ -459,13 +466,14 @@ class AdmissibilityCertificate:
     rho_min: float
 
 
-def admissibility_check(omega, rho_min, alpha, n_witness=256, rng=None):
+def admissibility_check(omega, rho_min, alpha, rng=None):
     """Certificate that omega is pinched between concentric disks.
 
     Requires a disk of radius >= e^{-rho_min}/alpha inside omega and one
     of radius <= alpha e^{-rho_min} containing it, both centered at
     omega's center; returns the certificate or None with the failure
-    recorded by the caller.  Containments are verified on samples.
+    recorded by the caller.  Containments are verified on N_WITNESS
+    samples each.
     """
     scale = math.exp(-rho_min)
     if isinstance(omega, SphericalDisk):
@@ -479,10 +487,10 @@ def admissibility_check(omega, rho_min, alpha, n_witness=256, rng=None):
     rng = rng or np.random.default_rng(0)
     inner = SphericalDisk(center, inner_r)
     outer = SphericalDisk(center, min(outer_r * (1 + 1e-9), math.pi))
-    pts = inner.sample(rng, n_witness)
+    pts = inner.sample(rng, N_WITNESS)
     if not np.all(omega.contains(pts)):
         return None
-    pts = omega.sample(rng, n_witness)
+    pts = omega.sample(rng, N_WITNESS)
     if not np.all(outer.contains(pts)):
         return None
     return AdmissibilityCertificate(alpha, inner, outer, rho_min)
@@ -540,18 +548,17 @@ def sector_average(sector, field, n_mc=4096, rng=None):
     return mean, se, n_mc
 
 
-def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None,
-                     n_slab=256, dr=0.25, se_factor=2.0):
-    """First height r1 in {1, 1+dr, ...} whose sector average of field is < delta.
+def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None, n_slab=256):
+    """First height r1 in {1, 1 + SLAB_WIDTH, ...} whose sector average of field is < delta.
 
-    Samples incrementally per radial slab of width dr (slabs have equal
-    d rho d zeta measure, so the pooled mean is the sector average) and
-    accepts when mean + se_factor * se < delta.  Returns a dict; success
-    False reports the best average found (good heights are only
+    Samples incrementally per radial slab of width SLAB_WIDTH (slabs have
+    equal d rho d zeta measure, so the pooled mean is the sector average)
+    and accepts when mean + SE_FACTOR * se < delta.  Returns a dict;
+    success False reports the best average found (good heights are only
     guaranteed once rho_min exceeds an empirical threshold).
     """
-    n_slabs_total = int(round(r_max / dr))
-    if n_slabs_total * dr + 1e-9 < 1.0:
+    n_slabs_total = int(round(r_max / SLAB_WIDTH))
+    if n_slabs_total * SLAB_WIDTH + 1e-9 < 1.0:
         raise ValueError(f"r_max={r_max} stops below the first candidate height 1")
     rng = rng or np.random.default_rng(0)
     vals = []
@@ -560,13 +567,13 @@ def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None,
     se = math.inf
     out = {"success": False, "r1": None, "mean": math.inf, "se": math.inf, "n": 0}
     for k in range(n_slabs_total):
-        lo = rho_min + k * dr
-        rho = rng.uniform(lo, lo + dr, size=n_slab)
+        lo = rho_min + k * SLAB_WIDTH
+        rho = rng.uniform(lo, lo + SLAB_WIDTH, size=n_slab)
         zeta, w = omega.sample_weighted(rng, n_slab)
         pts = frame.from_polar(rho, zeta)
         vals.append(np.asarray(field(pts), dtype=float))
         wts.append(w)
-        r_here = (k + 1) * dr
+        r_here = (k + 1) * SLAB_WIDTH
         if r_here + 1e-9 < 1.0:
             continue
         allv = np.concatenate(vals)
@@ -574,7 +581,7 @@ def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None,
         mean, se = _weighted_mean_se(allv, allw)
         if mean < best[0]:
             best = (mean, r_here)
-        if mean + se_factor * se < delta:
+        if mean + SE_FACTOR * se < delta:
             out.update(success=True, r1=r_here, mean=mean, se=se, n=allv.size)
             return out
     out.update(mean=best[0], r1=best[1], se=se, n=allv.size)
@@ -590,7 +597,6 @@ class SectorRecord:
     mean: float
     se: float
     good: bool
-    level: int
     resolution_limited: bool = False  # angular scale below ~100 eps: the
     #                                   direction samples collapse in float64
 
@@ -601,8 +607,6 @@ class CylinderReport:
     disk: SphericalDisk
     sectors: list
     branch_tops: list
-    n_children_total: int
-    n_bad: int
     disjoint: bool
     contained: bool
     leftover_bound: float
@@ -611,19 +615,15 @@ class CylinderReport:
 
     @property
     def all_good(self):
-        return self.n_bad == 0
+        return all(s.good for s in self.sectors)
 
 
 @dataclass
 class CoveringReport:
-    t: float
-    eps: float
     r_in: float
     r_out: float
-    r0: float
-    cover_count_estimate: float
     cylinders: list
-    cover_report: dict = field(default_factory=dict)
+    cover_report: dict  # the measured sphere cover; empty when the cylinders are sampled
 
     def csv_rows(self):
         rows = [
@@ -665,23 +665,21 @@ def _check_disjoint(sectors):
     return True
 
 
-def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
-                  enumeration_cap=12, audit_branches=3, n_slab=256, seed=0,
-                  disks=None, n=3, r_max=None):
-    """Stack good sectors over cylinders covering the main annulus.
+def cover_annulus(frame, t, eps, field, r0=8.0, max_cylinders=4,
+                  enumeration_cap=12, audit_branches=3, n_slab=256, seed=0):
+    """Stack good sectors over cylinders covering the main annulus of H^3.
 
     field(pts) is the quantity averaged over sectors, normally
-    |tau(G_a(f))|^2.  Covers at large t have astronomically many
-    cylinders and stack cells, so max_cylinders cylinders are processed
-    (a deterministic sample when the full cover is infeasible) and stack
-    levels beyond enumeration_cap cells are audited along sampled
-    root-to-top chains; the leftover bound holds branch-wise by the
-    stopping rule, which every audited branch verifies.
+    |tau(G_a(f))|^2; a sector is good when its average is below eps, and
+    good heights are sought up to r0.  Covers at large t have
+    astronomically many cylinders and stack cells, so max_cylinders
+    cylinders are processed (a deterministic sample when the full cover is
+    infeasible) and stack levels beyond enumeration_cap cells are audited
+    along sampled root-to-top chains; the leftover bound holds branch-wise
+    by the stopping rule, which every audited branch verifies.
     """
     rng = np.random.default_rng(seed)
-    delta = eps if delta is None else delta
-    r_max = r_max if r_max is not None else r0
-    annulus = AnnulusSpec(t, l_of_eps(eps), n)
+    annulus = AnnulusSpec(t, l_of_eps(eps))
     r_in, r_out = annulus.r_in, annulus.r_out
     if r_in <= 0:
         raise ValueError("main annulus touches the center; increase t")
@@ -689,15 +687,11 @@ def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
     radius = math.exp(-r_in) / 2.0
     n_est = 4.0 * math.pi / (LATTICE_SPACING * radius) ** 2
     cover_report = {}
-    if disks is not None:
-        chosen = disks[:max_cylinders]
-        n_est = float(len(disks))
-    elif n_est <= MAX_FULL_COVER:
+    if n_est <= MAX_FULL_COVER:
         cover, cover_report = besicovitch_cover(r_in, rng=rng)
         step = max(1, cover.count // max_cylinders)
         centers = cover.center(np.arange(0, cover.count, step)[:max_cylinders])
         chosen = [SphericalDisk(c, radius) for c in centers]
-        n_est = float(cover.count)
     else:
         # sampled cylinders from the (virtual) cover: uniform random centers
         chosen = [SphericalDisk(c, radius) for c in _uniform_sphere(rng, max_cylinders)]
@@ -706,39 +700,32 @@ def cover_annulus(frame, t, eps, field, r0=8.0, delta=None, max_cylinders=4,
     for ci, disk in enumerate(chosen):
         reports.append(
             _cover_one_cylinder(
-                ci, frame, disk, r_in, r_out, r0, delta, field, rng,
-                enumeration_cap, audit_branches, n_slab, r_max,
+                ci, frame, disk, r_in, r_out, r0, eps, field, rng,
+                enumeration_cap, audit_branches, n_slab,
             )
         )
-    return CoveringReport(
-        t, eps, r_in, r_out, r0, n_est, reports, cover_report
-    )
+    return CoveringReport(r_in, r_out, reports, cover_report)
 
 
-def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, delta, field, rng,
-                        enumeration_cap, audit_branches, n_slab, r_max):
+def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
+                        enumeration_cap, audit_branches, n_slab):
     sectors = []
     branch_tops = []
-    n_bad = 0
     stop_line = r_out - r0
 
     use_chart = disk.radius <= SMALL_CAP
     chart = CubeToDisk(disk) if use_chart else None
     half = disk.radius  # cube side = 2 * radius = e^{-R_in}
 
-    def eval_cell(omega, rho, level, lo, hi):
-        nonlocal n_bad
+    def eval_cell(omega, rho, lo, hi):
         res = find_good_height(
-            frame, rho, omega, delta, r_max, field, rng=rng, n_slab=n_slab
+            frame, rho, omega, eps, r0, field, rng=rng, n_slab=n_slab
         )
-        good = bool(res["success"])
-        if not good:
-            n_bad += 1
         r1 = res["r1"] if res["r1"] else 1.0
         scale = omega.radius if isinstance(omega, SphericalDisk) else omega.side()
         sectors.append(
             SectorRecord(rho, r1, np.array(lo), np.array(hi), res["mean"],
-                         res["se"], good, level,
+                         res["se"], bool(res["success"]),
                          resolution_limited=scale < 100 * np.finfo(float).eps)
         )
         return rho + r1
@@ -746,11 +733,10 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, delta, field, rng,
     # base sector: Omega = the full disk
     base_lo = np.array([-half, -half])
     base_hi = np.array([half, half])
-    top = eval_cell(disk, r_in, 0, base_lo, base_hi)
+    top = eval_cell(disk, r_in, base_lo, base_hi)
 
     if top > stop_line or not use_chart:
         branch_tops.append(top)
-        n_children_total = 0
     else:
         n_per, side = partition_cube(base_lo, base_hi, top)
         n_children_total = n_per**2
@@ -765,11 +751,10 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, delta, field, rng,
         for pos, idx in enumerate(idxs):
             lo, hi = subcube(base_lo, side, idx)
             omega = CubeImage(chart, lo, hi)
-            child_top = eval_cell(omega, top, 1, lo, hi)
+            child_top = eval_cell(omega, top, lo, hi)
             if pos in audit_set:
                 # descend one random chain to the top of the cylinder
                 c_lo, c_hi, c_rho = lo, hi, child_top
-                level = 2
                 while c_rho <= stop_line:
                     np_ax, c_side = partition_cube(c_lo, c_hi, c_rho)
                     pick_idx = (
@@ -778,8 +763,7 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, delta, field, rng,
                     )
                     c_lo, c_hi = subcube(c_lo, c_side, pick_idx)
                     omega = CubeImage(chart, c_lo, c_hi)
-                    c_rho = eval_cell(omega, c_rho, level, c_lo, c_hi)
-                    level += 1
+                    c_rho = eval_cell(omega, c_rho, c_lo, c_hi)
                 branch_tops.append(c_rho)
 
     good_secs = [s for s in sectors if s.good]
@@ -807,8 +791,6 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, delta, field, rng,
         disk=disk,
         sectors=sectors,
         branch_tops=branch_tops,
-        n_children_total=n_children_total,
-        n_bad=n_bad,
         disjoint=_check_disjoint(sectors),
         contained=contained and tops_ok,
         leftover_bound=leftover_bound,
@@ -817,15 +799,16 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, delta, field, rng,
     )
 
 
-def sector_svg(report, cylinder_index=0, width=640, height=480):
-    """Minimal SVG cross-section of one cylinder's sector stack.
+def sector_svg(report):
+    """Minimal SVG cross-section of the first cylinder's sector stack.
 
     Sectors are drawn over (first cube coordinate) x (rho - R_in); good
     sectors are outlined in black, bad cells in red.
     """
-    cyl = report.cylinders[cylinder_index]
+    cyl = report.cylinders[0]
     span_rho = report.r_out - report.r_in
     half = cyl.disk.radius
+    width, height = SVG_WIDTH, SVG_HEIGHT
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

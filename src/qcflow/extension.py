@@ -48,6 +48,7 @@ DEFAULT_ORDER = 21
 CHUNK = 256          # points per evaluation and jet chunk: node arrays stay small
 DEEP_HEIGHT = 1e-4   # below this, the jet takes closed-form moments of the local 2-jet
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
+QI_ADDITIVE_GRID = np.linspace(0.0, 2.0, 41)  # A scanned by quasi_isometry_constants
 
 
 class QuadratureRule:
@@ -109,8 +110,6 @@ class GoodExtension:
 
     def __init__(self, f, anchor=INFINITY, order=DEFAULT_ORDER):
         self.f = f
-        self.anchor = anchor
-        self.order = order
         self.n = f.dim + 1
         self.quad = QuadratureRule(f.dim, order)
         self._stein = _stein_weights(self.quad)
@@ -126,7 +125,6 @@ class GoodExtension:
             self.mob = anchoring_isometry(anchor, self.n)
             # M f M^{-1} fixes M(anchor) = infinity by construction
             self.f_inf = bd.conjugate_boundary(f, self.mob, self.mob, fixed_point=INFINITY)
-        self.name = f"G[{f.name}]@{anchor!r}"
 
     # -- plain evaluation ---------------------------------------------------
 
@@ -320,7 +318,7 @@ def _project_to_boundary(xi):
     return xi[:-1] / (1.0 - xi[-1])
 
 
-def check_partial_conformal_naturality(f, I, J, a, b, pts, order=DEFAULT_ORDER):
+def check_partial_conformal_naturality(f, I, J, a, b, pts):
     """Max deviation of I o G_b(f) o J^{-1} from G_a(I o f o J^{-1}) over pts.
 
     Requires I(b) = J(b) = a for the anchors involved; returns the max
@@ -333,32 +331,30 @@ def check_partial_conformal_naturality(f, I, J, a, b, pts, order=DEFAULT_ORDER):
         if not is_infinity(a) and np.max(np.abs(np.asarray(img) - np.asarray(a))) > 1e-9:
             raise ValueError("isometry does not map anchor b to anchor a")
 
-    ext_b = GoodExtension(f, b, order)
+    ext_b = GoodExtension(f, b)
     f_conj = bd.conjugate_boundary(f, I, J, fixed_point=a)
-    ext_a = GoodExtension(f_conj, a, order)
+    ext_a = GoodExtension(f_conj, a)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     lhs = I.apply(ext_b(J.inverse().apply(pts)))
     rhs = ext_a(pts)
     return float(np.max(dist(lhs, rhs)))
 
 
-def quasi_isometry_constants(F, pairs, a_grid=None):
+def quasi_isometry_constants(F, pairs):
     """Smallest empirical (L, A) on sampled pairs.
 
-    Scans additive constants on a grid and, for each, takes the least
-    multiplicative constant satisfying both quasi-isometry inequalities on
-    every pair; returns the (L, A) with minimal L, breaking ties toward
-    small A.  This is a lower bound on the true constants.
+    Scans the additive constants A in QI_ADDITIVE_GRID and, for each, takes
+    the least multiplicative constant satisfying both quasi-isometry
+    inequalities on every pair; returns the (L, A) with minimal L, breaking
+    ties toward small A.  This is a lower bound on the true constants.
     """
-    if a_grid is None:
-        a_grid = np.linspace(0.0, 2.0, 41)
     p, q = pairs
     d_dom = dist(p, q)
     d_img = dist(F(p), F(q))
     keep = d_dom > 1e-9
     d_dom, d_img = d_dom[keep], d_img[keep]
     best = None
-    for A in a_grid:
+    for A in QI_ADDITIVE_GRID:
         with np.errstate(divide="ignore"):
             L_upper = np.max((d_dom - A) / d_img) if np.all(d_img > 0) else np.inf
             L_lower = np.max(d_img / (d_dom + A))
@@ -368,12 +364,12 @@ def quasi_isometry_constants(F, pairs, a_grid=None):
     return best
 
 
-def tension_sup_estimate(F, sampler, n_samples, seed=0):
+def tension_sup_estimate(F, sampler, n_samples):
     """Max |tau(F)| over sampled points; nondecreasing in n_samples.
 
     sampler(rng, k) must return k points (k, n) and be prefix-stable for
-    a fixed seed so that larger sample counts extend smaller ones.
+    the fixed seed 0 so that larger sample counts extend smaller ones.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = sampler(rng, n_samples)
     return float(np.max(tn.tension_norm(F, pts)))

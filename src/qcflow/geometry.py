@@ -338,9 +338,6 @@ class IsometryFixingInfinity(Mobius):
     def identity(cls, n):
         return cls(1.0, np.eye(n - 1), np.zeros(n - 1))
 
-    def as_mobius(self):
-        return self
-
 
 def chain_rule(outer, inner):
     """Jet of g o h from the jet of g at h(x) and the jet of h at x.

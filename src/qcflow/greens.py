@@ -33,6 +33,9 @@ __all__ = [
 # margin under both.
 C_GREEN = 0.04
 
+DIST_LAP_TOL = 1e-3  # slack of the distance-Laplacian inequality (difference error)
+DIST_MIN = 0.05      # below this distance d^2 is skipped: d degenerates at 0
+
 # the Green's-function integrals use a 16-point rule on every panel
 _panel_quad = partial(_panel_quad_rule, rule=np.polynomial.legendre.leggauss(16))
 
@@ -64,8 +67,8 @@ def green(r, rho, n=3):
     return float(out[0]) if scalar else out
 
 
-def green_lower_bound_check(r, rho, n=3, C=C_GREEN):
-    """Check g_r(rho) >= C (1-rho^2)^{n-1} / rho^{n-2}.
+def green_lower_bound_check(r, rho, n=3):
+    """Check g_r(rho) >= C_GREEN (1-rho^2)^{n-1} / rho^{n-2}.
 
     Returns (lhs, rhs, holds).  The bound is calibrated on the sweep
     rho <= 0.9 r; near rho = r the Green's function vanishes while the
@@ -73,7 +76,7 @@ def green_lower_bound_check(r, rho, n=3, C=C_GREEN):
     """
     lhs = green(r, rho, n)
     rho = np.asarray(rho, dtype=float)
-    rhs = C * (1.0 - rho**2) ** (n - 1) / rho ** (n - 2)
+    rhs = C_GREEN * (1.0 - rho**2) ** (n - 1) / rho ** (n - 2)
     return lhs, rhs, np.all(lhs >= rhs)
 
 
@@ -103,12 +106,12 @@ def epsilon0(K, q_of_2K):
     return q_of_2K / 8.0 * math.tanh(0.25)
 
 
-def distance_laplacian_check(F, G, pts, tol=1e-3, d_min=0.05):
-    """Check Delta d^2 >= -2 d (|tau(F)| + |tau(G)|) - tol at pts.
+def distance_laplacian_check(F, G, pts):
+    """Check Delta d^2 >= -2 d (|tau(F)| + |tau(G)|) - DIST_LAP_TOL at pts.
 
     d(p) = dist(F(p), G(p)); the Laplace-Beltrami operator is evaluated
     by central differences in half-space coordinates.  Points with
-    d < d_min are skipped (the distance function degenerates there).
+    d < DIST_MIN are skipped (the distance function degenerates there).
     Returns (lap, rhs, holds, skipped) as arrays.
     """
     from .geometry import dist
@@ -137,8 +140,8 @@ def distance_laplacian_check(F, G, pts, tol=1e-3, d_min=0.05):
 
     d = np.sqrt(val)
     rhs = -2.0 * d * (tn.tension_norm(F, pts) + tn.tension_norm(G, pts))
-    skipped = d < d_min
-    holds = skipped | (lap >= rhs - tol)
+    skipped = d < DIST_MIN
+    holds = skipped | (lap >= rhs - DIST_LAP_TOL)
     return lap, rhs, holds, skipped
 
 

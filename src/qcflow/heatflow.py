@@ -34,6 +34,8 @@ CFL_COEFF = 0.2   # dt = CFL_COEFF * (min spacing / s_hi)^2; sits just at the
 BLOWUP_FACTOR = 10.0
 BLOWUP_REASON = "energy blow-up: CFL violation"
 STATS_MARGIN = 3  # stencil widths excluded from interior statistics
+RADIAL_TOL = 0.35  # hamilton_check: allowed spread of |tau|^2 per radial bin, per scale
+RADIAL_BINS = 40   # hamilton_check: radial bins of the initial |tau|^2 profile
 
 
 @dataclass
@@ -46,7 +48,7 @@ class FlowTrace:
     mean_energy: np.ndarray
     aborted: bool = False
     abort_reason: str = ""
-    monotone_band: float = 0.05
+    monotone_band = 0.05  # criterion 7: allowed rise of sup|tau| over its initial value
 
     @property
     def decayed(self):
@@ -99,8 +101,9 @@ class FlowGrid:
             raise ValueError("initial map has non-positive heights")
         self.u0 = self.u.copy()
 
-    def interior(self, margin=1):
-        return tuple(slice(margin, -margin) for _ in range(self.n))
+    def interior(self):
+        """Slices of the nodes inside the frozen boundary layer."""
+        return tuple(slice(1, -1) for _ in range(self.n))
 
     def interior_jets(self):
         """Value, Jacobian and diagonal second derivatives at interior nodes.
@@ -167,12 +170,12 @@ class FlowGrid:
         return float(np.max(dist(self.u, other_values)))
 
 
-def init_flow(f, box, resolution, n=3, order=None):
+def init_flow(f, box, resolution, order=None):
     """Grid carrying the good extension of the boundary map f."""
     from .extension import DEFAULT_ORDER, GoodExtension
 
     ext = GoodExtension(f, order=order or DEFAULT_ORDER)
-    return FlowGrid(box, resolution, ext, n), ext
+    return FlowGrid(box, resolution, ext, f.dim + 1)
 
 
 def cfl_time_step(grid):
@@ -200,19 +203,14 @@ def flow_step(grid, dt, max_energy=np.inf):
     return grid
 
 
-def run_flow(f_or_grid, box=None, resolution=None, t_end=1.0, dt=None,
-             record_every=None, n=3, snapshot_times=None):
-    """Run the heat flow and record (t, sup|tau|, sup drift, mean energy).
+def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
+    """Run the heat flow on grid and record (t, sup|tau|, sup drift, mean energy).
 
     Aborts with a partial trace on energy blow-up (the CFL guard, checked
     before every step and at every record) or invalid node values.
     Returns (FlowTrace, FlowGrid, snapshots) where snapshots maps requested
     times to copies of the node values.
     """
-    if isinstance(f_or_grid, FlowGrid):
-        grid = f_or_grid
-    else:
-        grid, _ = init_flow(f_or_grid, box, resolution, n)
     if dt is None:
         dt = cfl_time_step(grid)
     n_steps = int(np.ceil(t_end / dt))
@@ -257,7 +255,7 @@ def run_flow(f_or_grid, box=None, resolution=None, t_end=1.0, dt=None,
     return trace, grid, snaps
 
 
-def radial_bump_map(center, amp, width, n=3):
+def radial_bump_map(center, amp, width):
     """Rotation-equivariant radial perturbation of the identity.
 
     Moves p along the radial geodesic from center by amp exp(-rho^2/w^2)
@@ -273,46 +271,43 @@ def radial_bump_map(center, amp, width, n=3):
         fac = amp * np.exp(-((rho / width) ** 2))
         return geodesic_step(pts, w, fac)
 
-    return tn.HyperMap(ev, name=f"radial_bump[{amp},{width}]")
+    return ev
 
 
-def hamilton_check(grid0, snapshots, kernel=None, center=None, center_point=None,
-                   radial_tol=0.35, n_bins=40):
+def hamilton_check(grid0, snapshots, center_point=None):
     """Parabolic maximum principle check on radial test data.
 
     Verifies |tau(u)(x0, t)|^2 <= int H(x0, y, t) |tau(u0)(y)|^2 dlambda(y)
     at the test center x0 (the interior node nearest center_point, or the
     middle node), with the right side computed by radial quadrature from
-    the binned initial profile.  The initial |tau|^2 must be radial around
-    the center within radial_tol of its scale, else the check is rejected.
-    Returns a list of (t, lhs, rhs, holds) rows.
+    the initial profile binned into RADIAL_BINS.  The initial |tau|^2 must
+    be radial around the center within RADIAL_TOL of its scale, else the
+    check is rejected.  Returns a list of (t, lhs, rhs, holds) rows.
     """
-    kernel = kernel or RadialKernel(grid0.n)
+    kernel = RadialKernel(grid0.n)
     core = grid0.interior()
     _, norm0 = grid0.tension()
     nodes = grid0.nodes[core]
-    if center is None:
-        if center_point is not None:
-            d = dist(nodes, np.broadcast_to(np.asarray(center_point, float),
-                                            nodes.shape))
-            center = np.unravel_index(int(np.argmin(d)), d.shape)
-        else:
-            center = tuple((s - 1) // 2 for s in norm0.shape)
+    if center_point is not None:
+        d = dist(nodes, np.broadcast_to(np.asarray(center_point, float), nodes.shape))
+        center = np.unravel_index(int(np.argmin(d)), d.shape)
+    else:
+        center = tuple((s - 1) // 2 for s in norm0.shape)
     x0 = nodes[center]
 
     rho = dist(nodes, np.broadcast_to(x0, nodes.shape))
     tau_sq = norm0**2
     rho_max = float(np.max(rho))
-    edges = np.linspace(0.0, rho_max, n_bins + 1)
-    prof = np.zeros(n_bins)
+    edges = np.linspace(0.0, rho_max, RADIAL_BINS + 1)
+    prof = np.zeros(RADIAL_BINS)
     # numerically-zero profiles (harmonic data) count as radial
     scale = max(float(np.max(tau_sq)), 1e-8)
-    for b in range(n_bins):
+    for b in range(RADIAL_BINS):
         inb = (rho >= edges[b]) & (rho < edges[b + 1])
         if not np.any(inb):
             continue
         lo, hi = float(np.min(tau_sq[inb])), float(np.max(tau_sq[inb]))
-        if hi - lo > radial_tol * scale:
+        if hi - lo > RADIAL_TOL * scale:
             raise ValueError(
                 f"initial |tau|^2 is not radial around the center "
                 f"(bin {b}: spread {hi - lo:.3g} vs scale {scale:.3g})"
@@ -321,7 +316,7 @@ def hamilton_check(grid0, snapshots, kernel=None, center=None, center_point=None
 
     def Phi(r):
         r = np.asarray(r, dtype=float)
-        idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, n_bins - 1)
+        idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, RADIAL_BINS - 1)
         out = prof[idx]
         return np.where(r >= rho_max, 0.0, out)
 

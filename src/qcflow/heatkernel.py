@@ -146,12 +146,13 @@ class RadialKernel:
             rho > 0.0, out + (self.n - 1) * _log_sinh(np.maximum(rho, 1e-300)), -np.inf
         )
 
-    def envelope(self, rho, t, lower_const=ENV_LOWER, upper_const=ENV_UPPER):
+    def envelope(self, rho, t):
         """Two-sided kernel envelope C t^{-n/2} (1+rho+t)^{(n-3)/2} (1+rho) e^{...}.
 
-        The exponential factor is exp(-rho^2/4t - (n-1)^2 t/4 - (n-1) rho / 2).
-        Constants are calibrated against the closed form for n = 3 and are
-        shape-only (uncalibrated) for other n.
+        The exponential factor is exp(-rho^2/4t - (n-1)^2 t/4 - (n-1) rho / 2)
+        and C is ENV_LOWER below, ENV_UPPER above.  The constants are
+        calibrated against the closed form for n = 3 and are shape-only
+        (uncalibrated) for other n.
         """
         rho = np.asarray(rho, dtype=float)
         n = self.n
@@ -164,7 +165,7 @@ class RadialKernel:
             - 0.5 * (n - 1) * rho
         )
         shape = np.exp(log_shape)
-        return lower_const * shape, upper_const * shape
+        return ENV_LOWER * shape, ENV_UPPER * shape
 
     def total_mass(self, t):
         """Quadrature of the radial mass density; equals 1 up to truncation."""
@@ -253,14 +254,14 @@ def annulus_average_bounds(Phi, t, l, n=3):
     }
 
 
-def reduce_to_annulus(Phi, t, eps, n=3, C_tail=C3_TAIL, C_sandwich=C3_SANDWICH):
-    """Upper bound (C'/sqrt t) int_{R_in}^{R_out} Phi d rho + eps.
+def reduce_to_annulus(Phi, t, eps, n=3):
+    """Upper bound (C'/sqrt t) int_{R_in}^{R_out} Phi d rho + eps, C' = C3_SANDWICH.
 
     Asserts domination of the full integral
     int_0^inf Phi H omega sinh^{n-1} d rho; requires t >= 2 l(eps)^2.
     Returns (bound, full_integral, holds).
     """
-    l = l_of_eps(eps, C_tail)
+    l = l_of_eps(eps)
     if t < 2.0 * l * l:
         raise ValueError("hypothesis t >= 2 l(eps)^2 violated")
     kern = RadialKernel(n)
@@ -268,7 +269,7 @@ def reduce_to_annulus(Phi, t, eps, n=3, C_tail=C3_TAIL, C_sandwich=C3_SANDWICH):
 
     redges = np.linspace(max(ann.r_in, 0.0), ann.r_out, 257)
     annulus_plain = _panel_quad(lambda r: np.asarray(Phi(r), dtype=float), redges)
-    bound = C_sandwich / math.sqrt(t) * annulus_plain + eps
+    bound = C3_SANDWICH / math.sqrt(t) * annulus_plain + eps
 
     hi = (n - 1) * t + 12.0 * math.sqrt(t) + 20.0
     edges = _annulus_edges(t, n, lo=0.0, hi=hi)

@@ -1,6 +1,7 @@
 """Energy density, tension field and distortion of maps H^n -> H^n.
 
-All operators work in upper half-space coordinates and read one jet
+A map is any callable taking coordinate arrays (..., n) to (..., n).  All
+operators work in upper half-space coordinates and read one jet
 tuple (val, jac, lap, s_dom): image points val (..., n), Jacobian
 jac[..., g, i] = dF^g/dx^i, diagonal second derivatives
 lap[..., g, i] = d^2 F^g/dx_i^2 and base heights s_dom (...).  The metric
@@ -12,14 +13,12 @@ point, so accuracy is uniform in the hyperbolic metric.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .boundary import singular_value_ratio
 
 __all__ = [
-    "HyperMap",
     "JetData",
     "jet",
     "energy_density",
@@ -34,26 +33,6 @@ __all__ = [
 
 FD_REL_STEP = 1e-4  # h = 1e-4 * s, stencils stay inside the half-space
 H_MIN = 1e-300
-
-
-@dataclass
-class HyperMap:
-    """Evaluable map H^n -> H^n acting on coordinate arrays (..., n)."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    def __call__(self, pts):
-        return self.evaluator(np.asarray(pts, dtype=float))
-
-
-def as_hypermap(obj, name=""):
-    """Wrap an isometry or bare callable as a HyperMap."""
-    if isinstance(obj, HyperMap):
-        return obj
-    if hasattr(obj, "apply"):
-        return HyperMap(obj.apply, name=name or obj.__class__.__name__)
-    return HyperMap(obj, name=name)
 
 
 @dataclass
@@ -232,22 +211,18 @@ def map_distortion(F, pts):
     return singular_value_ratio(_jet_of(F, np.asarray(pts, dtype=float))[1])
 
 
-def good_set_membership(f, eps, pts, ext=None, big_K=None):
-    """Membership of pts in the good set of the extension of f.
+def good_set_membership(ext, eps, pts):
+    """Membership of pts in the good set of the good extension ext.
 
-    Returns (energy > 1, distortion < 2K, |tau| < eps) plus the
-    conjunction, all as boolean arrays.
+    Returns (energy > 1, distortion < 2K, |tau| < eps), with K the
+    declared distortion of ext's boundary map, plus the conjunction, all
+    as boolean arrays.
     """
-    from .extension import GoodExtension  # deferred: extension builds on this module
-
-    if ext is None:
-        ext = GoodExtension(f)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    K = f.declared_K if big_K is None else big_K
     e = energy_density(ext, pts)
     dist = map_distortion(ext, pts)
     tau = tension_norm(ext, pts)
     ok_e = e > 1.0
-    ok_k = dist < 2.0 * K
+    ok_k = dist < 2.0 * ext.f.declared_K
     ok_t = tau < eps
     return ok_e, ok_k, ok_t, ok_e & ok_k & ok_t

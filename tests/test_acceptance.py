@@ -82,12 +82,12 @@ def test_criterion_3_partial_conformal_naturality():
     th = 0.8
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     pair_a = (
-        IsometryFixingInfinity(2.0, rot, np.array([0.5, -0.3])).as_mobius(),
-        IsometryFixingInfinity(1.25, np.eye(2), np.array([1.0, 0.0])).as_mobius(),
+        IsometryFixingInfinity(2.0, rot, np.array([0.5, -0.3])),
+        IsometryFixingInfinity(1.25, np.eye(2), np.array([1.0, 0.0])),
     )
     pair_b = (
-        IsometryFixingInfinity(1.3, np.eye(2), np.array([-0.7, 0.4])).as_mobius(),
-        IsometryFixingInfinity(1.3, rot.T, np.zeros(2)).as_mobius(),
+        IsometryFixingInfinity(1.3, np.eye(2), np.array([-0.7, 0.4])),
+        IsometryFixingInfinity(1.3, rot.T, np.zeros(2)),
     )
     V = Mobius.inversion(3)
     worst = 0.0
@@ -188,13 +188,13 @@ def test_criterion_7_flow_decay():
     t0 = time.monotonic()
     f = make_boundary_map("radial_stretch", K=1.5)
     box = (2.0, 0.25, 4.0)
-    grid, _ = hf.init_flow(f, box, 33)
+    grid = hf.init_flow(f, box, 33)
     trace, final, _ = hf.run_flow(grid, t_end=1.0)
     decay_ok = (not trace.aborted) and trace.decayed and trace.within_band
     drift_ok = float(np.max(trace.sup_drift)) < 0.4  # pinned fixture bound
 
     fL = make_boundary_map("linear", matrix=np.diag([2.0, 1.0]))
-    gridL, _ = hf.init_flow(fL, box, 17)
+    gridL = hf.init_flow(fL, box, 17)
     uL = gridL.u.copy()
     dtL = hf.cfl_time_step(gridL)
     traceL, finalL, _ = hf.run_flow(gridL, t_end=1000 * dtL, dt=dtL,

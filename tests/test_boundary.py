@@ -110,14 +110,14 @@ def test_conjugate_identity_cases():
     x = np.random.default_rng(5).normal(size=(20, 2))
     assert np.allclose(g(x), f(x))
     fid = make_boundary_map("identity")
-    I = IsometryFixingInfinity(2.0, np.eye(2), np.array([1.0, 0.0])).as_mobius()
+    I = IsometryFixingInfinity(2.0, np.eye(2), np.array([1.0, 0.0]))
     gid = conjugate_boundary(fid, I, I)
     assert np.allclose(gid(x), x, atol=1e-12)
 
 
 def test_conjugate_by_bare_isometry_fixing_infinity():
     # an IsometryFixingInfinity is a one-similarity Mobius chain: it conjugates
-    # without as_mobius() and agrees bit for bit with the hand-built chain
+    # as it is and agrees bit for bit with the hand-built chain
     f = make_boundary_map("radial_stretch", K=1.5)
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -136,8 +136,8 @@ def test_conjugate_preserves_distortion():
     f = make_boundary_map("radial_stretch", K=1.5)
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    I = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2])).as_mobius()
-    J = IsometryFixingInfinity(0.8, np.eye(2), np.array([-1.0, 0.3])).as_mobius()
+    I = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2]))
+    J = IsometryFixingInfinity(0.8, np.eye(2), np.array([-1.0, 0.3]))
     g = conjugate_boundary(f, I, J)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(40, 2)) * 1.5
@@ -148,7 +148,7 @@ def test_conjugate_preserves_distortion():
 
 def test_conjugate_tracks_singular_points():
     f = make_boundary_map("radial_stretch", K=1.5)
-    I = IsometryFixingInfinity(1.0, np.eye(2), np.array([2.0, 0.0])).as_mobius()
+    I = IsometryFixingInfinity(1.0, np.eye(2), np.array([2.0, 0.0]))
     g = conjugate_boundary(f, I, I)
     assert any(np.allclose(s, [2.0, 0.0]) for s in g.singular_points)
 
@@ -212,7 +212,7 @@ def _jet_maps():
     }
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    iso = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2])).as_mobius()
+    iso = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2]))
     anchor = anchoring_isometry(np.array([0.3, -0.5]), 3)  # a chain with an inversion
     assert any(prim[0] == "inv" for prim in anchor.chain)
     maps = dict(catalog)

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -77,11 +79,13 @@ def test_unknown_key_exits_one(tmp_path):
         ("flow", "map=identity\nrecord_every=0\n", [], "record_every"),
         ("goodset", "map=identity\nheights=0\n", [], "heights"),
         ("flow", "map=identity\ns_lo=4\ns_hi=1\nresolution=7\n", [], "s_lo"),
+        ("goodset", "map=identity\n", ["--seed", "-1"], "seed"),
+        ("cover", "map=identity\n", ["--seed", "-3"], "seed"),
     ],
     ids=["K", "map", "quad_order", "resolution", "t", "matrix_len3", "matrix_3x3",
          "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
          "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
-         "goodset_heights", "flow_s_lo_s_hi"],
+         "goodset_heights", "flow_s_lo_s_hi", "goodset_seed", "cover_seed"],
 )
 def test_bad_value_is_one_line_config_error(tmp_path, capsys, cmd, cfg_text, flags, key):
     cfg = write_cfg(tmp_path, cfg_text)
@@ -101,6 +105,18 @@ def test_missing_config_file_is_one_line_config_error(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("config error:")
     assert str(missing) in lines[0]
+
+
+@pytest.mark.parametrize("below_file", [False, True], ids=["is_file", "under_file"])
+def test_uncreatable_out_is_one_line_config_error(tmp_path, capsys, below_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if below_file else blocker
+    rc = main(["kernel", "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {out}: cannot create the output directory (")
 
 
 def test_malformed_line_exits_one(tmp_path):
@@ -179,6 +195,32 @@ def test_cover_contract_on_measured_sphere_cover(tmp_path, capsys, monkeypatch, 
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("contract violation: cover: sphere cover")
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [({"disjoint": False}, "stack not disjoint"),
+     ({"contained": False}, "escapes the annulus"),
+     ({"leftover_estimate": math.inf}, "leftover exceeds r0 |D_i|")],
+    ids=["disjoint", "contained", "leftover"],
+)
+def test_cover_contract_on_cylinder_report(tmp_path, capsys, monkeypatch, change, message):
+    # the real t = 3.5 report with one field of its second cylinder broken:
+    # the command must stop and name that cylinder
+    real = cov.cover_annulus
+
+    def one_cylinder_broken(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.cylinders[1] = dataclasses.replace(rep.cylinders[1], **change)
+        return rep
+
+    monkeypatch.setattr(cov, "cover_annulus", one_cylinder_broken)
+    rc, _ = run(tmp_path, "cover",
+                "map=linear\nmatrix=2,0,0,1\nt=3.5\nmax_cylinders=2\n"
+                "enumeration_cap=0\naudit_branches=0\nn_slab=16\n")
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"contract violation: cover: cylinder 1 {message}"]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from qcflow.extension import (
     tension_sup_estimate,
 )
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, Point, dist
-from qcflow.tension import as_hypermap, energy_density, map_distortion, tension_from_jet
+from qcflow.tension import energy_density, map_distortion, tension_from_jet
 
 from conftest import box_points
 
@@ -95,8 +95,8 @@ def test_partial_conformal_naturality_trivial(f_shear):
 def test_partial_conformal_naturality_isom_infty(f_shear, f_linear):
     th = 0.6
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    I = IsometryFixingInfinity(2.0, rot, np.array([0.5, -0.3])).as_mobius()
-    J = IsometryFixingInfinity(0.5, np.eye(2), np.array([1.0, 0.0])).as_mobius()
+    I = IsometryFixingInfinity(2.0, rot, np.array([0.5, -0.3]))
+    J = IsometryFixingInfinity(0.5, np.eye(2), np.array([1.0, 0.0]))
     rng = np.random.default_rng(7)
     pts = box_points(rng, 15)
     for f in (f_shear, f_linear):
@@ -115,7 +115,7 @@ def test_partial_conformal_naturality_through_inversion(f_stretch):
 
 
 def test_pcn_rejects_anchor_mismatch(f_shear):
-    I = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2)).as_mobius()
+    I = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         check_partial_conformal_naturality(
             f_shear, I, I, np.zeros(2), INFINITY, np.zeros((1, 3))
@@ -132,7 +132,7 @@ def test_anchoring_isometry_properties():
 def test_quasi_isometry_constants_isometry():
     th = 1.1
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    iso = as_hypermap(IsometryFixingInfinity(1.4, rot, np.array([0.7, 0.2])))
+    iso = IsometryFixingInfinity(1.4, rot, np.array([0.7, 0.2])).apply
     rng = np.random.default_rng(9)
     pairs = (box_points(rng, 60), box_points(rng, 60))
     L, A = quasi_isometry_constants(iso, pairs)
@@ -156,13 +156,13 @@ def _box_sampler(rng, k):
 
 
 def test_tension_sup_estimate_cases(ext_linear):
-    iso = as_hypermap(IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2)))
-    assert tension_sup_estimate(iso, _box_sampler, 50, seed=0) < 1e-4
-    assert tension_sup_estimate(ext_linear, _box_sampler, 50, seed=0) < 1e-3
+    iso = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2)).apply
+    assert tension_sup_estimate(iso, _box_sampler, 50) < 1e-4
+    assert tension_sup_estimate(ext_linear, _box_sampler, 50) < 1e-3
     f2 = make_boundary_map("radial_stretch", K=2.0)
     ext2 = GoodExtension(f2)
-    v100 = tension_sup_estimate(ext2, _box_sampler, 100, seed=0)
-    v50 = tension_sup_estimate(ext2, _box_sampler, 50, seed=0)
+    v100 = tension_sup_estimate(ext2, _box_sampler, 100)
+    v50 = tension_sup_estimate(ext2, _box_sampler, 50)
     assert 1.0 < v100 < 5.0  # regression fixture: measured ~2.6
     assert v100 >= v50  # monotone in the sample count (prefix-stable sampler)
 
@@ -204,7 +204,7 @@ def test_continuity_in_map_and_anchor(f_stretch):
     base_anchor = np.array([0.35, -0.15])
 
     def translated(c):
-        shift = IsometryFixingInfinity(1.0, np.eye(2), c).as_mobius()
+        shift = IsometryFixingInfinity(1.0, np.eye(2), c)
         f = conjugate_boundary(f_stretch, shift, shift, fixed_point=np.asarray(c))
         return f
 
@@ -262,7 +262,10 @@ def test_jet_tension_converges_in_quadrature_order(name, request):
 def test_jet_energy_and_distortion_match_finite_differences(name, request):
     f = request.getfixturevalue(name)
     ext = GoodExtension(f)
-    fd = as_hypermap(ext)  # hides the jet: central differences of ext itself
+
+    def fd(pts):  # hides the jet: central differences of ext itself
+        return ext(pts)
+
     x = np.random.default_rng(14).uniform(-1.0, 1.0, size=(30, 2))
 
     def rel_gap(s):

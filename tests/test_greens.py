@@ -13,7 +13,6 @@ from qcflow.greens import (
     green_volume_integral,
 )
 from qcflow.geometry import IsometryFixingInfinity
-from qcflow.tension import as_hypermap
 
 from conftest import box_points
 
@@ -84,7 +83,7 @@ def test_epsilon0():
 
 
 def test_distance_laplacian_equal_maps_skipped():
-    iso = as_hypermap(IsometryFixingInfinity(1.3, np.eye(2), np.zeros(2)))
+    iso = IsometryFixingInfinity(1.3, np.eye(2), np.zeros(2)).apply
     pts = np.array([[0.2, 0.1, 1.0]])
     lap, rhs, holds, skipped = distance_laplacian_check(iso, iso, pts)
     assert skipped[0] and holds[0]
@@ -93,8 +92,8 @@ def test_distance_laplacian_equal_maps_skipped():
 def test_distance_laplacian_isometry_pair():
     # two distinct isometries: both tensions vanish so the bound is zero,
     # and the squared distance of two isometries is convex
-    A = as_hypermap(IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2)))
-    B = as_hypermap(IsometryFixingInfinity(1.0, np.eye(2), np.array([1.0, 0.0])))
+    A = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2)).apply
+    B = IsometryFixingInfinity(1.0, np.eye(2), np.array([1.0, 0.0])).apply
     rng = np.random.default_rng(1)
     pts = box_points(rng, 60)
     lap, rhs, holds, skipped = distance_laplacian_check(A, B, pts)

@@ -18,12 +18,12 @@ def identity_values(box, res):
 
 def test_init_flow_identity():
     f = make_boundary_map("identity")
-    grid, _ = hf.init_flow(f, BOX, 9)
+    grid = hf.init_flow(f, BOX, 9)
     assert np.max(np.abs(grid.u - grid.nodes)) < 1e-10
 
 
 def test_init_flow_linear_closed_form(f_linear):
-    grid, _ = hf.init_flow(f_linear, BOX, 9)
+    grid = hf.init_flow(f_linear, BOX, 9)
     closed = np.concatenate(
         [grid.nodes[..., 0:1] * 2.0, grid.nodes[..., 1:2],
          math.sqrt(2.5) * grid.nodes[..., 2:3]], axis=-1
@@ -32,7 +32,7 @@ def test_init_flow_linear_closed_form(f_linear):
 
 
 def test_init_flow_stretch_finite(f_stretch):
-    grid, _ = hf.init_flow(f_stretch, BOX, 9)
+    grid = hf.init_flow(f_stretch, BOX, 9)
     assert np.all(np.isfinite(grid.u))
     assert np.all(grid.u[..., -1] > 0.0)
 
@@ -66,21 +66,21 @@ def test_grid_energy_matches_reference():
 
 def test_step_keeps_identity_fixed():
     f = make_boundary_map("identity")
-    grid, _ = hf.init_flow(f, BOX, 9)
+    grid = hf.init_flow(f, BOX, 9)
     before = grid.u.copy()
     hf.flow_step(grid, hf.cfl_time_step(grid))
     assert np.max(np.abs(grid.u - before)) < 1e-10
 
 
 def test_step_keeps_harmonic_data_fixed(f_linear):
-    grid, _ = hf.init_flow(f_linear, BOX, 9)
+    grid = hf.init_flow(f_linear, BOX, 9)
     before = grid.u.copy()
     hf.flow_step(grid, hf.cfl_time_step(grid))
     assert np.max(dist(grid.u, before)) < 1e-6
 
 
 def test_single_step_reduces_tension_of_perturbed_harmonic(f_linear):
-    grid, _ = hf.init_flow(f_linear, BOX, 11)
+    grid = hf.init_flow(f_linear, BOX, 11)
     rng = np.random.default_rng(0)
     bump = hf.radial_bump_map(np.array([0.0, 0.0, 1.0]), 0.05, 0.8)
     grid.u = bump(grid.u)
@@ -92,7 +92,7 @@ def test_single_step_reduces_tension_of_perturbed_harmonic(f_linear):
 
 
 def test_run_flow_linear_stationary(f_linear):
-    grid, _ = hf.init_flow(f_linear, BOX, 9)
+    grid = hf.init_flow(f_linear, BOX, 9)
     dt = hf.cfl_time_step(grid)
     trace, final, _ = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=50)
     assert not trace.aborted
@@ -101,7 +101,7 @@ def test_run_flow_linear_stationary(f_linear):
 
 
 def test_harmonic_stationarity_thousand_steps(f_linear):
-    grid, _ = hf.init_flow(f_linear, BOX, 9)
+    grid = hf.init_flow(f_linear, BOX, 9)
     u0 = grid.u.copy()
     dt = hf.cfl_time_step(grid)
     trace, final, _ = hf.run_flow(grid, t_end=1000 * dt, dt=dt, record_every=250)
@@ -113,7 +113,7 @@ def test_harmonic_stationarity_thousand_steps(f_linear):
 def test_blowup_guard_runs_every_step(f_stretch, cfl_multiple):
     # past the CFL limit the frozen boundary layer seeds a growing mode; with
     # no record step before t_end only a guard run at every step can name it
-    grid, _ = hf.init_flow(f_stretch, BOX, 9)
+    grid = hf.init_flow(f_stretch, BOX, 9)
     dt = cfl_multiple * hf.cfl_time_step(grid)
     trace, _, _ = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=10**6)
     assert trace.aborted
@@ -122,7 +122,7 @@ def test_blowup_guard_runs_every_step(f_stretch, cfl_multiple):
 
 
 def test_run_flow_stretch_decays(f_stretch):
-    grid, _ = hf.init_flow(f_stretch, BOX, 17)
+    grid = hf.init_flow(f_stretch, BOX, 17)
     trace, final, _ = hf.run_flow(grid, t_end=0.25)
     assert not trace.aborted
     assert trace.decayed
@@ -132,7 +132,7 @@ def test_run_flow_stretch_decays(f_stretch):
 
 
 def test_refinement_halving_dt(f_stretch):
-    grid1, _ = hf.init_flow(f_stretch, BOX, 9)
+    grid1 = hf.init_flow(f_stretch, BOX, 9)
     u_init = grid1.u.copy()
     dt = hf.cfl_time_step(grid1)
     _, final1, _ = hf.run_flow(grid1, t_end=0.04, dt=dt)
@@ -142,14 +142,14 @@ def test_refinement_halving_dt(f_stretch):
 
 
 def test_cfl_guard_aborts_on_blowup(f_stretch):
-    grid, _ = hf.init_flow(f_stretch, BOX, 9)
+    grid = hf.init_flow(f_stretch, BOX, 9)
     dt = 40.0 * hf.cfl_time_step(grid)
     trace, _, _ = hf.run_flow(grid, t_end=1.0, dt=dt, record_every=1)
     assert trace.aborted
 
 
 def test_trace_csv_round_trip(tmp_path, f_linear):
-    grid, _ = hf.init_flow(f_linear, BOX, 9)
+    grid = hf.init_flow(f_linear, BOX, 9)
     dt = hf.cfl_time_step(grid)
     trace, _, _ = hf.run_flow(grid, t_end=20 * dt, dt=dt, record_every=10)
     path = tmp_path / "trace.csv"
@@ -185,7 +185,7 @@ def test_radial_bump_tension_is_radial():
 
 
 def test_hamilton_check_harmonic_data(f_linear):
-    grid, _ = hf.init_flow(f_linear, (2.0, 0.3, 3.0), 13)
+    grid = hf.init_flow(f_linear, (2.0, 0.3, 3.0), 13)
     trace, _, snaps = hf.run_flow(grid, t_end=0.1, snapshot_times=[0.05, 0.1])
     base = hf.FlowGrid(grid.box, grid.resolution, grid.u0)
     rows = hf.hamilton_check(base, snaps)
@@ -207,6 +207,6 @@ def test_hamilton_check_bump_inequality():
 
 
 def test_hamilton_check_rejects_non_radial_profile(f_stretch):
-    grid, _ = hf.init_flow(f_stretch, (2.0, 0.3, 3.0), 13)
+    grid = hf.init_flow(f_stretch, (2.0, 0.3, 3.0), 13)
     with pytest.raises(ValueError):
         hf.hamilton_check(grid, {0.1: grid.u.copy()})

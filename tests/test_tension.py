@@ -6,8 +6,6 @@ import pytest
 from qcflow.boundary import singular_value_ratio
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, general_isometry
 from qcflow.tension import (
-    HyperMap,
-    as_hypermap,
     energy_density,
     energy_from_jet,
     fd_jet,
@@ -21,13 +19,16 @@ from qcflow.tension import (
 
 from conftest import box_points
 
-IDENTITY = HyperMap(lambda p: np.array(p, dtype=float, copy=True), "id")
-DOUBLE_HEIGHT = HyperMap(
-    lambda p: np.concatenate([p[..., :2], 2.0 * p[..., 2:]], axis=-1), "(x,2s)"
-)
-SQUARE_HEIGHT = HyperMap(
-    lambda p: np.concatenate([p[..., :2], p[..., 2:] ** 2], axis=-1), "(x,s^2)"
-)
+def IDENTITY(p):
+    return np.array(p, dtype=float, copy=True)
+
+
+def DOUBLE_HEIGHT(p):  # (x, 2s)
+    return np.concatenate([p[..., :2], 2.0 * p[..., 2:]], axis=-1)
+
+
+def SQUARE_HEIGHT(p):  # (x, s^2)
+    return np.concatenate([p[..., :2], p[..., 2:] ** 2], axis=-1)
 
 
 def closed_form_linear_extension(L):
@@ -38,7 +39,7 @@ def closed_form_linear_extension(L):
     def ev(p):
         return np.concatenate([p[..., :2] @ A.T, c * p[..., 2:]], axis=-1)
 
-    return HyperMap(ev, "closed-linear")
+    return ev
 
 
 def test_jet_identity():
@@ -66,7 +67,7 @@ def test_energy_density_values():
     pts = box_points(rng, 12)
     assert np.allclose(energy_density(IDENTITY, pts), 1.5, atol=1e-8)
     assert np.allclose(energy_density(DOUBLE_HEIGHT, pts), 0.75, atol=1e-8)
-    iso = as_hypermap(IsometryFixingInfinity(1.7, np.eye(2), np.array([0.3, 0.1])))
+    iso = IsometryFixingInfinity(1.7, np.eye(2), np.array([0.3, 0.1])).apply
     assert np.allclose(energy_density(iso, pts), 1.5, atol=1e-8)
 
 
@@ -143,13 +144,13 @@ def test_tension_isometry_not_fixing_infinity():
         [np.array([2.0, 1.0]), INFINITY, np.array([-1.0, 0.5])],
     )
     pts = box_points(rng, 15)
-    assert np.max(tension_field(as_hypermap(M), pts)[1]) < 1e-4
+    assert np.max(tension_field(M.apply, pts)[1]) < 1e-4
 
 
 def test_map_distortion_values(ext_linear):
     rng = np.random.default_rng(6)
     pts = box_points(rng, 10)
-    iso = as_hypermap(IsometryFixingInfinity(0.6, np.eye(2), np.zeros(2)))
+    iso = IsometryFixingInfinity(0.6, np.eye(2), np.zeros(2)).apply
     assert np.allclose(map_distortion(iso, pts), 1.0, atol=1e-8)
     assert np.allclose(map_distortion(ext_linear, pts), 2.0, atol=1e-4)
     assert np.allclose(map_distortion(DOUBLE_HEIGHT, pts), 2.0, atol=1e-8)
@@ -161,7 +162,7 @@ def test_finite_difference_convergence_order():
         [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])],
         [np.array([1.0, -0.5]), np.array([0.0, 2.0]), INFINITY],
     )
-    F = as_hypermap(M)
+    F = M.apply
     rng = np.random.default_rng(7)
     pts = box_points(rng, 10)
     coarse = np.max(tension_field(F, pts, h_rel=2e-2)[1])
@@ -175,7 +176,10 @@ def test_chain_rule_under_isometries():
     th = 0.9
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     I = IsometryFixingInfinity(1.8, rot, np.array([0.2, -0.4]))
-    composed = HyperMap(lambda p: I.apply(SQUARE_HEIGHT(p)))
+
+    def composed(p):
+        return I.apply(SQUARE_HEIGHT(p))
+
     t0 = tension_field(SQUARE_HEIGHT, pts)[1]
     t1 = tension_field(composed, pts)[1]
     assert np.allclose(t0, t1, atol=1e-8)
@@ -184,30 +188,30 @@ def test_chain_rule_under_isometries():
     assert np.allclose(e0, e1, atol=1e-8)
 
 
-def test_good_set_identity_and_linear(f_linear, ext_linear):
+def test_good_set_identity_and_linear(ext_linear):
     from qcflow.boundary import make_boundary_map
+    from qcflow.extension import GoodExtension
 
     pts = np.array([[0.2, -0.1, 0.8], [1.0, 1.0, 1.5]])
-    f_id = make_boundary_map("identity")
-    ok_e, ok_k, ok_t, ok = good_set_membership(f_id, 1e-3, pts)
+    ext_id = GoodExtension(make_boundary_map("identity"))
+    ok_e, ok_k, ok_t, ok = good_set_membership(ext_id, 1e-3, pts)
     assert np.all(ok)
-    ok_e, ok_k, ok_t, ok = good_set_membership(f_linear, 1e-3, pts, ext=ext_linear)
+    ok_e, ok_k, ok_t, ok = good_set_membership(ext_linear, 1e-3, pts)
     assert np.all(ok)
 
 
-def test_good_set_fraction_near_boundary(f_stretch, ext_stretch):
+def test_good_set_fraction_near_boundary(ext_stretch):
     rng = np.random.default_rng(9)
     u = rng.uniform(size=(120, 2))
     r = np.sqrt(u[:, 0])
     th = 2 * math.pi * u[:, 1]
     X = np.column_stack([r * np.cos(th), r * np.sin(th)])
     pts = np.column_stack([X, np.full(len(X), 1e-3)])
-    *_, ok = good_set_membership(f_stretch, 0.1, pts, ext=ext_stretch)
+    *_, ok = good_set_membership(ext_stretch, 0.1, pts)
     assert np.mean(ok) >= 0.9
 
 
-def test_good_set_fraction_nondecreasing_as_height_drops(f_stretch, ext_stretch,
-                                                         f_shear):
+def test_good_set_fraction_nondecreasing_as_height_drops(ext_stretch, f_shear):
     from qcflow.extension import GoodExtension
 
     rng = np.random.default_rng(10)
@@ -215,11 +219,11 @@ def test_good_set_fraction_nondecreasing_as_height_drops(f_stretch, ext_stretch,
     r = np.sqrt(u[:, 0])
     th = 2 * math.pi * u[:, 1]
     X = np.column_stack([r * np.cos(th), r * np.sin(th)])
-    for f, ext in [(f_stretch, ext_stretch), (f_shear, GoodExtension(f_shear))]:
+    for ext in (ext_stretch, GoodExtension(f_shear)):
         fracs = []
         for s in (1e-1, 1e-2, 1e-3):
             pts = np.column_stack([X, np.full(len(X), s)])
-            *_, ok = good_set_membership(f, 0.1, pts, ext=ext)
+            *_, ok = good_set_membership(ext, 0.1, pts)
             fracs.append(np.mean(ok))
         assert fracs[0] <= fracs[1] + 1e-12 and fracs[1] <= fracs[2] + 1e-12
 
@@ -236,7 +240,7 @@ def test_fd_jet_matches_the_single_point_jet():
         assert np.array_equal(lap[k], np.diagonal(J.hessian, axis1=1, axis2=2))
 
 
-@pytest.mark.parametrize("F", [SQUARE_HEIGHT, DOUBLE_HEIGHT])
+@pytest.mark.parametrize("F", [SQUARE_HEIGHT, DOUBLE_HEIGHT], ids=["F0", "F1"])
 def test_hypermap_quantities_are_functions_of_fd_jet(F):
     pts = box_points(np.random.default_rng(32), 40)
     val, jac, lap, s_dom = fd_jet(F, pts)
