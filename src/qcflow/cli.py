@@ -23,7 +23,7 @@ from . import heatflow as hf
 from .boundary import CATALOG, make_boundary_map
 from .extension import GoodExtension
 from .geometry import PolarFrame, Point
-from .heatkernel import C3_TAIL, AnnulusSpec, RadialKernel, annulus_tail_mass, l_of_eps
+from .heatkernel import C3_TAIL, RadialKernel, annulus_tail_mass, l_of_eps
 from .tension import energy_density, good_set_membership, map_distortion, tension_norm
 
 __all__ = ["main"]
@@ -265,9 +265,10 @@ def cmd_cover(cfg, out, seed, order):
     f = _boundary_from_config(cfg)
     ext = GoodExtension(f, order=order)
     t, eps = cfg["t"], cfg["eps"]
-    if AnnulusSpec(t, l_of_eps(eps)).r_in <= 0:
-        raise ConfigError(f"t={t}: the main annulus at eps={eps} reaches the center; "
-                          "increase t")
+    try:
+        cov.main_annulus(t, eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     frame = PolarFrame(Point([0.0, 0.0], 1.0))
     rep = cov.cover_annulus(
         frame, t, eps, lambda p: ext.tension_norm(p) ** 2,
@@ -289,6 +290,9 @@ def cmd_cover(cfg, out, seed, order):
             raise ContractViolation(f"cover: cylinder {c.index} stack not disjoint")
         if not c.contained:
             raise ContractViolation(f"cover: cylinder {c.index} escapes the annulus")
+        if c.alpha > cov.ALPHA_STAR:
+            raise ContractViolation(f"cover: cylinder {c.index} sectors not admissible "
+                                    f"(alpha {c.alpha:.6g} > {cov.ALPHA_STAR:.6g})")
         if c.leftover_estimate > c.leftover_bound + 1e-12:
             raise ContractViolation(
                 f"cover: cylinder {c.index} leftover exceeds r0 |D_i|"

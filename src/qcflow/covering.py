@@ -8,6 +8,9 @@ centre array.  Cylinders over the main annulus are partitioned into
 admissible sectors by stacking: each good sector's top face, viewed as a
 Euclidean cube through a bi-Lipschitz chart, is partitioned into subcubes
 of the next admissible scale and a good sector is erected over each.
+A cell is a square (corner plus side) whose side is carried down the
+stack, and its admissibility follows in closed form from that side and
+the chart's Lipschitz constants.
 
 The stack tree grows exponentially with the cylinder height (cell sizes
 shrink like e^{-rho}), so the pipeline enumerates the first levels
@@ -17,25 +20,23 @@ branch obeys.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolarFrame
 from .heatkernel import AnnulusSpec, l_of_eps
 
 __all__ = [
     "SphericalDisk",
     "CubeImage",
     "CubeToDisk",
-    "Sector",
-    "AdmissibilityCertificate",
     "FibonacciCover",
     "besicovitch_cover",
     "fibonacci_sphere",
     "partition_cube",
-    "admissibility_check",
-    "sector_average",
+    "cell_alpha",
+    "main_annulus",
     "find_good_height",
     "cover_annulus",
     "CoveringReport",
@@ -45,25 +46,33 @@ __all__ = [
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 LATTICE_SPACING = 0.9   # lattice spacing / disk radius
 BETA_IMPL = 9           # measured max multiplicity fixture (R in {2,4,6})
-L0_IMPL = 2.2           # measured cube-to-disk bi-Lipschitz fixture (~2.12)
 SMALL_CAP = 0.1         # cube charts only in the almost-flat regime
 MAX_FULL_COVER = 2_000_000
-BILIPSCHITZ_PAIRS = 10_000  # sampled pairs behind measured_bilipschitz
-EDGE_SAMPLES = 64   # points per cube edge in CubeImage.radii_estimate
-N_WITNESS = 256     # samples per containment in admissibility_check
 SLAB_WIDTH = 0.25   # radial slab of find_good_height: candidate heights 1, 1.25, ...
 SE_FACTOR = 2.0     # find_good_height accepts mean + SE_FACTOR * se < delta
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
-
-def admissibility_factor(n=3):
-    """alpha for cube-image sectors: max(2, sqrt(n)) L0.
-
-    A cube of side sigma contains the 2-ball of radius sigma/2, so the
-    inner disk radius is sigma/(2 L0) and the constant must carry the
-    factor 2 (sqrt(n) alone is too small when n < 4).
-    """
-    return max(2.0, math.sqrt(n)) * L0_IMPL
+# Lipschitz constants of the cube chart (radial squish, then the exponential
+# map at the cap centre).  At angle theta from the nearest axis (c = cos theta,
+# s = sin theta, c^2 in [1/2, 1]) the squish has the differential
+# [[c, -s], [0, c]] in polar frames.  Its squared singular values solve
+# x^2 - (1 + c^2) x + c^4 = 0, so the smallest singular value is 1/(sqrt2 phi)
+# on the diagonals (c^2 = 1/2) and the largest 2/sqrt3 (at c^2 = 2/3).  The
+# exponential map stretches no length and shrinks tangential ones by
+# sin(theta)/theta, at worst sin(SMALL_CAP)/SMALL_CAP.  The cube and the cap
+# are convex, so:
+L_FWD = 2.0 / math.sqrt(3.0)                                                # ~1.1547
+L_INV = math.sqrt(2.0) * GOLDEN_RATIO * SMALL_CAP / math.sin(SMALL_CAP)     # ~2.2921
+# A cell of side sigma holds the disk of radius sigma/2 about its centre and
+# lies in the one of radius sigma/sqrt2, so its image holds the geodesic disk
+# of radius sigma/(2 L_INV) and lies in the one of radius L_FWD sigma/sqrt2
+# about the image of the centre.  Over the partition window
+# sigma in [e^-rho, 2 e^-rho] that pinches it with alpha <= 2 L_INV
+# (the outer side needs only sqrt2 L_FWD ~ 1.63):
+ALPHA_STAR = 2.0 * L_INV                                                    # ~4.584
+# R_out bound: a cell side sigma >= e^-R_out squares to a sector weight of
+# at least e^{-2 R_out}, which stays a normal float64 up to here (~354.2).
+R_OUT_MAX = -0.5 * math.log(sys.float_info.min)
 
 
 def _chord(geodesic_radius):
@@ -86,12 +95,8 @@ class SphericalDisk:
         # 2 pi (1 - cos r) written to survive r below 1e-8
         return 4.0 * math.pi * math.sin(self.radius / 2.0) ** 2
 
-    def contains(self, zeta):
-        zeta = np.asarray(zeta, dtype=float)
-        return _stable_angle(zeta, self.center) <= self.radius
-
-    def sample(self, rng, k):
-        """k points uniform w.r.t. spherical measure on the disk.
+    def sample_weighted(self, rng, k):
+        """k points uniform w.r.t. spherical measure on the disk, unit weights.
 
         Small caps use the flat-disk angle law theta = r sqrt(u) directly:
         1 - cos(r) underflows at double precision for r ~ 1e-9 while the
@@ -106,10 +111,7 @@ class SphericalDisk:
             theta = np.arccos(np.clip(cost, -1.0, 1.0))
         phi = rng.uniform(0.0, 2.0 * math.pi, size=k)
         tang = np.cos(phi)[:, None] * t1 + np.sin(phi)[:, None] * t2
-        return _exp_on_sphere(self.center, theta, tang)
-
-    def sample_weighted(self, rng, k):
-        return self.sample(rng, k), np.ones(k)
+        return _exp_on_sphere(self.center, theta, tang), np.ones(k)
 
 
 def _tangent_basis(c):
@@ -130,12 +132,6 @@ def _exp_on_sphere(c, theta, tang):
     """
     theta = np.asarray(theta, dtype=float)[..., None]
     return c + np.sin(theta) * tang - 2.0 * np.sin(theta / 2.0) ** 2 * c
-
-
-def _stable_angle(a, b):
-    """Geodesic angle between unit vectors via the chordal distance."""
-    chord = np.linalg.norm(a - b, axis=-1)
-    return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
 
 def _uniform_sphere(rng, k):
@@ -302,10 +298,8 @@ class CubeToDisk:
 
     Radial cube-to-disk flattening in the tangent plane followed by the
     spherical exponential map at the cap center; only valid for small
-    caps (radius <= SMALL_CAP) where the sphere is almost flat.  The
-    flattening and its inverse are exposed separately because tangent
-    coordinates stay fully resolved at scales where unit vectors on the
-    sphere no longer are.
+    caps (radius <= SMALL_CAP) where the sphere is almost flat.  The chart
+    is L_FWD-Lipschitz and its inverse L_INV-Lipschitz (derived above).
     """
 
     def __init__(self, disk):
@@ -314,45 +308,18 @@ class CubeToDisk:
         self.disk = disk
         self.t1, self.t2 = _tangent_basis(disk.center)
 
-    @property
-    def half_side(self):
-        return self.disk.radius
-
-    def flatten(self, u):
-        """Cube coordinates -> tangent-plane disk coordinates (radial squish)."""
-        u = np.asarray(u, dtype=float)
-        return u * _squish(u)[..., None]
-
-    def unflatten(self, v):
-        v = np.asarray(v, dtype=float)
-        sup = np.max(np.abs(v), axis=-1)
-        eu = np.linalg.norm(v, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fac = np.where(sup > 0.0, eu / np.where(sup > 0, sup, 1.0), 0.0)
-        return v * fac[..., None]
-
     def forward(self, u):
         """Cube coordinates (..., 2) -> points of the cap (..., 3)."""
-        v = self.flatten(u)
+        u = np.asarray(u, dtype=float)
+        v = u * _squish(u)[..., None]
         theta = np.linalg.norm(v, axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
             vhat = v / np.where(theta > 0, theta, 1.0)[..., None]
         tang = vhat[..., 0:1] * self.t1 + vhat[..., 1:2] * self.t2
         return _exp_on_sphere(self.disk.center, theta, tang)
 
-    def inverse(self, zeta):
-        zeta = np.asarray(zeta, dtype=float)
-        theta = _stable_angle(zeta, self.disk.center)
-        diff = zeta - self.disk.center
-        # the tangent-plane components of the chord are sin(theta) t-hat,
-        # so scaling by theta/sin(theta) recovers the log map exactly
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fac = np.where(theta > 1e-300, theta / np.sin(theta), 1.0)
-        v = fac[..., None] * np.stack([diff @ self.t1, diff @ self.t2], axis=-1)
-        return self.unflatten(v)
-
     def jacobian(self, u):
-        """|det D(forward)| = (|u|_inf / |u|_2)^2 sin(theta) / theta, theta = |flatten(u)|.
+        """|det D(forward)| = (|u|_inf / |u|_2)^2 sin(theta) / theta, theta = |u|_inf.
 
         The radial squish scales area by its factor squared and the
         exponential map at the cap center by sin(theta) / theta; the closed
@@ -363,167 +330,62 @@ class CubeToDisk:
         theta = fac * np.linalg.norm(u, axis=-1)
         return fac * fac * np.sinc(theta / np.pi)
 
-    def measured_bilipschitz(self, rng):
-        """Max two-sided distortion of BILIPSCHITZ_PAIRS sampled pair distances."""
-        r = self.half_side
-        u = rng.uniform(-r, r, size=(BILIPSCHITZ_PAIRS, 2, 2))
-        a, b = self.forward(u[:, 0]), self.forward(u[:, 1])
-        dS = _stable_angle(a, b)
-        dE = np.linalg.norm(u[:, 0] - u[:, 1], axis=-1)
-        ok = dE > 1e-12
-        ratio = dS[ok] / dE[ok]
-        return float(max(np.max(ratio), 1.0 / np.min(ratio)))
-
 
 @dataclass
 class CubeImage:
-    """Angular set B(Q) for a sub-rectangle Q of the chart cube.
+    """Angular set B(Q) of the square Q = lo + [0, side]^2 of the chart cube.
 
-    Geometry queries run in tangent-plane coordinates, which keep full
-    relative precision for arbitrarily small subcells; sampling is by
-    cube-uniform draws reweighted with the chart Jacobian, which gives
-    unbiased spherical-measure averages without rejection.
+    The side is carried from the parent cell rather than recomputed from
+    corners, so it stays resolved at depths where absolute chart
+    coordinates no longer resolve it.  Sampling is by cube-uniform draws reweighted with
+    the chart Jacobian, which gives unbiased spherical-measure averages
+    without rejection.
     """
 
     chart: CubeToDisk
     lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-
-    @property
-    def center(self):
-        return self.chart.forward(0.5 * (self.lo + self.hi))
-
-    def side(self):
-        return float(np.max(self.hi - self.lo))
-
-    def contains(self, zeta):
-        u = self.chart.inverse(zeta)
-        tol = 1e-9 * self.side() + 1e-30
-        return np.all((u >= self.lo - tol) & (u <= self.hi + tol), axis=-1)
-
-    def radii_estimate(self):
-        """(inner, outer) geodesic radii about the image of the center.
-
-        Distances from the center to EDGE_SAMPLES points per cube edge are
-        measured in the flattened tangent plane (exact to O(radius^2)
-        relative), so they remain meaningful for cells far below the
-        resolution of unit vectors.
-        """
-        ts = np.linspace(0.0, 1.0, EDGE_SAMPLES)
-        edges = []
-        for a in range(2):
-            for val in (self.lo[a], self.hi[a]):
-                pts = np.empty((EDGE_SAMPLES, 2))
-                pts[:, a] = val
-                pts[:, 1 - a] = self.lo[1 - a] + ts * (self.hi[1 - a] - self.lo[1 - a])
-                edges.append(pts)
-        edge = np.concatenate(edges, axis=0)
-        vc = self.chart.flatten(0.5 * (self.lo + self.hi))
-        vs = self.chart.flatten(edge)
-        d = np.linalg.norm(vs - vc, axis=-1)
-        return float(np.min(d)), float(np.max(d))
+    side: float
 
     def sample_weighted(self, rng, k):
         """Cube-uniform samples with spherical-measure importance weights."""
-        u = rng.uniform(self.lo, self.hi, size=(k, 2))
+        u = rng.uniform(self.lo, self.lo + self.side, size=(k, 2))
         w = self.chart.jacobian(u)
         return self.chart.forward(u), w / np.mean(w)
 
-    def sample(self, rng, k):
-        pts, _ = self.sample_weighted(rng, k)
-        return pts
 
+def cell_alpha(rho, side):
+    """Admissibility factor of a chart cell of the given side over height rho.
 
-@dataclass
-class Sector:
-    """Geodesic polar region rho_min <= rho <= rho_min + r, zeta in Omega."""
-
-    frame: PolarFrame
-    rho_min: float
-    r: float
-    omega: object  # SphericalDisk or CubeImage
-
-    def __post_init__(self):
-        if self.rho_min <= 0 or self.r <= 0:
-            raise ValueError("sector needs rho_min > 0 and r > 0")
-
-    def sample_points(self, rng, k):
-        """(points, weights) sampling d rho d zeta on the sector."""
-        rho = rng.uniform(self.rho_min, self.rho_min + self.r, size=k)
-        zeta, w = self.omega.sample_weighted(rng, k)
-        return self.frame.from_polar(rho, zeta), w
-
-
-@dataclass
-class AdmissibilityCertificate:
-    alpha: float
-    inner: SphericalDisk
-    outer: SphericalDisk
-    rho_min: float
-
-
-def admissibility_check(omega, rho_min, alpha, rng=None):
-    """Certificate that omega is pinched between concentric disks.
-
-    Requires a disk of radius >= e^{-rho_min}/alpha inside omega and one
-    of radius <= alpha e^{-rho_min} containing it, both centered at
-    omega's center; returns the certificate or None with the failure
-    recorded by the caller.  Containments are verified on N_WITNESS
-    samples each.
+    Its image is pinched between geodesic disks of radii side/(2 L_INV) and
+    L_FWD side/sqrt2, so it is admissible at rho for
+    alpha = max(2 L_INV e^-rho / side, L_FWD side e^rho / sqrt2).
     """
-    scale = math.exp(-rho_min)
-    if isinstance(omega, SphericalDisk):
-        inner_r = outer_r = omega.radius
-        center = omega.center
-    else:
-        inner_r, outer_r = omega.radii_estimate()
-        center = omega.center
-    if inner_r < scale / alpha or outer_r > scale * alpha:
-        return None
-    rng = rng or np.random.default_rng(0)
-    inner = SphericalDisk(center, inner_r)
-    outer = SphericalDisk(center, min(outer_r * (1 + 1e-9), math.pi))
-    pts = inner.sample(rng, N_WITNESS)
-    if not np.all(omega.contains(pts)):
-        return None
-    pts = omega.sample(rng, N_WITNESS)
-    if not np.all(outer.contains(pts)):
-        return None
-    return AdmissibilityCertificate(alpha, inner, outer, rho_min)
+    scale = math.exp(-rho)
+    return max(2.0 * L_INV * (scale / side), L_FWD * (side / scale) / math.sqrt(2.0))
 
 
-def partition_cube(lo, hi, target_R):
-    """Split a cube into N^m equal subcubes with side in [e^-R', 2 e^-R'].
+def partition_cube(side, target_R):
+    """Split a cube of the given side into n^2 equal subcubes with side in [e^-R', 2 e^-R'].
 
-    Returns (n_per_axis, side).  Requires side(cube) >= e * e^{-R'}
+    Returns (n_per_axis, subcube side).  Requires side >= e * e^{-R'}
     (guaranteed by stacking with heights >= 1).
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    ell = float(np.max(hi - lo))
     scale = math.exp(-target_R)
-    if ell < math.e * scale * (1.0 - 1e-12):
+    if side < math.e * scale * (1.0 - 1e-12):
         raise ValueError("cube too small to partition at the requested scale")
-    n_per_axis = int(math.ceil(ell / (2.0 * scale)))
-    side = ell / n_per_axis
-    if side < scale:
+    n_per_axis = int(math.ceil(side / (2.0 * scale)))
+    sub = side / n_per_axis
+    if sub < scale:
         n_per_axis -= 1
-        side = ell / n_per_axis
-    if not (scale * (1 - 1e-12) <= side <= 2.0 * scale * (1 + 1e-12)):
+        sub = side / n_per_axis
+    if not (scale * (1 - 1e-12) <= sub <= 2.0 * scale * (1 + 1e-12)):
         raise AssertionError("partition side escaped the admissible window")
-    return n_per_axis, side
+    return n_per_axis, sub
 
 
 def subcube(lo, side, idx):
-    """Rectangle of the idx-th subcube (multi-index over axes)."""
-    lo = np.asarray(lo, dtype=float)
-    idx = np.asarray(idx, dtype=float)
-    new_lo = lo + idx * side
-    return new_lo, new_lo + side
+    """Corner of the idx-th subcube (multi-index over axes) of the given side."""
+    return lo + np.asarray(idx, dtype=float) * side
 
 
 def _weighted_mean_se(vals, weights):
@@ -532,20 +394,6 @@ def _weighted_mean_se(vals, weights):
     # ratio-estimator standard error
     se = float(np.sqrt(np.sum((weights * (vals - mean)) ** 2)) / wsum)
     return mean, se
-
-
-def sector_average(sector, field, n_mc=4096, rng=None):
-    """Monte Carlo average of field over the sector, uniform in d rho d zeta.
-
-    field maps point arrays (k, n) to values (k,).  Cube-image angular
-    sets are sampled through their chart with Jacobian importance
-    weights.  Returns (mean, standard_error, n_samples).
-    """
-    rng = rng or np.random.default_rng(0)
-    pts, w = sector.sample_points(rng, n_mc)
-    vals = np.asarray(field(pts), dtype=float)
-    mean, se = _weighted_mean_se(vals, w)
-    return mean, se, n_mc
 
 
 def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None, n_slab=256):
@@ -593,7 +441,7 @@ class SectorRecord:
     rho: float
     r1: float
     lo: np.ndarray
-    hi: np.ndarray
+    side: float
     mean: float
     se: float
     good: bool
@@ -609,6 +457,7 @@ class CylinderReport:
     branch_tops: list
     disjoint: bool
     contained: bool
+    alpha: float  # worst admissibility factor of the sectors
     leftover_bound: float
     leftover_estimate: float
     weighted_tension_avg: float
@@ -651,8 +500,9 @@ class CoveringReport:
         return rows
 
 
-def _rects_disjoint(a_lo, a_hi, b_lo, b_hi):
-    return bool(np.any(a_hi <= b_lo + 1e-15) or np.any(b_hi <= a_lo + 1e-15))
+def _rects_disjoint(a, b):
+    return bool(np.any(a.lo + a.side <= b.lo + 1e-15)
+                or np.any(b.lo + b.side <= a.lo + 1e-15))
 
 
 def _check_disjoint(sectors):
@@ -660,9 +510,27 @@ def _check_disjoint(sectors):
         for j in range(i + 1, len(sectors)):
             a, b = sectors[i], sectors[j]
             rho_overlap = (a.rho < b.rho + b.r1 - 1e-12) and (b.rho < a.rho + a.r1 - 1e-12)
-            if rho_overlap and not _rects_disjoint(a.lo, a.hi, b.lo, b.hi):
+            if rho_overlap and not _rects_disjoint(a, b):
                 return False
     return True
+
+
+def main_annulus(t, eps):
+    """(R_in, R_out) of the main annulus at time t that the cover can stack over.
+
+    R_in > 0 keeps the annulus off the center, and R_out <= R_OUT_MAX keeps
+    every cap radius and sector weight a normal float64 (t <= 159 at
+    eps = 0.1); a ValueError names t otherwise.
+    """
+    annulus = AnnulusSpec(t, l_of_eps(eps))
+    if annulus.r_in <= 0:
+        raise ValueError(f"t={t}: the main annulus at eps={eps} reaches the center; "
+                         "increase t")
+    if annulus.r_out > R_OUT_MAX:
+        raise ValueError(f"t={t}: the main annulus at eps={eps} ends at "
+                         f"R_out={annulus.r_out:.6g} > {R_OUT_MAX:.6g}, where sector "
+                         "weights underflow float64; decrease t")
+    return annulus.r_in, annulus.r_out
 
 
 def cover_annulus(frame, t, eps, field, r0=8.0, max_cylinders=4,
@@ -679,15 +547,11 @@ def cover_annulus(frame, t, eps, field, r0=8.0, max_cylinders=4,
     by the stopping rule, which every audited branch verifies.
     """
     rng = np.random.default_rng(seed)
-    annulus = AnnulusSpec(t, l_of_eps(eps))
-    r_in, r_out = annulus.r_in, annulus.r_out
-    if r_in <= 0:
-        raise ValueError("main annulus touches the center; increase t")
-
+    r_in, r_out = main_annulus(t, eps)
     radius = math.exp(-r_in) / 2.0
-    n_est = 4.0 * math.pi / (LATTICE_SPACING * radius) ** 2
     cover_report = {}
-    if n_est <= MAX_FULL_COVER:
+    # the full cover has about 4 pi / (LATTICE_SPACING radius)^2 caps
+    if LATTICE_SPACING * radius >= math.sqrt(4.0 * math.pi / MAX_FULL_COVER):
         cover, cover_report = besicovitch_cover(r_in, rng=rng)
         step = max(1, cover.count // max_cylinders)
         centers = cover.center(np.arange(0, cover.count, step)[:max_cylinders])
@@ -715,30 +579,28 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
 
     use_chart = disk.radius <= SMALL_CAP
     chart = CubeToDisk(disk) if use_chart else None
-    half = disk.radius  # cube side = 2 * radius = e^{-R_in}
 
-    def eval_cell(omega, rho, lo, hi):
+    def eval_cell(omega, rho, lo, side):
         res = find_good_height(
             frame, rho, omega, eps, r0, field, rng=rng, n_slab=n_slab
         )
         r1 = res["r1"] if res["r1"] else 1.0
-        scale = omega.radius if isinstance(omega, SphericalDisk) else omega.side()
+        scale = omega.radius if isinstance(omega, SphericalDisk) else side
         sectors.append(
-            SectorRecord(rho, r1, np.array(lo), np.array(hi), res["mean"],
-                         res["se"], bool(res["success"]),
+            SectorRecord(rho, r1, lo, side, res["mean"], res["se"], bool(res["success"]),
                          resolution_limited=scale < 100 * np.finfo(float).eps)
         )
         return rho + r1
 
-    # base sector: Omega = the full disk
-    base_lo = np.array([-half, -half])
-    base_hi = np.array([half, half])
-    top = eval_cell(disk, r_in, base_lo, base_hi)
+    # base sector: Omega = the full disk, whose chart cube has side 2 x radius
+    base_lo = np.array([-disk.radius, -disk.radius])
+    base_side = 2.0 * disk.radius
+    top = eval_cell(disk, r_in, base_lo, base_side)
 
     if top > stop_line or not use_chart:
         branch_tops.append(top)
     else:
-        n_per, side = partition_cube(base_lo, base_hi, top)
+        n_per, side = partition_cube(base_side, top)
         n_children_total = n_per**2
         idxs = [(i, j) for i in range(n_per) for j in range(n_per)]
         if n_children_total > enumeration_cap:
@@ -749,33 +611,31 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
                                 replace=False))
         )
         for pos, idx in enumerate(idxs):
-            lo, hi = subcube(base_lo, side, idx)
-            omega = CubeImage(chart, lo, hi)
-            child_top = eval_cell(omega, top, lo, hi)
+            lo = subcube(base_lo, side, idx)
+            child_top = eval_cell(CubeImage(chart, lo, side), top, lo, side)
             if pos in audit_set:
                 # descend one random chain to the top of the cylinder
-                c_lo, c_hi, c_rho = lo, hi, child_top
+                c_lo, c_side, c_rho = lo, side, child_top
                 while c_rho <= stop_line:
-                    np_ax, c_side = partition_cube(c_lo, c_hi, c_rho)
+                    np_ax, c_side = partition_cube(c_side, c_rho)
                     pick_idx = (
                         int(rng.integers(np_ax)),
                         int(rng.integers(np_ax)),
                     )
-                    c_lo, c_hi = subcube(c_lo, c_side, pick_idx)
-                    omega = CubeImage(chart, c_lo, c_hi)
-                    c_rho = eval_cell(omega, c_rho, c_lo, c_hi)
+                    c_lo = subcube(c_lo, c_side, pick_idx)
+                    c_rho = eval_cell(CubeImage(chart, c_lo, c_side), c_rho, c_lo, c_side)
                 branch_tops.append(c_rho)
 
     good_secs = [s for s in sectors if s.good]
-    weights = []
-    for s in good_secs:
-        width = float(np.prod(s.hi - s.lo))
-        weights.append(s.r1 * width)  # cube-measure area proxy, uniform bias
+    # cube-measure area proxy, uniform bias
+    weights = [s.r1 * (s.side * s.side) for s in good_secs]
     if weights:
         wsum = float(np.sum(weights))
         wavg = float(np.sum([w * s.mean for w, s in zip(weights, good_secs)]) / wsum)
     else:
         wavg = math.nan
+    # the base Omega is the disk of radius e^{-R_in}/2 itself, so alpha = 2
+    alpha = max([2.0] + [cell_alpha(s.rho, s.side) for s in sectors[1:]])
 
     contained = all(
         s.rho >= r_in - 1e-9 and s.rho + s.r1 <= r_out + 1e-9 for s in sectors
@@ -793,6 +653,7 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
         branch_tops=branch_tops,
         disjoint=_check_disjoint(sectors),
         contained=contained and tops_ok,
+        alpha=alpha,
         leftover_bound=leftover_bound,
         leftover_estimate=leftover_est,
         weighted_tension_avg=wavg,
@@ -816,7 +677,7 @@ def sector_svg(report):
     ]
     for s in cyl.sectors:
         x0 = (s.lo[0] + half) / (2 * half) * (width - 40) + 20
-        x1 = (s.hi[0] + half) / (2 * half) * (width - 40) + 20
+        x1 = (s.lo[0] + s.side + half) / (2 * half) * (width - 40) + 20
         y1 = height - 20 - (s.rho - report.r_in) / span_rho * (height - 40)
         y0 = height - 20 - (s.rho + s.r1 - report.r_in) / span_rho * (height - 40)
         color = "black" if s.good else "red"

@@ -440,20 +440,14 @@ def boundary_antipode(a, n=3):
 class PolarFrame:
     """Geodesic polar coordinates centered at a point of H^n.
 
-    The frame stores an orthonormal (for the hyperbolic metric) tangent
-    basis at the center; directions zeta live on the unit sphere of the
-    basis coordinates.
+    The frame stores the coordinate tangent basis at the center, scaled to
+    be orthonormal for the hyperbolic metric; directions zeta live on the
+    unit sphere of the basis coordinates.
     """
 
-    def __init__(self, center, basis=None):
+    def __init__(self, center):
         self.center = center if isinstance(center, Point) else Point.from_coords(center)
-        n = self.center.n
-        if basis is None:
-            basis = np.eye(n) * self.center.s
-        self.basis = np.asarray(basis, dtype=float)
-        gram = self.basis @ self.basis.T / self.center.s**2
-        if np.max(np.abs(gram - np.eye(n))) > 1e-10:
-            raise ValueError("basis is not orthonormal for the metric at center")
+        self.basis = np.eye(self.center.n) * self.center.s
 
     @property
     def n(self):

@@ -65,6 +65,8 @@ def test_unknown_key_exits_one(tmp_path):
         ("extend", "map=identity\nnx=2\nns=2\n", ["--quad-order", "0"], "quad_order"),
         ("flow", "map=identity\nresolution=2\n", [], "resolution"),
         ("cover", "map=identity\nt=1\n", [], "t"),
+        ("cover", "map=identity\nt=300\n", [], "t"),
+        ("cover", "map=identity\nt=1e6\n", [], "t"),
         ("extend", "map=linear\nmatrix=2,0,0\n", [], "matrix"),
         ("extend", "map=linear\nmatrix=1,0,0,0,1,0,0,0,1\n", [], "matrix"),
         ("extend", "map=linear\nmatrix=0,0,0,0\n", [], "matrix"),
@@ -82,8 +84,8 @@ def test_unknown_key_exits_one(tmp_path):
         ("goodset", "map=identity\n", ["--seed", "-1"], "seed"),
         ("cover", "map=identity\n", ["--seed", "-3"], "seed"),
     ],
-    ids=["K", "map", "quad_order", "resolution", "t", "matrix_len3", "matrix_3x3",
-         "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
+    ids=["K", "map", "quad_order", "resolution", "t", "cover_t300", "cover_t1e6",
+         "matrix_len3", "matrix_3x3", "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
          "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
          "goodset_heights", "flow_s_lo_s_hi", "goodset_seed", "cover_seed"],
 )
@@ -176,6 +178,17 @@ def test_cover_outputs_and_svg(tmp_path):
         assert not (out / "cover.svg").exists(), svg
 
 
+def test_cover_deep_stack(tmp_path):
+    # at t = 159 the cells reach ~70 nats below the base cap, far past where
+    # corner differences resolve a side; R_out ~ 352 is just inside R_OUT_MAX
+    rc, out = run(tmp_path, "cover",
+                  "t=159\nmax_cylinders=2\nenumeration_cap=3\naudit_branches=1\nn_slab=16\n")
+    assert rc == 0
+    rows = read_csv(out / "cover.csv")
+    assert len(rows) == 3
+    assert all(r[-1] == "1" for r in rows[1:])
+
+
 @pytest.mark.parametrize("bad", [{"covered_fraction": 0.99999},
                                  {"max_multiplicity": cov.BETA_IMPL + 1}])
 def test_cover_contract_on_measured_sphere_cover(tmp_path, capsys, monkeypatch, bad):
@@ -201,8 +214,9 @@ def test_cover_contract_on_measured_sphere_cover(tmp_path, capsys, monkeypatch, 
     "change,message",
     [({"disjoint": False}, "stack not disjoint"),
      ({"contained": False}, "escapes the annulus"),
-     ({"leftover_estimate": math.inf}, "leftover exceeds r0 |D_i|")],
-    ids=["disjoint", "contained", "leftover"],
+     ({"leftover_estimate": math.inf}, "leftover exceeds r0 |D_i|"),
+     ({"alpha": 5.0}, f"sectors not admissible (alpha 5 > {cov.ALPHA_STAR:.6g})")],
+    ids=["disjoint", "contained", "leftover", "alpha"],
 )
 def test_cover_contract_on_cylinder_report(tmp_path, capsys, monkeypatch, change, message):
     # the real t = 3.5 report with one field of its second cylinder broken:

@@ -6,25 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcflow.covering import (
+    ALPHA_STAR,
     BETA_IMPL,
     GOLDEN_RATIO,
-    L0_IMPL,
+    L_FWD,
+    L_INV,
     LATTICE_SPACING,
     MAX_LATTICE_COUNT,
     POLAR_ROWS,
-    CubeImage,
     CubeToDisk,
     FibonacciCover,
-    Sector,
     SphericalDisk,
-    admissibility_check,
-    admissibility_factor,
     besicovitch_cover,
+    cell_alpha,
     cover_annulus,
     fibonacci_sphere,
     find_good_height,
     partition_cube,
-    sector_average,
     sector_svg,
     subcube,
     _uniform_sphere,
@@ -142,32 +140,57 @@ def test_cover_guards_allocate_nothing_large():
 # ---------------------------------------------------------------------------
 # cube charts
 
-def test_chart_center_and_roundtrip():
-    d = SphericalDisk(np.array([1.0, 0.0, 0.0]), 0.02)
-    B = CubeToDisk(d)
-    assert np.allclose(B.forward(np.zeros(2)), d.center)
-    rng = np.random.default_rng(0)
-    u = rng.uniform(-0.02, 0.02, size=(200, 2))
-    assert np.max(np.abs(B.inverse(B.forward(u)) - u)) < 1e-12
+def _angle(a, b):
+    """Geodesic angle between unit vectors, through the chord."""
+    return 2.0 * np.arcsin(np.linalg.norm(a - b, axis=-1) / 2.0)
+
+
+def _square_edge(lo, side, k):
+    """k points along each edge of the square lo + [0, side]^2."""
+    t = lo + side * np.linspace(0.0, 1.0, k)[:, None]
+    return np.concatenate([np.column_stack([t[:, 0], np.full(k, lo[1])]),
+                           np.column_stack([t[:, 0], np.full(k, lo[1] + side)]),
+                           np.column_stack([np.full(k, lo[0]), t[:, 1]]),
+                           np.column_stack([np.full(k, lo[0] + side), t[:, 1]])])
 
 
 def test_chart_bilipschitz_constant_stable():
+    # pairs just below the diagonal of the first quadrant, moved along the
+    # squish's least-stretched direction -(e_r + e_theta / phi), shrink by
+    # the full sqrt2 phi; no pair beats the closed-form constants
+    # (10^4 random pairs reach only 2.00-2.15 against sqrt2 phi ~ 2.2882)
     rng = np.random.default_rng(1)
     for R in (3.0, 5.0, 8.0):
-        d = SphericalDisk(np.array([0.0, 0.0, 1.0]), math.exp(-R) / 2.0)
-        L = CubeToDisk(d).measured_bilipschitz(rng)
-        assert L <= L0_IMPL
+        r = math.exp(-R) / 2.0
+        chart = CubeToDisk(SphericalDisk(np.array([0.0, 0.0, 1.0]), r))
+        theta = math.pi / 4.0 - 1e-4
+        e_r = np.array([math.cos(theta), math.sin(theta)])
+        e_t = np.array([-math.sin(theta), math.cos(theta)])
+        a = r * rng.uniform(0.2, 0.9, size=(200, 1)) * e_r
+        d = -(e_r + e_t / GOLDEN_RATIO)
+        h = 1e-6 * r
+        b = a + h * d / np.linalg.norm(d)
+        shrink = h / _angle(chart.forward(a), chart.forward(b))
+        assert 0.999 * math.sqrt(2.0) * GOLDEN_RATIO <= np.max(shrink) <= L_INV
+
+        u = rng.uniform(-r, r, size=(10_000, 2, 2))
+        dE = np.linalg.norm(u[:, 0] - u[:, 1], axis=-1)
+        dS = _angle(chart.forward(u[:, 0]), chart.forward(u[:, 1]))
+        ok = dE > 1e-3 * r
+        assert np.max(dS[ok] / dE[ok]) <= L_FWD
+        assert np.max(dE[ok] / dS[ok]) <= L_INV
 
 
 def test_chart_image_contains_concentric_disk():
+    # the squish sends the cube's boundary onto the circle of radius r, so
+    # the image of the cube is the whole cap: it holds the concentric disk
+    # of radius r >= r / L_INV
     R = 4.0
     d = SphericalDisk(np.array([0.0, 1.0, 0.0]), math.exp(-R) / 2.0)
     B = CubeToDisk(d)
-    inner = SphericalDisk(d.center, math.exp(-R) / (2.0 * L0_IMPL))
-    rng = np.random.default_rng(2)
-    pts = inner.sample(rng, 2000)
-    u = B.inverse(pts)
-    assert np.all(np.max(np.abs(u), axis=1) <= d.radius + 1e-12)
+    assert np.allclose(B.forward(np.zeros(2)), d.center)
+    edge = _square_edge(np.full(2, -d.radius), 2.0 * d.radius, 2000)
+    assert np.allclose(_angle(B.forward(edge), d.center), d.radius, rtol=1e-9)
 
 
 def test_chart_rejects_large_caps():
@@ -176,15 +199,18 @@ def test_chart_rejects_large_caps():
 
 
 def test_chart_resolves_sub_epsilon_cells():
-    # tangent-plane geometry keeps full relative precision at depths where
-    # unit vectors collapse
-    d = SphericalDisk(np.array([0.0, 0.0, 1.0]), math.exp(-21.0) / 2.0)
-    B = CubeToDisk(d)
-    side = math.exp(-33.0)
-    lo = np.array([3e-10, 1e-10])
-    ci = CubeImage(B, lo, lo + side)
-    inner, outer = ci.radii_estimate()
-    assert 0.3 * side < inner < outer < 1.5 * side
+    # a chain of cells carries its side: 100 nats below a cap of radius
+    # e^-21/2 every side stays in its window and every cell admissible, long
+    # after corner differences hi - lo (about 36 nats down) stop resolving it
+    rng = np.random.default_rng(12)
+    side, rho, lo = math.exp(-21.0), 21.0, np.full(2, -math.exp(-21.0) / 2.0)
+    while rho < 121.0:
+        rho += 1.0 + 0.25 * int(rng.integers(4))
+        n, side = partition_cube(side, rho)
+        lo = subcube(lo, side, (int(rng.integers(n)), int(rng.integers(n))))
+        assert math.exp(-rho) <= side <= 2.0 * math.exp(-rho)
+        assert cell_alpha(rho, side) <= ALPHA_STAR
+    assert np.all(lo + side == lo)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +253,7 @@ def test_chart_jacobian_exact_at_tiny_caps():
 
 
 def test_partition_cube_example():
-    n, side = partition_cube([0.0, 0.0], [1.0, 1.0], -math.log(0.3))
+    n, side = partition_cube(1.0, -math.log(0.3))
     assert n == 2 and side == pytest.approx(0.5)
     assert 0.3 <= side <= 0.6
 
@@ -238,60 +264,72 @@ def test_partition_cube_window_sweep():
         Rp = rng.uniform(0.5, 12.0)
         scale = math.exp(-Rp)
         ell = scale * rng.uniform(math.e, 40.0)
-        n, side = partition_cube([0.0, 0.0], [ell, ell], Rp)
+        n, side = partition_cube(ell, Rp)
         assert scale * (1 - 1e-12) <= side <= 2 * scale * (1 + 1e-12)
         assert n * side == pytest.approx(ell, rel=1e-12)
-        lo, hi = subcube([0.0, 0.0], side, (n - 1, n - 1))
-        assert np.allclose(hi, [ell, ell], rtol=1e-12)
+        lo = subcube(np.zeros(2), side, (n - 1, n - 1))
+        assert np.allclose(lo + side, [ell, ell], rtol=1e-12)
 
 
 def test_partition_cube_rejects_small_cubes():
     with pytest.raises(ValueError):
-        partition_cube([0.0, 0.0], [0.1, 0.1], -math.log(0.09))
+        partition_cube(0.1, -math.log(0.09))
 
 
 def test_admissibility_disk_cases():
-    rho = 4.0
-    exact = SphericalDisk(np.array([0.0, 0.0, 1.0]), math.exp(-rho))
-    cert = admissibility_check(exact, rho, 1.0)
-    assert cert is not None and cert.alpha == 1.0
-    too_big = SphericalDisk(np.array([0.0, 0.0, 1.0]), 3.0 * math.exp(-rho))
-    assert admissibility_check(too_big, rho, 2.0) is None
+    # a cap too wide for a chart keeps only its base sector, whose Omega is
+    # the disk of radius e^{-R_in}/2 itself: alpha = 2
+    rep = cover_annulus(FRAME, 2.6, 0.1, lambda p: np.zeros(len(p)),
+                        r0=9.0, max_cylinders=1, n_slab=16, seed=0)
+    cyl = rep.cylinders[0]
+    assert len(cyl.sectors) == 1 and cyl.alpha == 2.0
+    # a chart cell at the ends of its window
+    rho = 5.0
+    assert cell_alpha(rho, math.exp(-rho)) == pytest.approx(ALPHA_STAR, rel=1e-15)
+    assert cell_alpha(rho, 2.0 * math.exp(-rho)) == pytest.approx(L_INV, rel=1e-15)
 
 
 def test_admissibility_cube_image():
-    rho = 5.0
-    chart = CubeToDisk(SphericalDisk(np.array([0.0, 0.0, 1.0]), 0.05))
-    alpha = admissibility_factor(3)
+    # each window cell's image, measured on densely sampled edges about the
+    # image of its centre, is pinched with alpha <= cell_alpha <= ALPHA_STAR;
+    # the cap is as large as a chart allows, where the exponential map
+    # shrinks most
+    r = 0.1
+    chart = CubeToDisk(SphericalDisk(TILTED, r))
     rng = np.random.default_rng(4)
-    for side_fac in (1.0, 1.5, 2.0):
-        side = side_fac * math.exp(-rho)
-        lo = rng.uniform(-0.02, 0.02, size=2)
-        ci = CubeImage(chart, lo, lo + side)
-        cert = admissibility_check(ci, rho, alpha, rng=rng)
-        assert cert is not None
-        assert cert.inner.radius >= math.exp(-rho) / alpha
-        assert cert.outer.radius <= alpha * math.exp(-rho)
+    worst = 0.0
+    for _ in range(1500):
+        rho = rng.uniform(3.0, 7.0)
+        scale = math.exp(-rho)
+        side = scale * rng.uniform(1.0, 2.0)
+        lo = rng.uniform(-r, r - side, size=2)
+        dist = _angle(chart.forward(_square_edge(lo, side, 256)), chart.forward(lo + side / 2.0))
+        alpha = max(scale / np.min(dist), np.max(dist) / scale)
+        assert alpha <= cell_alpha(rho, side) <= ALPHA_STAR
+        worst = max(worst, alpha)
+    assert worst > 0.9 * ALPHA_STAR
 
 
 # ---------------------------------------------------------------------------
 # sector averages and good heights
 
+# find_good_height with r_max = 1 pools one sector [rho, rho + 1] x Omega,
+# so its mean is the sector average
+
 def test_sector_average_constant_field():
     d = SphericalDisk(np.array([0.0, 0.0, -1.0]), 0.05)
-    sec = Sector(FRAME, 2.0, 1.0, d)
-    mean, se, n = sector_average(sec, lambda p: np.full(p.shape[0], 3.14),
-                                 n_mc=512, rng=np.random.default_rng(5))
-    assert mean == pytest.approx(3.14, abs=1e-12)
-    assert se < 1e-12
+    res = find_good_height(FRAME, 2.0, d, 0.01, 1.0, lambda p: np.full(p.shape[0], 3.14),
+                           rng=np.random.default_rng(5), n_slab=128)
+    assert res["n"] == 512
+    assert res["mean"] == pytest.approx(3.14, abs=1e-12)
+    assert res["se"] < 1e-12
 
 
 def test_sector_average_harmonic_extension_is_tiny(ext_linear):
     d = SphericalDisk(np.array([0.3, -0.5, -math.sqrt(1 - 0.34)]), math.exp(-3.0))
-    sec = Sector(FRAME, 3.0, 1.0, d)
-    mean, se, _ = sector_average(sec, tension_sq_field(ext_linear), n_mc=256,
-                                 rng=np.random.default_rng(6))
-    assert mean < 1e-7
+    res = find_good_height(FRAME, 3.0, d, 0.01, 1.0, tension_sq_field(ext_linear),
+                           rng=np.random.default_rng(6), n_slab=64)
+    assert res["mean"] < 1e-7
 
 
 def test_sector_average_decays_toward_boundary(ext_stretch):
@@ -300,10 +338,9 @@ def test_sector_average_decays_toward_boundary(ext_stretch):
     vals = []
     for rho_min in (1.0, 5.0):
         d = SphericalDisk(direction, math.exp(-rho_min))
-        sec = Sector(FRAME, rho_min, 1.0, d)
-        mean, _, _ = sector_average(sec, tension_sq_field(ext_stretch),
-                                    n_mc=512, rng=rng)
-        vals.append(mean)
+        res = find_good_height(FRAME, rho_min, d, 0.01, 1.0, tension_sq_field(ext_stretch),
+                               rng=rng, n_slab=128)
+        vals.append(res["mean"])
     assert vals[1] < vals[0]
 
 
@@ -367,6 +404,7 @@ def test_cover_annulus_linear_all_good(ext_linear):
     cyl = rep.cylinders[0]
     assert cyl.all_good
     assert cyl.disjoint and cyl.contained
+    assert len(cyl.sectors) > 1 and 2.0 <= cyl.alpha <= ALPHA_STAR
     assert cyl.leftover_estimate <= cyl.leftover_bound + 1e-12
     assert all(1.0 <= s.r1 <= 8.0 for s in cyl.sectors)
     assert all(rep.r_out - 8.0 < bt <= rep.r_out for bt in cyl.branch_tops)

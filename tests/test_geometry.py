@@ -407,11 +407,6 @@ def test_polar_round_trip():
     assert np.allclose(np.linalg.norm(zeta, axis=-1), 1.0, atol=1e-10)
 
 
-def test_polar_frame_rejects_bad_basis():
-    with pytest.raises(ValueError):
-        PolarFrame(Point(np.zeros(2), 1.0), basis=np.eye(3) * 2.0)
-
-
 def test_geodesic_sphere_area_matches_sinh_squared():
     # the geodesic sphere of radius rho about (0,0,s_c) is the Euclidean
     # sphere with center (0,0,s_c cosh rho) and radius s_c sinh rho; its
