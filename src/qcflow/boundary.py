@@ -107,11 +107,20 @@ def boundary_energy_density(f, x):
 
 
 def singular_value_ratio(J):
-    """Largest over smallest singular value of J (..., m, m); inf where J is singular."""
+    """Largest over smallest singular value of J (..., m, m).
+
+    inf where J is singular, nan where J has a non-finite entry (the SVD
+    would not converge on it).
+    """
+    J = np.asarray(J)
+    finite = np.all(np.isfinite(J), axis=(-2, -1))
+    if not np.all(finite):
+        J = np.where(finite[..., None, None], J, 0.0)
     sv = np.linalg.svd(J, compute_uv=False)
     smin = sv[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(smin > 0.0, sv[..., 0] / np.where(smin > 0, smin, 1.0), np.inf)
+        ratio = np.where(smin > 0.0, sv[..., 0] / np.where(smin > 0, smin, 1.0), np.inf)
+    return np.where(finite, ratio, np.nan)
 
 
 def distortion_estimate(f, x):

@@ -193,12 +193,13 @@ def cmd_extend(cfg, out, seed, order):
     ss = np.geomspace(cfg["s_lo"], cfg["s_hi"], cfg["ns"])
     grid = np.stack(np.meshgrid(xs, xs, ss, indexing="ij"), axis=-1).reshape(-1, 3)
     vals = ext(grid)
+    # before any jet: over a singular point the height can underflow to 0
+    if np.any(vals[:, -1] <= 0.0):
+        raise ContractViolation("extend: extension produced non-positive heights")
     en = energy_density(ext, grid)
     dist = map_distortion(ext, grid)
     tau = tension_norm(ext, grid)
 
-    if np.any(vals[:, -1] <= 0.0):
-        raise ContractViolation("extend: extension produced non-positive heights")
     if not np.all(np.isfinite(tau)):
         raise ContractViolation("extend: non-finite tension values")
     if f.name in ("identity", "linear") and float(np.max(tau)) > 1e-3:

@@ -113,6 +113,7 @@ class GoodExtension:
         self.n = f.dim + 1
         self.quad = QuadratureRule(f.dim, order)
         self._stein = _stein_weights(self.quad)
+        self._last_jet = None  # (key, jet tuple) of the last batch `jet` computed
         if is_infinity(anchor):
             if not f.fixes_infinity:
                 raise ValueError("anchor is infinity but f does not fix infinity")
@@ -169,8 +170,15 @@ class GoodExtension:
         diagonal second derivatives, lap[..., g, i] = d^2 F^g / dx_i^2.
         Energy, distortion and tension are isometry invariant, so they can
         be read off this frame (see `tension`).
+
+        The last batch is remembered: the same points (same shape and
+        bytes) get the same read-only arrays back, so the energy,
+        distortion and tension of one batch share one jet.
         """
         pts = np.asarray(pts, dtype=float)
+        key = (pts.shape, pts.tobytes())
+        if self._last_jet is not None and self._last_jet[0] == key:
+            return self._last_jet[1]
         n = self.n
         flat = np.atleast_2d(pts.reshape(-1, n))
         if self.mob is not None:
@@ -182,7 +190,11 @@ class GoodExtension:
         shape = pts.shape[:-1] + (n, n)
         val = np.zeros(pts.shape)
         val[..., -1] = 1.0
-        return val, jac.reshape(shape), lap.reshape(shape), np.ones(pts.shape[:-1])
+        out = (val, jac.reshape(shape), lap.reshape(shape), np.ones(pts.shape[:-1]))
+        for a in out:
+            a.flags.writeable = False
+        self._last_jet = (key, out)
+        return out
 
     def _moments_direct(self, x0, s0):
         """Stein moments of e(f), (B, 2m+3), and of f / s0, (B, m, 2m+2), from node sums."""

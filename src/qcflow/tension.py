@@ -12,15 +12,11 @@ central differences with step proportional to the height of the base
 point, so accuracy is uniform in the hyperbolic metric.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .boundary import singular_value_ratio
 
 __all__ = [
-    "JetData",
-    "jet",
     "energy_density",
     "tension_field",
     "tension_norm",
@@ -35,56 +31,12 @@ FD_REL_STEP = 1e-4  # h = 1e-4 * s, stencils stay inside the half-space
 H_MIN = 1e-300
 
 
-@dataclass
-class JetData:
-    """Value, Jacobian and Hessian of a map at one point (Euclidean coords)."""
-
-    value: np.ndarray     # (n,)
-    jacobian: np.ndarray  # (n, n), jacobian[g, i] = dF^g/dx^i
-    hessian: np.ndarray   # (n, n, n), hessian[g, i, j] = d2F^g/dx^i dx^j
-
-    def symmetry_defect(self):
-        return float(np.max(np.abs(self.hessian - np.swapaxes(self.hessian, 1, 2))))
-
-
 def _steps(pts, h_rel):
     s = pts[..., -1]
     h = h_rel * s
     if np.any(h < H_MIN):
         raise ValueError("finite-difference step underflowed below h_min")
     return h
-
-
-def jet(F, p, h_rel=FD_REL_STEP):
-    """Full finite-difference 2-jet of F at a single point p.
-
-    O(h^2) accurate; the stencil stays in the half-space because the step
-    is proportional to the height.
-    """
-    pc = np.asarray(p.coords if hasattr(p, "coords") else p, dtype=float)
-    n = pc.shape[-1]
-    h = float(_steps(pc, h_rel))
-    val = F(pc)
-    jac = np.empty((n, n))
-    hess = np.empty((n, n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fp, fm = F(pc + e), F(pc - e)
-        jac[:, i] = (fp - fm) / (2.0 * h)
-        hess[:, i, i] = (fp - 2.0 * val + fm) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            mixed = (
-                F(pc + ei + ej) - F(pc + ei - ej) - F(pc - ei + ej) + F(pc - ei - ej)
-            ) / (4.0 * h**2)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
-    return JetData(val, jac, hess)
 
 
 def tension_from_jet(value, jac, lap_diag, s_dom):

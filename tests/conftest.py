@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from qcflow.boundary import make_boundary_map
 from qcflow.extension import GoodExtension
+from qcflow.tension import FD_REL_STEP
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +38,47 @@ def box_points(rng, k, box=2.0, s_range=(0.25, 4.0)):
     x = rng.uniform(-box, box, size=(k, 2))
     s = np.exp(rng.uniform(np.log(s_range[0]), np.log(s_range[1]), size=k))
     return np.column_stack([x, s])
+
+
+@dataclass
+class JetData:
+    """Value, Jacobian and Hessian of a map at one point (Euclidean coords)."""
+
+    value: np.ndarray     # (n,)
+    jacobian: np.ndarray  # (n, n), jacobian[g, i] = dF^g/dx^i
+    hessian: np.ndarray   # (n, n, n), hessian[g, i, j] = d2F^g/dx^i dx^j
+
+    def symmetry_defect(self):
+        return float(np.max(np.abs(self.hessian - np.swapaxes(self.hessian, 1, 2))))
+
+
+def jet(F, p):
+    """Full finite-difference 2-jet of F at a single point p, the tests' reference.
+
+    O(h^2) accurate; the step h = FD_REL_STEP * s is proportional to the height,
+    so the stencil stays in the half-space.
+    """
+    pc = np.asarray(p, dtype=float)
+    n = pc.shape[-1]
+    h = FD_REL_STEP * float(pc[-1])
+    val = F(pc)
+    jac = np.empty((n, n))
+    hess = np.empty((n, n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        fp, fm = F(pc + e), F(pc - e)
+        jac[:, i] = (fp - fm) / (2.0 * h)
+        hess[:, i, i] = (fp - 2.0 * val + fm) / h**2
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h
+            ej[j] = h
+            mixed = (
+                F(pc + ei + ej) - F(pc + ei - ej) - F(pc - ei + ej) + F(pc - ei - ej)
+            ) / (4.0 * h**2)
+            hess[:, i, j] = mixed
+            hess[:, j, i] = mixed
+    return JetData(val, jac, hess)

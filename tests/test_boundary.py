@@ -9,6 +9,7 @@ from qcflow.boundary import (
     conjugate_boundary,
     distortion_estimate,
     make_boundary_map,
+    singular_value_ratio,
 )
 from qcflow.extension import anchoring_isometry
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, chain_rule, is_infinity
@@ -56,6 +57,17 @@ def test_distortion_estimates():
     x = np.array([[0.5, -0.4], [1.0, 2.0]])
     assert np.allclose(distortion_estimate(ident, x), 1.0, atol=1e-8)
     assert np.allclose(distortion_estimate(lin, x), 2.0, atol=1e-8)
+
+
+def test_singular_value_ratio_flags_non_finite_rows():
+    # a NaN or inf entry gives nan for its row alone instead of an SVD
+    # that does not converge; a singular row stays inf
+    J = np.stack([np.diag([2.0, 1.0]), np.full((2, 2), np.nan), np.zeros((2, 2)),
+                  np.array([[1.0, np.inf], [0.0, 1.0]])])
+    got = singular_value_ratio(J)
+    assert got[0] == pytest.approx(2.0)
+    assert np.isnan(got[1]) and np.isnan(got[3])
+    assert got[2] == np.inf
 
 
 def test_distortion_radial_stretch_equals_K():

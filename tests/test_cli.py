@@ -134,6 +134,18 @@ def test_flow_contract_violation_exits_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("s_lo", ["1e-200", "1e-300"])
+def test_extend_underflowed_height_is_contract_violation(tmp_path, capsys, s_lo):
+    # over the stretch's singular point x = 0 the extension's height
+    # underflows to 0; the run stops before any jet is taken (whose NaNs
+    # once crashed the distortion SVD).  pytest turns RuntimeWarnings
+    # into errors, so this also checks that none is emitted
+    rc, _ = run(tmp_path, "extend", f"map=radial_stretch\ns_lo={s_lo}\n")
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["contract violation: extend: extension produced non-positive heights"]
+
+
 def test_kernel_outputs(tmp_path):
     rc, out = run(tmp_path, "kernel", "t=16\nn_rho=41\n")
     assert rc == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +16,15 @@ from qcflow.extension import (
     tension_sup_estimate,
 )
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, Point, dist
-from qcflow.tension import energy_density, map_distortion, tension_from_jet
+from qcflow.tension import (
+    energy_density,
+    good_set_membership,
+    map_distortion,
+    tension_from_jet,
+    tension_norm,
+)
 
-from conftest import box_points
+from conftest import box_points, jet
 
 
 def test_quadrature_moments():
@@ -198,8 +205,6 @@ def test_continuity_in_map_and_anchor(f_stretch):
     # f_k -> f pointwise (translated stretches) with anchors a_k -> a:
     # sampled values and finite-difference jets of the anchored extensions
     # converge on a compact set
-    from qcflow.tension import jet
-
     test_pts = np.array([[0.9, 1.1, 1.0], [1.4, 0.7, 0.6], [1.1, 1.3, 1.6]])
     base_anchor = np.array([0.35, -0.15])
 
@@ -324,6 +329,88 @@ def test_tension_vector_is_the_jet_tuple_fed_to_tension_from_jet(f_stretch, anch
     tau_ext, norm_ext = ext.tension_vector(pts)
     assert np.array_equal(tau, tau_ext)
     assert np.array_equal(norm, norm_ext)
+
+
+# ---------------------------------------------------------------------------
+# the jet of the last batch is remembered
+
+
+def _counting_stretch():
+    """The K = 1.5 stretch, counting the points its evaluator and Jacobian are called at."""
+    f = make_boundary_map("radial_stretch", K=1.5)
+    seen = {"f": 0, "jac": 0}
+
+    def counted(fn, key):
+        def wrapped(x):
+            seen[key] += int(np.prod(np.shape(x)[:-1]))
+            return fn(x)
+        return wrapped
+
+    f = dataclasses.replace(f, evaluator=counted(f.evaluator, "f"),
+                            jacobian=counted(f.jacobian, "jac"))
+    return f, seen
+
+
+def test_energy_distortion_and_tension_share_one_jet():
+    # above DEEP_HEIGHT a jet evaluates f and its Jacobian at the Q = 441
+    # nodes of each point once; the good set and the energy -> distortion
+    # -> tension sequence of `qcflow extend` read one jet, not three
+    f, seen = _counting_stretch()
+    pts = box_points(np.random.default_rng(21), 40, box=1.0, s_range=(1e-3, 2.0))
+    q = GoodExtension(f).quad.nodes.shape[0]
+    assert q == 441
+    good_set_membership(GoodExtension(f), 0.1, pts)
+    assert seen == {"f": len(pts) * q, "jac": len(pts) * q}
+
+    seen.update(f=0, jac=0)
+    ext = GoodExtension(f)
+    energy_density(ext, pts)
+    map_distortion(ext, pts)
+    tension_norm(ext, pts)
+    assert seen == {"f": len(pts) * q, "jac": len(pts) * q}
+
+
+def test_jet_of_a_changed_batch_is_computed_afresh():
+    f, seen = _counting_stretch()
+    ext = GoodExtension(f)
+    pts = box_points(np.random.default_rng(22), 6, box=1.0, s_range=(1e-3, 2.0))
+    per_batch = len(pts) * ext.quad.nodes.shape[0]
+    first = ext.jet(pts)
+    assert ext.jet(pts.copy()) is first
+    assert seen["f"] == per_batch
+    # one coordinate moved by one ulp
+    nudged = pts.copy()
+    nudged[2, 0] = np.nextafter(nudged[2, 0], np.inf)
+    ext.jet(nudged)
+    assert seen["f"] == 2 * per_batch
+    # the same bytes in another shape
+    _, jac, _, s_dom = ext.jet(nudged.reshape(3, 2, 3))
+    assert seen["f"] == 3 * per_batch
+    assert jac.shape == (3, 2, 3, 3) and s_dom.shape == (3, 2)
+    # only the last batch is kept
+    ext.jet(pts)
+    assert seen["f"] == 4 * per_batch
+
+
+@pytest.mark.parametrize("anchor", [INFINITY, np.zeros(2)], ids=["infinity", "finite"])
+def test_memoised_jet_equals_a_fresh_extension(f_stretch, anchor):
+    # heights on both sides of DEEP_HEIGHT, so the deep and direct paths both run
+    pts = box_points(np.random.default_rng(23), 30, box=1.0, s_range=(1e-6, 2.0))
+    ext = GoodExtension(f_stretch, anchor=anchor)
+    first = ext.jet(pts)
+    memo = ext.jet(pts)
+    assert memo is first
+    fresh = GoodExtension(f_stretch, anchor=anchor).jet(pts)
+    for got, want in zip(memo, fresh):
+        assert np.array_equal(got, want)
+
+
+def test_jet_arrays_are_read_only(ext_linear):
+    # callers share the remembered arrays, so none may write into them
+    pts = box_points(np.random.default_rng(24), 5)
+    for arr in ext_linear.jet(pts):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ from qcflow.tension import (
     energy_from_jet,
     fd_jet,
     good_set_membership,
-    jet,
     map_distortion,
     tension_field,
     tension_from_jet,
     tension_norm,
 )
 
-from conftest import box_points
+from conftest import box_points, jet
 
 def IDENTITY(p):
     return np.array(p, dtype=float, copy=True)
