@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-12
+STEP_SCRATCH_ROWS = 8  # temporaries of geodesic_step
 
 
 class _BoundaryInfinity:
@@ -100,7 +101,7 @@ def dist(p, q):
     return 2.0 * np.arcsinh(np.sqrt(dd / (4.0 * sp * sq)))
 
 
-def geodesic_step(p, v, t):
+def geodesic_step(p, v, t, out=None, scratch=None):
     """Point at hyperbolic distance t*|v| along the geodesic from p with velocity v.
 
     Closed form of the semicircle geodesic in the plane spanned by the
@@ -108,8 +109,10 @@ def geodesic_step(p, v, t):
     a^2 = |u_h|^2, b = u_n, E = e^{-l} and l = t|v|/s0, put q = 1 + |b| and
     D = a^2 + q^2 E^2 (b > 0) or D = q^2 + a^2 E^2 (b <= 0); then the point
     is (x0 + s0 q (1 - E^2)/D u_h, s0 2qE/D).  Nothing divides by the
-    horizontal speed, so nearly vertical velocities lose no digits.
-    Broadcasts over leading axes.
+    horizontal speed, so nearly vertical velocities lose no digits, and a
+    zero velocity returns p bit for bit.  Broadcasts over leading axes.
+    The result is written into out when given; scratch, a
+    (STEP_SCRATCH_ROWS, ...) float array, holds the temporaries.
     """
     pc = _coords(p)
     v = np.asarray(v, dtype=float)
@@ -117,41 +120,46 @@ def geodesic_step(p, v, t):
     single = pc.ndim == 1
     if single:  # 0-d results would be numpy scalars, which do not update in place
         pc, v = pc[None], v[None]
+    if out is None:
+        out = np.empty(pc.shape)
+    if scratch is None:
+        scratch = np.empty((STEP_SCRATCH_ROWS,) + pc.shape[:-1])
+    a2, tmp, w, ell, q, E, qq, D = scratch[:STEP_SCRATCH_ROWS]
     n = pc.shape[-1]
     s0 = pc[..., -1]
     vn = v[..., -1]
 
-    a2 = v[..., 0] * v[..., 0]  # |v_h|^2, divided by |v|^2 below
+    np.multiply(v[..., 0], v[..., 0], out=a2)  # |v_h|^2, divided by |v|^2 below
     for k in range(1, n - 1):
-        a2 += v[..., k] * v[..., k]
-    w = vn * vn
+        a2 += np.multiply(v[..., k], v[..., k], out=tmp)
+    np.multiply(vn, vn, out=w)
     w += a2
     np.sqrt(w, out=w)
-    ell = w * np.asarray(t, dtype=float)
+    np.multiply(w, np.asarray(t, dtype=float), out=ell)
     ell /= s0  # signed arc length
     rest = w == 0.0
-    w[rest] = 1.0
-    b = vn / w
-    b[rest] = 1.0  # at rest: any unit u with a = 0
-    a2 /= w * w
-    q = np.abs(b)
+    np.copyto(w, 1.0, where=rest)
+    np.divide(vn, w, out=q)  # b
+    np.copyto(q, 1.0, where=rest)  # at rest: any unit u with a = 0
+    down = q <= 0.0
+    a2 /= np.multiply(w, w, out=tmp)
+    np.abs(q, out=q)
     q += 1.0
-    E = np.exp(-ell)
-    E2 = E * E
-    qq = q * q
-    D = qq * E2
+    np.exp(np.negative(ell, out=E), out=E)
+    E2 = np.multiply(E, E, out=tmp)
+    np.multiply(q, q, out=qq)
+    np.multiply(qq, E2, out=D)
     D += a2  # b > 0
-    np.copyto(D, qq + a2 * E2, where=b <= 0.0)
+    np.copyto(D, np.add(qq, np.multiply(a2, E2, out=tmp), out=tmp), where=down)
     q *= s0
     q /= D  # s0 q / D
 
-    out = np.empty(pc.shape)
-    move = np.expm1(-2.0 * ell)
+    move = np.expm1(np.multiply(-2.0, ell, out=ell), out=ell)
     move *= q
     move /= w  # -(horizontal move) per unit of v_h
     for k in range(n - 1):
-        out[..., k] = pc[..., k] - move * v[..., k]
-    out[..., -1] = q * (2.0 * E)
+        np.subtract(pc[..., k], np.multiply(move, v[..., k], out=tmp), out=out[..., k])
+    np.multiply(q, np.multiply(2.0, E, out=E), out=out[..., -1])
     if single:
         out = out[0]
         if isinstance(p, Point):

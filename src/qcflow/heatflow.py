@@ -6,6 +6,21 @@ outermost node layer at the initial map (the flow stays at bounded
 distance from its initial data, which justifies the Dirichlet surrogate).
 Each step moves interior nodes along the geodesic in the direction of
 the tension field.
+
+A FlowGrid stores its node values component-major: one row of an
+(n, nodes) array per coordinate, nodes in C order, and `grid.u` is an
+(..., n) view of that store.  In flat node indices a step along axis k
+is a fixed stride, so all interior nodes lie in the one range [lo, hi)
+with lo = sum of the strides, and a stencil neighbour of the range is the
+range shifted by a stride.  Every kernel (jets, tension, energy,
+geodesic step) runs over that range as 1-D contiguous slices, into
+arrays the grid allocates once.  The range also holds the boundary nodes
+between interior rows; their jets mix neighbours from adjacent rows and
+mean nothing, so their tension is set to 0 (geodesic_step then returns
+them bit for bit), and the blow-up guard and the statistics read the
+interior nodes only.  `interior_jets`, `tension` and `energy` return
+read-only interior views of the grid's arrays, valid until the next
+step or the next call of one of them.
 """
 
 import csv
@@ -14,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tension as tn
-from .geometry import dist, geodesic_step, log_map
+from .geometry import STEP_SCRATCH_ROWS, dist, geodesic_step, log_map
 from .heatkernel import RadialKernel, _panel_quad
 
 __all__ = [
@@ -70,7 +85,10 @@ class FlowTrace:
 
 
 class FlowGrid:
-    """Map values on a coordinate grid with a frozen boundary layer."""
+    """Map values on a coordinate grid with a frozen boundary layer.
+
+    Component-major storage and flat-range kernels: see the module docstring.
+    """
 
     def __init__(self, box, resolution, values, n=3):
         """values: node values (..., n), or a map evaluated at the nodes."""
@@ -84,7 +102,7 @@ class FlowGrid:
         if min(resolution) < 2 * STATS_MARGIN + 1:
             raise ValueError("resolution too coarse for the tension stencil")
         self.box = (float(X), float(s_lo), float(s_hi))
-        self.resolution = tuple(resolution)
+        self.resolution = shape = tuple(resolution)
         self.n = n
         axes = [np.linspace(-X, X, resolution[i]) for i in range(n - 1)]
         axes.append(np.linspace(s_lo, s_hi, resolution[-1]))
@@ -92,67 +110,128 @@ class FlowGrid:
         self.spacings = np.array([ax[1] - ax[0] for ax in axes])
         mesh = np.meshgrid(*axes, indexing="ij")
         self.nodes = np.stack(mesh, axis=-1)          # (..., n)
+
+        size = self.nodes[..., 0].size
+        self._strides = [int(np.prod(shape[ax + 1:])) for ax in range(n)]
+        lo = sum(self._strides)
+        hi = sum((r - 2) * st for r, st in zip(shape, self._strides)) + 1
+        self._lo, self._hi = lo, hi
+        self._store = np.empty((n, size))
+        self._u = self._nodes_last(self._store)
         if callable(values):
             values = values(self.nodes)
-        self.u = np.array(values, dtype=float, copy=True)
-        if self.u.shape != self.nodes.shape:
-            raise ValueError("values shape does not match the grid")
+        self.u = values
         if np.any(self.u[..., -1] <= 0.0):
             raise ValueError("initial map has non-positive heights")
         self.u0 = self.u.copy()
+
+        # work arrays, allocated once; each kernel writes lanes [lo, hi)
+        self._jac, self._lap = np.empty((2, n, n, size))
+        self._tau = np.empty((n, size))
+        self._norm, self._energy = np.empty((2, size))
+        self._stage = np.empty((n, hi - lo))  # one block: the checks read it unbuffered
+        self._scratch = np.empty((max(tn.SCRATCH_ROWS, STEP_SCRATCH_ROWS), hi - lo))
+        heights = self.nodes[..., -1].ravel()
+        inside = np.zeros(shape, dtype=bool)
+        inside[self.interior()] = True
+        self._inside = inside.ravel()[lo:hi]
+        self._edge = np.flatnonzero(~self._inside) + lo  # boundary lanes of the range
+
+        # kernel arguments over the range, and read-only interior views
+        r = slice(lo, hi)
+        self._val_r = self._store[:, r].T
+        self._jac_r = np.moveaxis(self._jac[..., r], (0, 1), (-2, -1))
+        self._lap_r = np.moveaxis(self._lap[..., r], (0, 1), (-2, -1))
+        self._s_r = heights[r]
+        self._tau_r = self._tau[:, r].T
+        self._norm_r = self._norm[r]
+        self._energy_r = self._energy[r]
+        self._stage_r = self._stage.T
+        self._jets_in = tuple(self._core_view(a) for a in
+                              (self._store, self._jac, self._lap, heights))
+        self._tau_in, self._norm_in, self._energy_in = (
+            self._core_view(a) for a in (self._tau, self._norm, self._energy))
+
+    def _nodes_last(self, buf):
+        """(components..., nodes) array as a (grid..., components...) view."""
+        lead = buf.ndim - 1
+        grid = buf.reshape(buf.shape[:-1] + self.resolution)
+        return np.moveaxis(grid, tuple(range(lead)), tuple(range(-lead, 0)))
+
+    def _core_view(self, buf):
+        view = self._nodes_last(buf)[self.interior()]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def u(self):
+        """Node values (..., n), a view of the component-major store."""
+        return self._u
+
+    @u.setter
+    def u(self, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != self._u.shape:
+            raise ValueError("values shape does not match the grid")
+        self._u[...] = values
 
     def interior(self):
         """Slices of the nodes inside the frozen boundary layer."""
         return tuple(slice(1, -1) for _ in range(self.n))
 
+    def _fill_jets(self):
+        """Central differences of the store over the range, as shifted 1-D slices."""
+        lo, hi = self._lo, self._hi
+        minus_2val = self._scratch[0]
+        for g, ug in enumerate(self._store):
+            np.multiply(-2.0, ug[lo:hi], out=minus_2val)
+            for ax, st in enumerate(self._strides):
+                h = self.spacings[ax]
+                up = ug[lo + st:hi + st]
+                um = ug[lo - st:hi - st]
+                jac = self._jac[g, ax, lo:hi]
+                np.subtract(up, um, out=jac)
+                jac /= 2.0 * h
+                lap = self._lap[g, ax, lo:hi]
+                np.add(up, minus_2val, out=lap)
+                lap += um
+                lap /= h**2
+
     def interior_jets(self):
         """Value, Jacobian and diagonal second derivatives at interior nodes.
 
-        jac[..., g, i] and lap[..., g, i] are views of component-major
-        arrays, so every component is one contiguous block.
+        Read-only views (val (..., n), jac and lap (..., n, n), heights
+        (...)) of the grid's buffers, valid until the next step; every
+        component jac[..., g, i] lies in one contiguous block.
         """
-        u = self.u
-        core = self.interior()
-        n = self.n
-        val = u[core]
-        jac = np.empty((n, n) + val.shape[:-1])
-        lap = np.empty((n, n) + val.shape[:-1])
-        for g in range(n):
-            ug = np.ascontiguousarray(u[..., g])
-            minus_2val = -2.0 * ug[core]
-            for ax in range(n):
-                h = self.spacings[ax]
-                sl_p = list(core)
-                sl_m = list(core)
-                sl_p[ax] = slice(2, None)
-                sl_m[ax] = slice(0, -2)
-                up = ug[tuple(sl_p)]
-                um = ug[tuple(sl_m)]
-                np.subtract(up, um, out=jac[g, ax])
-                jac[g, ax] /= 2.0 * h
-                np.add(up, minus_2val, out=lap[g, ax])
-                lap[g, ax] += um
-                lap[g, ax] /= h**2
-        s_dom = self.nodes[core][..., -1]
-        jac, lap = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (jac, lap))
-        return val, jac, lap, s_dom
+        self._fill_jets()
+        return self._jets_in
 
     def tension(self, energy=False):
         """Tension vectors and norms at interior nodes (grid stencil).
 
         With energy=True the energy density, read off the same jets, is
-        returned as a third array.
+        returned as a third array.  Read-only views, valid until the next
+        step; the boundary lanes of the range get tension 0.
         """
-        val, jac, lap, s_dom = self.interior_jets()
-        tau, norm = tn.tension_from_jet(val, jac, lap, s_dom)
+        self._fill_jets()
+        tn.tension_from_jet(self._val_r, self._jac_r, self._lap_r, self._s_r,
+                            out=(self._tau_r, self._norm_r), scratch=self._scratch)
+        self._tau[:, self._edge] = 0.0
         if energy:
-            return tau, norm, tn.energy_from_jet(val, jac, s_dom)
-        return tau, norm
+            self._fill_energy()
+            return self._tau_in, self._norm_in, self._energy_in
+        return self._tau_in, self._norm_in
+
+    def _fill_energy(self):
+        tn.energy_from_jet(self._val_r, self._jac_r, self._s_r,
+                           out=self._energy_r, scratch=self._scratch)
 
     def energy(self):
-        """Energy density at interior nodes."""
-        val, jac, _, s_dom = self.interior_jets()
-        return tn.energy_from_jet(val, jac, s_dom)
+        """Energy density at interior nodes (a read-only view, valid until the next step)."""
+        self._fill_jets()
+        self._fill_energy()
+        return self._energy_in
 
     def stats_view(self, arr):
         """Restrict an interior-shaped array to the statistics region."""
@@ -187,19 +266,21 @@ def flow_step(grid, dt, max_energy=np.inf):
     """One intrinsic forward-Euler step; boundary layer untouched.
 
     Every interior node moves along the geodesic from its current value
-    in the direction of the tension vector.  Raises FloatingPointError
-    when the energy density of the current values exceeds max_energy at
-    an interior node (the blow-up guard), or when the step produces
-    invalid node values.
+    in the direction of the tension vector; the boundary lanes of the
+    range carry tension 0, so geodesic_step returns them bit for bit and
+    the whole range is written back.  Raises FloatingPointError when the
+    energy density of the current values exceeds max_energy at an
+    interior node (the blow-up guard), or when the step produces invalid
+    node values; the grid is then left as it was.
     """
-    tau, _, energy = grid.tension(energy=True)
-    if np.max(energy) > max_energy:
+    grid.tension(energy=True)
+    if np.max(grid._energy_r, where=grid._inside, initial=-np.inf) > max_energy:
         raise FloatingPointError(BLOWUP_REASON)
-    core = grid.interior()
-    moved = geodesic_step(grid.u[core], tau, dt)
+    moved = geodesic_step(grid._val_r, grid._tau_r, dt, out=grid._stage_r,
+                          scratch=grid._scratch)
     if not np.all(np.isfinite(moved)) or np.any(moved[..., -1] <= 0.0):
         raise FloatingPointError("flow step produced invalid node values")
-    grid.u[core] = moved
+    grid._val_r[...] = moved
     return grid
 
 
@@ -216,8 +297,9 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     n_steps = int(np.ceil(t_end / dt))
     if record_every is None:
         record_every = max(1, n_steps // 40)
-    e0 = grid.energy()
+    e0 = grid.energy()  # a view that the next step overwrites
     max_energy = BLOWUP_FACTOR * max(float(np.max(e0)), 1e-30)
+    mean_e = [float(np.mean(grid.stats_view(e0)))]
     snapshot_times = sorted(snapshot_times or [])
     snaps = {}
     next_snap = 0
@@ -225,7 +307,6 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     times = [0.0]
     sup_tau = [grid.sup_tension()]
     sup_drift = [0.0]
-    mean_e = [float(np.mean(grid.stats_view(e0)))]
     aborted = False
     reason = ""
     t = 0.0

@@ -29,6 +29,7 @@ __all__ = [
 
 FD_REL_STEP = 1e-4  # h = 1e-4 * s, stencils stay inside the half-space
 H_MIN = 1e-300
+SCRATCH_ROWS = 7   # temporaries of tension_from_jet (energy_from_jet needs one)
 
 
 def _steps(pts, h_rel):
@@ -39,7 +40,7 @@ def _steps(pts, h_rel):
     return h
 
 
-def tension_from_jet(value, jac, lap_diag, s_dom):
+def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None):
     """Tension vector from value, Jacobian and diagonal second derivatives.
 
     tau^g = g^{ii} (d2F^g - Gamma^k_{ii} dF^g_k + Gamma~^g_{ab} dF^a_i dF^b_i)
@@ -48,47 +49,58 @@ def tension_from_jet(value, jac, lap_diag, s_dom):
 
     value: (..., n) image points, jac: (..., n, n), lap_diag: (..., n, n)
     with lap_diag[..., g, i] = d^2 F^g / dx_i^2, s_dom: (...) base heights.
-    Returns (tau (..., n), |tau| in the target metric at value).
+    Returns (tau (..., n), |tau| in the target metric at value), written
+    into the pair out when given.  scratch, a (SCRATCH_ROWS, ...) float
+    array, holds the temporaries; both are allocated when not given.
     """
     value = np.asarray(value, dtype=float)
+    if value.ndim == 1:  # one point: its 0-d rows would be numpy scalars, which take no out=
+        tau, norm = tension_from_jet(value[None], jac[None], lap_diag[None],
+                                     np.asarray(s_dom)[None], out, scratch)
+        return tau[0], norm[0]
     n = value.shape[-1]
     S = value[..., -1]
-    s2 = s_dom * s_dom
-    n2_s = (n - 2) * s_dom
-    two_s2_S = 2.0 * s2 / S
-    buf = np.empty(S.shape)
+    if out is None:  # component-major, so every tau[..., g] is contiguous
+        out = np.empty((n,) + S.shape).transpose(*range(1, S.ndim + 1), 0), np.empty(S.shape)
+    if scratch is None:
+        scratch = np.empty((SCRATCH_ROWS,) + S.shape)
+    tau, norm = out
+    s2, n2_s, two_s2_S, buf, horiz_sq, vert_sq, acc = scratch[:SCRATCH_ROWS]
+    np.multiply(s_dom, s_dom, out=s2)
+    np.multiply(n - 2, s_dom, out=n2_s)
+    np.multiply(2.0, s2, out=two_s2_S)
+    two_s2_S /= S
     d = [[jac[..., g, i] for i in range(n)] for g in range(n)]  # dF^g/dx^i
 
     # target Christoffel terms at height S = F^n need the horizontal and
     # vertical parts of |dF|^2, summed left to right over (g, i)
-    horiz_sq = _dot(d[0], d[0], buf)
+    _dot(d[0], d[0], buf, out=horiz_sq)
     for row in d[1:-1]:
         for r in row:
             horiz_sq += np.multiply(r, r, out=buf)
-    vert_sq = _dot(d[-1], d[-1], buf)
+    _dot(d[-1], d[-1], buf, out=vert_sq)
 
-    tau = np.empty(value.shape)
-    taus = []
-    for g in range(n):
-        tau_g = lap_diag[..., g, 0] + lap_diag[..., g, 1]
+    taus = [tau[..., g] for g in range(n)]
+    for g, tau_g in enumerate(taus):
+        np.add(lap_diag[..., g, 0], lap_diag[..., g, 1], out=tau_g)
         for i in range(2, n):
             tau_g += lap_diag[..., g, i]
         tau_g *= s2
         tau_g -= np.multiply(n2_s, d[g][-1], out=buf)
         if g < n - 1:
-            tau_g -= np.multiply(two_s2_S, _dot(d[g], d[-1], buf), out=buf)
+            tau_g -= np.multiply(two_s2_S, _dot(d[g], d[-1], buf, out=acc), out=buf)
         else:
-            tau_g += np.multiply(s2 / S, horiz_sq - vert_sq, out=buf)
-        tau[..., g] = tau_g
-        taus.append(tau_g)
+            horiz_sq -= vert_sq
+            tau_g += np.multiply(np.divide(s2, S, out=two_s2_S), horiz_sq, out=buf)
 
-    norm = np.sqrt(_dot(taus, taus, buf)) / S
+    np.sqrt(_dot(taus, taus, buf, out=norm), out=norm)
+    norm /= S
     return tau, norm
 
 
-def _dot(xs, ys, buf):
+def _dot(xs, ys, buf, out=None):
     """sum_i xs[i] * ys[i], accumulated left to right; buf holds each product."""
-    acc = xs[0] * ys[0]
+    acc = np.multiply(xs[0], ys[0], out=out)
     for x, y in zip(xs[1:], ys[1:]):
         acc += np.multiply(x, y, out=buf)
     return acc
@@ -120,11 +132,16 @@ def _jet_of(F, pts):
     return F.jet(pts) if hasattr(F, "jet") else fd_jet(F, pts)
 
 
-def energy_from_jet(val, jac, s_dom):
-    """e = (s/S)^2 |dF|^2 / 2, summed one Jacobian entry at a time."""
+def energy_from_jet(val, jac, s_dom, out=None, scratch=None):
+    """e = (s/S)^2 |dF|^2 / 2, summed one Jacobian entry at a time.
+
+    Written into out when given; scratch[0] holds the temporaries.
+    """
     entries = [jac[..., g, i] for g in range(jac.shape[-2]) for i in range(jac.shape[-1])]
-    e = _dot(entries, entries, np.empty(jac.shape[:-2]))
-    e *= 0.5 * (s_dom / val[..., -1]) ** 2
+    buf = np.empty(jac.shape[:-2]) if scratch is None else scratch[0]
+    e = _dot(entries, entries, buf, out=out)
+    np.divide(s_dom, val[..., -1], out=buf)
+    e *= np.multiply(0.5, np.multiply(buf, buf, out=buf), out=buf)
     return e
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from qcflow.boundary import make_boundary_map
 from qcflow.extension import GoodExtension
-from qcflow.tension import FD_REL_STEP
+from qcflow.geometry import geodesic_step
+from qcflow.tension import FD_REL_STEP, energy_from_jet, tension_from_jet
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +83,54 @@ def jet(F, p):
             hess[:, i, j] = mixed
             hess[:, j, i] = mixed
     return JetData(val, jac, hess)
+
+
+# ---------------------------------------------------------------------------
+# reference flow step: FlowGrid's stencil on freshly allocated (..., n) arrays,
+# the tests' bit-for-bit oracle for the grid's buffered flat-range kernels
+
+def reference_jets(grid, u):
+    """Value, Jacobian, diagonal second derivatives and heights at grid's interior nodes.
+
+    u: node values (..., n) on grid's nodes.
+    """
+    core = grid.interior()
+    n = grid.n
+    val = u[core]
+    jac = np.empty((n, n) + val.shape[:-1])
+    lap = np.empty((n, n) + val.shape[:-1])
+    for g in range(n):
+        ug = np.ascontiguousarray(u[..., g])
+        minus_2val = -2.0 * ug[core]
+        for ax in range(n):
+            h = grid.spacings[ax]
+            sl_p = list(core)
+            sl_m = list(core)
+            sl_p[ax] = slice(2, None)
+            sl_m[ax] = slice(0, -2)
+            up = ug[tuple(sl_p)]
+            um = ug[tuple(sl_m)]
+            np.subtract(up, um, out=jac[g, ax])
+            jac[g, ax] /= 2.0 * h
+            np.add(up, minus_2val, out=lap[g, ax])
+            lap[g, ax] += um
+            lap[g, ax] /= h**2
+    s_dom = grid.nodes[core][..., -1]
+    jac, lap = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (jac, lap))
+    return val, jac, lap, s_dom
+
+
+def reference_tension(grid, u):
+    """(tau, |tau|, energy density) at grid's interior nodes for node values u."""
+    val, jac, lap, s_dom = reference_jets(grid, u)
+    tau, norm = tension_from_jet(val, jac, lap, s_dom)
+    return tau, norm, energy_from_jet(val, jac, s_dom)
+
+
+def reference_flow_step(grid, u, dt):
+    """Node values one forward-Euler step after u (a new array; u is kept)."""
+    tau = reference_tension(grid, u)[0]
+    core = grid.interior()
+    moved = u.copy()
+    moved[core] = geodesic_step(u[core], tau, dt)
+    return moved

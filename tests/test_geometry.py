@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qcflow.geometry import (
     INFINITY,
+    STEP_SCRATCH_ROWS,
     HorocyclicCoord,
     IsometryFixingInfinity,
     Mobius,
@@ -187,6 +188,23 @@ def test_log_map_inverts_geodesic_step_property(p, u, rate):
     back = log_map(p, q)
     assert np.allclose(back, v, rtol=0.0, atol=1e-8 * p[-1])
     assert np.allclose(geodesic_step(p, back, 1.0), q, rtol=1e-9, atol=1e-9 * p[-1])
+
+
+@GEODESIC_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 30), t=st.floats(0.0, 2.0))
+def test_geodesic_step_into_buffers_matches_the_allocating_call_property(seed, k, t):
+    rng = np.random.default_rng(seed)
+    p = np.column_stack([rng.uniform(-3.0, 3.0, (k, 2)), rng.uniform(0.05, 20.0, k)])
+    v = rng.normal(size=(k, 3)) * p[:, -1:]
+    v[rng.random(k) < 0.2, :2] = 0.0  # vertical
+    v[rng.random(k) < 0.3] = 0.0  # at rest
+    # a component-major out, as FlowGrid passes it; NaN shows a read before a write
+    out = np.full((3, k), np.nan).T
+    got = geodesic_step(p, v, t, out=out, scratch=np.full((STEP_SCRATCH_ROWS, k), np.nan))
+    assert got is out
+    assert got.tobytes() == geodesic_step(p, v, t).tobytes()
+    rest = ~np.any(v, axis=1)
+    assert got[rest].tobytes() == p[rest].tobytes()
 
 
 @GEODESIC_SETTINGS

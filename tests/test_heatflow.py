@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import qcflow.heatflow as hf
 from qcflow.boundary import make_boundary_map
 from qcflow.geometry import dist
+
+from conftest import reference_flow_step, reference_jets, reference_tension
 
 BOX = (2.0, 0.25, 4.0)
 
@@ -58,10 +61,92 @@ def test_grid_energy_matches_reference():
     grid = hf.FlowGrid(BOX, 9, bump)
     val, jac, _, s = grid.interior_jets()
     want = 0.5 * (s / val[..., -1]) ** 2 * np.sum(jac**2, axis=(-2, -1))
-    energy = grid.energy()
+    energy = grid.energy().copy()  # the grid reuses its energy array
     assert np.allclose(energy, want, rtol=1e-14, atol=0.0)
     _, _, step_energy = grid.tension(energy=True)
     assert np.array_equal(step_energy, energy)
+
+
+def _reassigned_grid():
+    grid = hf.FlowGrid(BOX, 9, identity_values(BOX, 9))
+    grid.u = hf.radial_bump_map(np.array([0.0, 0.0, 1.0]), 0.1, 0.8)(grid.u)
+    return grid
+
+
+ORACLE_GRIDS = {
+    "identity_9": lambda: hf.init_flow(make_boundary_map("identity"), BOX, 9),
+    # a different spacing on every axis
+    "stretch_13x11x9": lambda: hf.init_flow(make_boundary_map("radial_stretch", K=1.5),
+                                            (1.5, 0.3, 2.5), (13, 11, 9)),
+    "reassigned_u": _reassigned_grid,
+}
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_buffered_step_matches_the_allocating_reference(name):
+    grid = ORACLE_GRIDS[name]()
+    u = grid.u.copy()
+    dt = hf.cfl_time_step(grid)
+    for _ in range(40):
+        hf.flow_step(grid, dt)
+        u = reference_flow_step(grid, u, dt)
+    assert _same_bits(grid.u, u)
+    tau, norm, energy = reference_tension(grid, u)
+    for got, want in zip(grid.tension(energy=True), (tau, norm, energy)):
+        assert _same_bits(got, want)
+    for got, want in zip(grid.tension(), (tau, norm)):
+        assert _same_bits(got, want)
+    assert _same_bits(grid.energy(), energy)
+    for got, want in zip(grid.interior_jets(), reference_jets(grid, u)):
+        assert _same_bits(got, want)
+
+
+def test_returned_arrays_are_read_only_views(f_stretch):
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    for arr in grid.tension(energy=True) + grid.interior_jets():
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_u_setter_copies_into_the_grid():
+    grid = hf.FlowGrid(BOX, 9, identity_values(BOX, 9))
+    view = grid.u
+    values = identity_values(BOX, 9) * 1.5
+    grid.u = values
+    values[...] = 0.0
+    assert np.array_equal(view, identity_values(BOX, 9) * 1.5)
+    with pytest.raises(ValueError, match="shape"):
+        grid.u = values[:-1]
+
+
+def test_failed_step_leaves_the_grid_unchanged(f_stretch):
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    before = grid.u.copy()
+    with pytest.raises(FloatingPointError, match="blow-up"):
+        hf.flow_step(grid, hf.cfl_time_step(grid), max_energy=0.0)
+    with pytest.raises(FloatingPointError, match="invalid node values"):
+        hf.flow_step(grid, np.nan)
+    assert np.array_equal(grid.u, before)
+
+
+def test_flow_step_allocates_no_grid_sized_arrays(f_stretch):
+    # tracemalloc sees numpy's data buffers; the allocating step peaked at
+    # 34 interior arrays (357 kB), the buffered one peaks at 7 kB
+    grid = hf.init_flow(f_stretch, BOX, 13)
+    dt = hf.cfl_time_step(grid)
+    hf.flow_step(grid, dt)  # warm-up
+    tracemalloc.start()
+    try:
+        hf.flow_step(grid, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    interior_array = 11**3 * 8  # bytes of one float array over the interior
+    assert peak < 8 * interior_array
 
 
 def test_step_keeps_identity_fixed():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcflow.boundary import singular_value_ratio
 from qcflow.geometry import INFINITY, IsometryFixingInfinity, general_isometry
 from qcflow.tension import (
+    SCRATCH_ROWS,
     energy_density,
     energy_from_jet,
     fd_jet,
@@ -134,6 +137,40 @@ def test_tension_from_jet_matches_reference_contraction(n, shape):
                            (0, 1), (-2, -1))
     tau_t, norm_t = tension_from_jet(value, component_major(jac), component_major(lap), s)
     assert np.array_equal(tau_t, tau) and np.array_equal(norm_t, norm)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 30), n=st.sampled_from([2, 3, 4]))
+def test_kernels_into_buffers_match_the_allocating_calls_property(seed, k, n):
+    rng = np.random.default_rng(seed)
+    value = rng.normal(size=(k, n))
+    value[:, -1] = rng.uniform(0.1, 5.0, k)
+    jac, lap = rng.normal(size=(2, k, n, n))
+    s = rng.uniform(0.1, 5.0, k)
+    # component-major outputs as FlowGrid passes them; NaN shows a read before a write
+    tau, norm, energy = np.full((n, k), np.nan).T, np.full(k, np.nan), np.full(k, np.nan)
+    scratch = np.full((SCRATCH_ROWS, k), np.nan)
+    got = tension_from_jet(value, jac, lap, s, out=(tau, norm), scratch=scratch)
+    assert got[0] is tau and got[1] is norm
+    for g, w in zip(got, tension_from_jet(value, jac, lap, s)):
+        assert g.tobytes() == w.tobytes()
+    assert energy_from_jet(value, jac, s, out=energy, scratch=scratch) is energy
+    assert energy.tobytes() == energy_from_jet(value, jac, s).tobytes()
+
+
+def test_one_point_gives_the_row_of_its_batch():
+    rng = np.random.default_rng(7)
+    value = rng.normal(size=(4, 3))
+    value[:, -1] = rng.uniform(0.5, 2.0, 4)
+    jac, lap = rng.normal(size=(2, 4, 3, 3))
+    s = rng.uniform(0.5, 2.0, 4)
+    tau, norm = tension_from_jet(value, jac, lap, s)
+    energy = energy_from_jet(value, jac, s)
+    for k in range(4):
+        tau_k, norm_k = tension_from_jet(value[k], jac[k], lap[k], s[k])
+        assert tau_k.tobytes() == tau[k].tobytes()
+        assert np.ndim(norm_k) == 0 and norm_k == norm[k]
+        assert energy_from_jet(value[k], jac[k], s[k]) == energy[k]
 
 
 def test_tension_isometry_not_fixing_infinity():
