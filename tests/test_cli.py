@@ -134,6 +134,19 @@ def test_flow_contract_violation_exits_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("dt,rc_want", [("0.0038", 0), ("0.004", 2)])
+def test_flow_dt_above_the_explicit_limit_is_contract_violation(tmp_path, capsys, dt, rc_want):
+    # on this 9^3 box the power method gives rho = 514.2, so 2/rho = 0.00389
+    # separates the two steps; the guard runs before the first step
+    rc, out = run(tmp_path, "flow",
+                  f"map=radial_stretch\nK=1.5\nresolution=9\nt_end=0.05\ndt={dt}\n")
+    assert rc == rc_want
+    lines = capsys.readouterr().err.splitlines()
+    if rc_want:
+        assert lines == ["contract violation: flow: aborted (energy blow-up: CFL violation)"]
+    else:
+        assert lines == [] and read_csv(out / "flow.csv")[-1][0] == "0.05"
+
 @pytest.mark.parametrize("s_lo", ["1e-200", "1e-300"])
 def test_extend_underflowed_height_is_contract_violation(tmp_path, capsys, s_lo):
     # over the stretch's singular point x = 0 the extension's height

@@ -233,6 +233,164 @@ def test_cfl_guard_aborts_on_blowup(f_stretch):
     assert trace.aborted
 
 
+# ---------------------------------------------------------------------------
+# super-time-stepping: the stability guard, the schedule and its accuracy
+
+def _dense_tension_jacobian(grid, h=1e-6):
+    """Central-difference Jacobian of the interior tension in the interior node values."""
+    u = grid.u.copy()
+    unknowns = np.argwhere(np.ones(grid.u[grid.interior()].shape, dtype=bool))
+    jac = np.empty((len(unknowns), len(unknowns)))
+    for col, (*node, g) in enumerate(unknowns):
+        sides = []
+        for sign in (1.0, -1.0):
+            w = u.copy()
+            w[tuple(i + 1 for i in node) + (g,)] += sign * h
+            grid.u = w
+            sides.append(grid.tension()[0].ravel().copy())
+        jac[:, col] = (sides[0] - sides[1]) / (2.0 * h)
+    grid.u = u
+    return jac
+
+
+def test_spectral_radius_matches_dense_eigenvalues(f_stretch):
+    # 7^3 interior nodes x 3 components = 1029 unknowns; measured rho dt
+    # 1.4124 (power method) against 1.4138 (eigvals), |Im| dt 1.1e-3
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    dt = hf.cfl_time_step(grid)
+    before = grid.u.copy()
+    rho = hf.spectral_radius(grid)
+    assert _same_bits(grid.u, before)
+    eig = np.linalg.eigvals(_dense_tension_jacobian(grid))
+    dense = float(np.max(np.abs(eig)))
+    assert abs(rho - dense) <= 0.005 * dense
+    assert np.max(np.abs(eig.imag)) * dt < 2e-3  # real spectrum: the STS analysis applies
+    assert 1.5 * dt * rho > 2.0  # so test_blowup_guard_runs_every_step trips at 1.5x CFL
+
+
+@pytest.mark.parametrize("margin", [0.99, 1.01])
+def test_guard_aborts_before_the_first_step_above_two_over_rho(f_stretch, margin):
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    dt = margin * 2.0 / hf.spectral_radius(grid)
+    before = grid.u.copy()
+    trace, _, _ = hf.run_flow(grid, t_end=40 * dt, dt=dt)
+    if margin > 1.0:
+        assert trace.aborted and trace.abort_reason == hf.BLOWUP_REASON
+        assert len(trace.times) == 1
+        assert _same_bits(grid.u, before)
+    else:  # just inside the limit the super-steps are stable
+        assert not trace.aborted
+        assert trace.decayed and trace.within_band
+
+
+def test_sts_substeps_sum_order_and_partial_products():
+    dt = 0.37
+    tau = hf.sts_substeps(dt)
+    N, r = hf.STS_STAGES, math.sqrt(hf.STS_DAMPING)
+    a, b = (1 + r) ** (2 * N), (1 - r) ** (2 * N)
+    closed = dt * N / (2 * r) * (a - b) / (a + b)
+    assert len(tau) == N
+    assert abs(np.sum(tau) - closed) <= 1e-14 * closed
+    assert np.all(np.diff(tau) > 0.0)  # smallest first
+    lam_dt = np.linspace(0.0, 2.0, 10**4)
+    partial = np.cumprod(1.0 - np.outer(lam_dt, tau / dt), axis=1)
+    assert np.max(np.abs(partial)) <= 1.0
+    # largest first, a partial product reaches 71 and would trip the energy guard
+    assert np.max(np.abs(np.cumprod(1.0 - np.outer(lam_dt, tau[::-1] / dt), axis=1))) > 50
+
+
+def test_super_steps_land_on_t_end_and_every_snapshot(f_stretch):
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    u_init = grid.u.copy()
+    t_end, marks = 0.1, [0.013, 0.05]
+    trace, final, snaps = hf.run_flow(grid, t_end=t_end, snapshot_times=marks + [0.2])
+    assert trace.times[-1] == t_end
+    assert sorted(snaps) == marks  # a time past t_end is never reached
+    for i, mark in enumerate(marks):
+        # a run that ends at the mark takes the same super-steps up to it
+        _, upto, _ = hf.run_flow(hf.FlowGrid(BOX, 9, u_init), t_end=mark,
+                                 snapshot_times=marks[:i])
+        assert _same_bits(snaps[mark], upto.u)
+
+
+@pytest.mark.parametrize("super_steps", [1, 40, 41, 80, 81, 119])
+def test_default_run_records_at_most_41_rows(super_steps):
+    grid = hf.FlowGrid(BOX, 9, identity_values(BOX, 9))
+    reach = float(np.sum(hf.sts_substeps(hf.cfl_time_step(grid))))
+    t_end = (super_steps - 0.5) * reach
+    trace, _, _ = hf.run_flow(grid, t_end=t_end)
+    assert trace.times[-1] == t_end
+    assert len(trace.times) <= 41
+    assert len(trace.times) >= min(super_steps, 21) + 1
+
+
+def test_records_share_the_next_steps_jet_pass(f_stretch, monkeypatch):
+    fills = []
+    fill_jets, energy_from_jet = hf.FlowGrid._fill_jets, hf.tn.energy_from_jet
+
+    def counting_jets(self):
+        fills.append("jets" not in self._fresh)
+        fill_jets(self)
+
+    def counting_energy(*args, **kwargs):
+        fills.append("energy")
+        return energy_from_jet(*args, **kwargs)
+
+    monkeypatch.setattr(hf.FlowGrid, "_fill_jets", counting_jets)
+    monkeypatch.setattr(hf.tn, "energy_from_jet", counting_energy)
+    passes = []
+    for every in (1, 10**6):
+        fills.clear()
+        grid = hf.init_flow(f_stretch, BOX, 9)
+        trace, final, _ = hf.run_flow(grid, t_end=0.05, record_every=every)
+        passes.append((fills.count(True), fills.count("energy")))
+    assert passes[0] == passes[1]  # a record adds no jet or energy pass
+    # and reads the values a fresh grid computes from the same nodes
+    fresh = hf.FlowGrid(BOX, 9, final.u)
+    assert trace.sup_tension[-1] == fresh.sup_tension()
+    assert trace.mean_energy[-1] == float(np.mean(fresh.stats_view(fresh.energy())))
+
+
+def test_node_values_are_read_only(f_stretch):
+    # every write goes through the setter or a step, which tell the grid
+    # that its jets are stale
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    with pytest.raises(ValueError):
+        grid.u[..., 0] = 0.0
+    norm = grid.tension()[1].copy()
+    grid.u = hf.radial_bump_map(np.array([0.0, 0.0, 1.0]), 0.1, 0.8)(grid.u)
+    assert not np.array_equal(grid.tension()[1], norm)
+
+
+# STS against a dt/8 Euler reference on the 13^3 stretch grid at t = 0.05.
+# To first order the error of a super-step is sum(tau_j^2)/2 J^2 u against
+# sum(tau_j) dt/2 J^2 u for Euler over the same time, a ratio of 4.29; the
+# measured ratio is 4.18-4.19 at t = 0.05 and 4.77-4.79 at t = 0.25 for
+# radial_stretch K = 1.25, 1.5, 2 and shear c = 0.5 (STS errors 2.6e-4 to 2.0e-3
+# at t = 0.05).  Both stay far below the spatial error (1.1e-2 between the
+# 17^3 and 33^3 grids of the flow workload's box).  The STS error grows
+# like the stretch: 2.04e-3 to 2.20e-3 per unit of K - 1 over K = 1.25, 1.5, 2.
+STS_EULER_RATIO = 5.0
+STS_ERR_PER_STRETCH = 2.5e-3
+
+
+@pytest.mark.parametrize("K", [1.25, 1.5, 2.0])
+def test_sts_error_against_a_fine_euler_reference(K):
+    grid = hf.init_flow(make_boundary_map("radial_stretch", K=K), BOX, 13)
+    u_init = grid.u.copy()
+    t_end = 0.05
+    n = math.ceil(t_end / hf.cfl_time_step(grid))
+    _, sts, _ = hf.run_flow(grid, t_end=t_end)
+    euler, ref = hf.FlowGrid(BOX, 13, u_init), hf.FlowGrid(BOX, 13, u_init)
+    for _ in range(n):
+        hf.flow_step(euler, t_end / n)
+    for _ in range(8 * n):
+        hf.flow_step(ref, t_end / (8 * n))
+    err_sts, err_euler = sts.distance_to(ref.u), euler.distance_to(ref.u)
+    assert err_sts <= STS_EULER_RATIO * err_euler, (err_sts, err_euler)
+    assert err_sts <= STS_ERR_PER_STRETCH * (K - 1.0), err_sts
+
+
 def test_trace_csv_round_trip(tmp_path, f_linear):
     grid = hf.init_flow(f_linear, BOX, 9)
     dt = hf.cfl_time_step(grid)
