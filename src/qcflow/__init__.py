@@ -6,13 +6,11 @@ from .boundary import BoundaryMap, make_boundary_map
 from .extension import GoodExtension, QuadratureRule
 from .geometry import (
     INFINITY,
-    HorocyclicCoord,
     IsometryFixingInfinity,
     Mobius,
     Point,
     PolarFrame,
     dist,
-    general_isometry,
     geodesic_step,
 )
 from .heatkernel import RadialKernel
@@ -24,13 +22,11 @@ __all__ = [
     "GoodExtension",
     "QuadratureRule",
     "INFINITY",
-    "HorocyclicCoord",
     "IsometryFixingInfinity",
     "Mobius",
     "Point",
     "PolarFrame",
     "dist",
-    "general_isometry",
     "geodesic_step",
     "RadialKernel",
     "energy_density",

@@ -445,8 +445,6 @@ class SectorRecord:
     mean: float
     se: float
     good: bool
-    resolution_limited: bool = False  # angular scale below ~100 eps: the
-    #                                   direction samples collapse in float64
 
 
 @dataclass
@@ -585,11 +583,8 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
             frame, rho, omega, eps, r0, field, rng=rng, n_slab=n_slab
         )
         r1 = res["r1"] if res["r1"] else 1.0
-        scale = omega.radius if isinstance(omega, SphericalDisk) else side
-        sectors.append(
-            SectorRecord(rho, r1, lo, side, res["mean"], res["se"], bool(res["success"]),
-                         resolution_limited=scale < 100 * np.finfo(float).eps)
-        )
+        sectors.append(SectorRecord(rho, r1, lo, side, res["mean"], res["se"],
+                                    bool(res["success"])))
         return rho + r1
 
     # base sector: Omega = the full disk, whose chart cube has side 2 x radius

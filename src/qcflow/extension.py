@@ -6,10 +6,14 @@ of f at scale s, with vertical part s sqrt(avg energy / (n-1)):
     ( int f(x + s y) phi(y) dy ,
       s/sqrt(n-1) * sqrt( int e(f)(x + s y) phi(y) dy ) )
 
-with phi the standard Gaussian on R^{n-1}.  Extensions anchored at a
-finite boundary point are obtained by conjugating with an isometry that
-carries the anchor to infinity; partial conformal naturality makes the
-result independent of that choice.
+with phi the standard Gaussian on R^{n-1}.  An extension anchored at a
+finite boundary point a is conjugated by the isometry that translates a
+to 0 and then inverts, carrying a to infinity.  Partial conformal
+naturality makes the result independent of that choice: every other
+isometry carrying a to infinity is this one followed by a similarity,
+whose scale and translation leave the tensor-product quadrature exactly
+invariant, so another choice moves the computed extension only by
+rotating the quadrature grid (its quadrature error).
 
 The extension itself is never finite-differenced: since
 G(., s) = exp((s^2/2) Delta) f, its Jacobian and diagonal second
@@ -26,14 +30,7 @@ import numpy as np
 
 from . import boundary as bd
 from . import tension as tn
-from .geometry import (
-    INFINITY,
-    Mobius,
-    boundary_antipode,
-    dist,
-    general_isometry,
-    is_infinity,
-)
+from .geometry import INFINITY, Mobius, dist, is_infinity
 
 __all__ = [
     "QuadratureRule",
@@ -111,8 +108,10 @@ class GoodExtension:
     """Good extension of a boundary map, anchored at a boundary point.
 
     Callable on coordinate arrays (..., n) -> (..., n).  When the anchor
-    is a finite point a, evaluation routes through the canonical isometry
-    M with M(a) = infinity: M^{-1} o G_infinity(M f M^{-1}) o M.
+    is a finite point a, evaluation routes through M = `anchoring_isometry(a)`,
+    translation by -a then inversion: M^{-1} o G_infinity(M f M^{-1}) o M.
+    Up to the rotation of the quadrature grid the result does not depend
+    on which isometry carries a to infinity.
     """
 
     def __init__(self, f, anchor=INFINITY, order=DEFAULT_ORDER):
@@ -294,47 +293,16 @@ class GoodExtension:
 
 
 def anchoring_isometry(a, n=3):
-    """Canonical isometry sending the boundary point a to infinity.
+    """Isometry sending the boundary point a to infinity: translation by -a, then inversion.
 
-    Determined by carrying (a, antipode(a), reference) to (infinity, 0, e1),
-    where the reference point is the stereographic image of a sphere point
-    orthogonal to the lift of a.
+    Every other isometry sending a to infinity is this one followed by a
+    similarity (Ahlfors, Mobius transformations in several dimensions,
+    1981).  The identity when a is already INFINITY.
     """
     if is_infinity(a):
         return Mobius.identity(n)
-    a = np.asarray(a, dtype=float)
-    xi = _lift_to_sphere(a)
-    # unit vector orthogonal to xi, picked stably among the coordinate axes
-    k = int(np.argmin(np.abs(xi)))
-    ek = np.zeros(n)
-    ek[k] = 1.0
-    v = ek - (ek @ xi) * xi
-    v = v / np.linalg.norm(v)
-    third = _project_to_boundary(v)
-    return general_isometry(
-        [a, boundary_antipode(a, n), third],
-        [INFINITY, np.zeros(n - 1), _e1(n - 1)],
-        n,
-    )
-
-
-def _e1(m):
-    e = np.zeros(m)
-    e[0] = 1.0
-    return e
-
-
-def _lift_to_sphere(x):
-    """Inverse stereographic projection R^{n-1} -> S^{n-1} (north pole = infinity)."""
-    nn = float(np.sum(x**2))
-    return np.concatenate([2.0 * x, [nn - 1.0]]) / (nn + 1.0)
-
-
-def _project_to_boundary(xi):
-    """Stereographic projection; the north pole goes to INFINITY."""
-    if xi[-1] > 1.0 - 1e-14:
-        return INFINITY
-    return xi[:-1] / (1.0 - xi[-1])
+    shift = Mobius([("sim", 1.0, np.eye(n - 1), -np.asarray(a, dtype=float))])
+    return Mobius.inversion(n).compose(shift)
 
 
 def check_partial_conformal_naturality(f, I, J, a, b, pts):

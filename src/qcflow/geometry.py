@@ -19,12 +19,7 @@ __all__ = [
     "IsometryFixingInfinity",
     "Mobius",
     "chain_rule",
-    "general_isometry",
     "PolarFrame",
-    "HorocyclicCoord",
-    "horocyclic_to_euclidean",
-    "euclidean_to_horocyclic",
-    "boundary_antipode",
 ]
 
 ORTHO_TOL = 1e-12
@@ -362,89 +357,6 @@ def chain_rule(outer, inner):
     return D, D2
 
 
-def _rotation_to_e1(u):
-    """Rotation in SO(m) carrying unit vector u to e1."""
-    m = u.shape[0]
-    if m == 1:
-        # SO(1) = {1}; only u = e1 can be rotated to e1
-        if u[0] < 0:
-            raise ValueError("no SO(1) rotation carries -e1 to e1")
-        return np.eye(1)
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    c = float(u @ e1)
-    if c > 1.0 - 1e-14:
-        return np.eye(m)
-    if c < -1.0 + 1e-14:
-        # rotate by pi in the (e1, e2) plane
-        R = np.eye(m)
-        R[0, 0] = R[1, 1] = -1.0
-        return R
-    w = u - c * e1
-    w = w / np.linalg.norm(w)
-    # rotation by -theta in the (e1, w) plane, identity on the complement
-    s = np.sqrt(1.0 - c * c)
-    R = np.eye(m)
-    R += (c - 1.0) * (np.outer(e1, e1) + np.outer(w, w))
-    R += s * (np.outer(e1, w) - np.outer(w, e1))
-    return R
-
-
-def _carry_to_standard(triple, n):
-    """Mobius isometry carrying a boundary triple to (INFINITY, 0, e1)."""
-    p1, p2, p3 = triple
-    M = Mobius.identity(n)
-    if not is_infinity(p1):
-        shift = Mobius([("sim", 1.0, np.eye(n - 1), -np.asarray(p1, dtype=float))])
-        M = Mobius.inversion(n).compose(shift)
-    q2 = M.boundary(p2)
-    if is_infinity(q2):
-        raise ValueError("degenerate triple: repeated boundary points")
-    M = Mobius([("sim", 1.0, np.eye(n - 1), -q2)]).compose(M)
-    q3 = M.boundary(p3)
-    if is_infinity(q3):
-        raise ValueError("degenerate triple: repeated boundary points")
-    r = np.linalg.norm(q3)
-    if r < 1e-14:
-        raise ValueError("degenerate triple: repeated boundary points")
-    if n - 1 >= 2:
-        O = _rotation_to_e1(q3 / r)
-    else:
-        O = np.eye(1)
-        if q3[0] < 0:
-            # boundary of H^2: fall back to scale only; sign cannot be fixed in SO(0+1)
-            raise ValueError("triple not orientable onto (inf, 0, e1) in dimension 2")
-    M = Mobius([("sim", 1.0 / r, O, np.zeros(n - 1))]).compose(M)
-    return M
-
-
-def general_isometry(src_triple, dst_triple, n=3):
-    """Mobius isometry of H^n carrying one boundary triple to another.
-
-    Triples are ordered; entries are points of R^{n-1} or INFINITY.  The
-    result is the canonical choice obtained by routing both triples
-    through (INFINITY, 0, e1).
-    """
-    A = _carry_to_standard(src_triple, n)
-    B = _carry_to_standard(dst_triple, n)
-    return B.inverse().compose(A)
-
-
-def boundary_antipode(a, n=3):
-    """Antipodal boundary point under the standard sphere identification.
-
-    Stereographically, the antipode of x is -x/|x|^2; the antipode of 0 is
-    INFINITY and vice versa.
-    """
-    if is_infinity(a):
-        return np.zeros(n - 1)
-    a = np.asarray(a, dtype=float)
-    nn = np.sum(a**2)
-    if nn == 0.0:
-        return INFINITY
-    return -a / nn
-
-
 class PolarFrame:
     """Geodesic polar coordinates centered at a point of H^n.
 
@@ -476,25 +388,3 @@ class PolarFrame:
         with np.errstate(invalid="ignore", divide="ignore"):
             zeta = zeta / np.where(rho == 0.0, 1.0, rho)[..., None]
         return rho, zeta
-
-
-@dataclass(frozen=True)
-class HorocyclicCoord:
-    """Horocyclic coordinates (b, h): boundary footpoint plus signed height."""
-
-    base: np.ndarray
-    signed_height: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "signed_height", float(self.signed_height))
-
-
-def horocyclic_to_euclidean(c):
-    """(b, h) -> (b, e^{-h}); the height-0 horosphere passes through (0, 1)."""
-    return Point(c.base, np.exp(-c.signed_height))
-
-
-def euclidean_to_horocyclic(p):
-    p = p if isinstance(p, Point) else Point.from_coords(p)
-    return HorocyclicCoord(p.x, -np.log(p.s))

@@ -77,6 +77,8 @@ STS_DAMPING = 0.06  # nu: sets the error (nu = 0.05 at 8 stages fails the dt-hal
 POWER_EPS = 1e-7   # spectral_radius: size of the directional difference
 POWER_RTOL = 1e-3  # spectral_radius: relative change that stops the iteration
 POWER_MAX_ITER = 50  # spectral_radius: iteration cap (7-13 used at 9^3-33^3)
+DEFAULT_DT_RHO = 1.9  # run_flow: cap on the default dt * rho, 5% inside the limit 2
+                      # because the power method converges to rho from below
 RECORDS = 40       # run_flow: records kept by the default record_every
 
 
@@ -397,26 +399,28 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     """Run the heat flow on grid and record (t, sup|tau|, sup drift, mean energy).
 
     Advances by super-steps, each STS_STAGES calls of `flow_step` with the
-    substeps `sts_substeps(dt)`, from the base step dt (the CFL step by
-    default); they land exactly on t_end and on every snapshot time in
-    (0, t_end].  A record is taken every record_every super-steps (by
-    default about RECORDS records) and at t_end.  Aborts with a partial
-    trace on energy blow-up: before the first step, leaving the grid
-    unchanged, when dt exceeds the explicit limit 2 / spectral_radius;
-    before every substep and at every record when the energy density
-    exceeds BLOWUP_FACTOR times its initial maximum.  It also aborts on
-    invalid node values.  Returns (FlowTrace, FlowGrid, snapshots) where
-    snapshots maps requested times to copies of the node values.
+    substeps `sts_substeps(dt)`, from the base step dt (by default the CFL
+    step, capped at DEFAULT_DT_RHO / spectral_radius); they land exactly
+    on t_end and on every snapshot time in (0, t_end].  A record is taken
+    every record_every super-steps (by default about RECORDS records) and
+    at t_end.  Aborts with a partial trace on energy blow-up: before the
+    first step, leaving the grid unchanged, when dt exceeds the explicit
+    limit 2 / spectral_radius; before every substep and at every record
+    when the energy density exceeds BLOWUP_FACTOR times its initial
+    maximum.  It also aborts on invalid node values.  Returns (FlowTrace,
+    FlowGrid, snapshots) where snapshots maps requested times to copies
+    of the node values.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    rho = spectral_radius(grid)
     if dt is None:
-        dt = cfl_time_step(grid)
+        dt = min(cfl_time_step(grid), DEFAULT_DT_RHO / rho if rho else math.inf)
     snapshot_times = set(snapshot_times or [])
     plan = _super_steps(sts_substeps(dt), t_end, snapshot_times)
     if record_every is None:
         record_every = math.ceil(len(plan) / RECORDS)
-    stable = dt * spectral_radius(grid) <= 2.0
+    stable = dt * rho <= 2.0
 
     times = [0.0]
     sup_tau = [grid.sup_tension()]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcflow import extension
 from qcflow.boundary import BoundaryMap, boundary_jacobian, conjugate_boundary, make_boundary_map
 from qcflow.extension import (
     DEEP_HEIGHT,
@@ -133,7 +134,37 @@ def test_anchoring_isometry_properties():
     for a in (np.zeros(2), np.array([1.5, -0.5])):
         M = anchoring_isometry(a, 3)
         assert M.boundary(a) is INFINITY
+        assert np.allclose(M.boundary(INFINITY), 0.0, atol=1e-15)
     assert isinstance(anchoring_isometry(INFINITY, 3), Mobius)
+
+
+def _translated(f, a):
+    """x -> a + f(x - a), which fixes a when f fixes 0."""
+    T = Mobius([("sim", 1.0, np.eye(2), a)])
+    return conjugate_boundary(f, T, T, fixed_point=a)
+
+
+@pytest.mark.parametrize("a", [np.zeros(2), np.array([0.3, -0.5]), np.array([1.5, 0.7])])
+def test_anchored_extension_ignores_a_similarity_after_the_anchoring(
+        a, f_linear, f_stretch, monkeypatch):
+    # every isometry carrying a to infinity is S o anchoring_isometry(a) for
+    # a similarity S; a scale and a shift map the tensor-product
+    # Gauss-Hermite nodes of each window onto the nodes of the image window,
+    # so G_a is unchanged to rounding (worst 2.7e-14 in distance, 3.7e-14 in
+    # |tau| measured).  A rotation is left out: it turns the node grid, so
+    # the values move by the quadrature error (0.11 in distance and 0.20 in
+    # |tau| measured with the same S turned by 0.7 rad)
+    S = Mobius([("sim", 1.7, np.eye(2), np.array([0.4, -1.1]))])
+    pts = box_points(np.random.default_rng(21), 50) + np.append(a, 0.0)
+    for f in (f_linear, f_stretch):
+        ext = GoodExtension(_translated(f, a), anchor=a)
+        with monkeypatch.context() as mp:
+            mp.setattr(extension, "anchoring_isometry",
+                       lambda b, n=3: S.compose(anchoring_isometry(b, n)))
+            ext_s = GoodExtension(_translated(f, a), anchor=a)
+        assert ext_s.mob.chain[-1][1] == 1.7
+        assert float(np.max(dist(ext(pts), ext_s(pts)))) <= 1e-10
+        assert float(np.max(np.abs(ext.tension_norm(pts) - ext_s.tension_norm(pts)))) <= 1e-10
 
 
 def test_quasi_isometry_constants_isometry():

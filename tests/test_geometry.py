@@ -8,17 +8,12 @@ from hypothesis import strategies as st
 from qcflow.geometry import (
     INFINITY,
     STEP_SCRATCH_ROWS,
-    HorocyclicCoord,
     IsometryFixingInfinity,
     Mobius,
     Point,
     PolarFrame,
-    boundary_antipode,
     dist,
-    euclidean_to_horocyclic,
-    general_isometry,
     geodesic_step,
-    horocyclic_to_euclidean,
     log_map,
 )
 
@@ -284,38 +279,6 @@ def test_isometry_fixing_infinity_is_a_one_similarity_mobius():
         IsometryFixingInfinity(0.0, np.eye(2), np.zeros(2))
 
 
-def test_general_isometry_trivial_and_scaling():
-    e1 = np.array([1.0, 0.0])
-    triple = [np.zeros(2), e1, INFINITY]
-    ident = general_isometry(triple, triple)
-    rng = np.random.default_rng(5)
-    p = box_points(rng, 10)
-    assert np.allclose(ident.apply(p), p, atol=1e-12)
-
-    doubled = general_isometry([np.zeros(2), e1, INFINITY],
-                               [np.zeros(2), 2 * e1, INFINITY])
-    assert np.allclose(doubled.boundary(e1), 2 * e1)
-    assert doubled.boundary(INFINITY) is INFINITY
-    assert np.allclose(doubled.apply(np.array([0.0, 0.0, 1.0])), [0, 0, 2.0])
-
-
-def test_general_isometry_generic_triples_preserve_distance():
-    rng = np.random.default_rng(6)
-    src = [rng.normal(size=2) for _ in range(3)]
-    dst = [rng.normal(size=2) for _ in range(3)]
-    M = general_isometry(src, dst)
-    p, q = box_points(rng, 50), box_points(rng, 50)
-    assert np.allclose(dist(M.apply(p), M.apply(q)), dist(p, q), atol=1e-10)
-    for a, b in zip(src, dst):
-        assert np.allclose(M.boundary(a), b, atol=1e-9)
-
-
-def test_general_isometry_rejects_degenerate_triple():
-    a = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        general_isometry([a, a, INFINITY], [np.zeros(2), a, INFINITY])
-
-
 def test_inversion_is_isometry_swapping_zero_and_infinity():
     V = Mobius.inversion(3)
     assert V.boundary(INFINITY) is not INFINITY and np.allclose(V.boundary(INFINITY), 0)
@@ -398,13 +361,6 @@ def test_mobius_boundary_jacobian_is_conformal_property(M, x):
     assert np.allclose(D.T @ D, factor**2 * np.eye(2), rtol=0.0, atol=1e-12 * factor**2)
 
 
-def test_boundary_antipode():
-    assert boundary_antipode(np.zeros(2)) is INFINITY
-    assert np.allclose(boundary_antipode(INFINITY), np.zeros(2))
-    x = np.array([2.0, 0.0])
-    assert np.allclose(boundary_antipode(x), [-0.5, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # polar coordinates
 
@@ -470,29 +426,3 @@ def test_geodesic_ball_volume_monte_carlo():
         vol = float(np.mean(weights))
         want = math.pi * (math.sinh(2 * rho) - 2 * rho)
         assert vol == pytest.approx(want, rel=0.01)
-
-
-# ---------------------------------------------------------------------------
-# horocyclic coordinates
-
-def test_horocyclic_formulas():
-    p = horocyclic_to_euclidean(HorocyclicCoord(np.zeros(2), 0.0))
-    assert np.allclose(p.coords, [0.0, 0.0, 1.0])
-    p1 = horocyclic_to_euclidean(HorocyclicCoord(np.zeros(2), 1.0))
-    assert p1.s == pytest.approx(math.exp(-1.0), abs=1e-15)
-
-
-def test_horocyclic_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        c = HorocyclicCoord(rng.normal(size=2), rng.normal())
-        back = euclidean_to_horocyclic(horocyclic_to_euclidean(c))
-        assert np.allclose(back.base, c.base, atol=1e-12)
-        assert back.signed_height == pytest.approx(c.signed_height, abs=1e-12)
-
-
-def test_horocyclic_height_is_vertical_distance():
-    for h1, h2 in [(0.0, 1.0), (-0.7, 2.2), (0.3, 0.3)]:
-        p1 = horocyclic_to_euclidean(HorocyclicCoord(np.zeros(2), h1))
-        p2 = horocyclic_to_euclidean(HorocyclicCoord(np.zeros(2), h2))
-        assert dist(p1, p2) == pytest.approx(abs(h1 - h2), abs=1e-12)

@@ -283,6 +283,17 @@ def test_guard_aborts_before_the_first_step_above_two_over_rho(f_stretch, margin
         assert trace.decayed and trace.within_band
 
 
+def test_default_step_stays_inside_the_explicit_limit():
+    # on the 11^4 box the CFL step alone is past 2/rho (rho dt_CFL = 2.059
+    # measured), so a default run used to abort before its first step; the
+    # default base step is capped at DEFAULT_DT_RHO / rho
+    grid = hf.FlowGrid(BOX, 11, lambda p: p, n=4)
+    assert hf.cfl_time_step(grid) * hf.spectral_radius(grid) > 2.0
+    trace, _, _ = hf.run_flow(grid, t_end=0.05)
+    assert not trace.aborted
+    assert trace.times[-1] == 0.05
+
+
 def test_sts_substeps_sum_order_and_partial_products():
     dt = 0.37
     tau = hf.sts_substeps(dt)

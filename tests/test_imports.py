@@ -1,7 +1,9 @@
 """The library runs on numpy alone: importing every qcflow module loads no scipy.
 
-scipy stays a test-only oracle.  Run this file directly
-(`python tests/test_imports.py`) where pytest is not installed.
+scipy stays a test-only oracle.  The same probe resolves every name that
+the package and each module list in `__all__`, so a stale export fails
+here.  Run this file directly (`python tests/test_imports.py`) where
+pytest is not installed.
 """
 
 import os
@@ -15,8 +17,9 @@ PROBE = """
 import importlib, pkgutil, sys
 import qcflow
 names = [m.name for m in pkgutil.iter_modules(qcflow.__path__)]
-for name in names:
-    importlib.import_module("qcflow." + name)
+for module in [qcflow] + [importlib.import_module("qcflow." + name) for name in names]:
+    for export in getattr(module, "__all__", []):
+        getattr(module, export)
 print(" ".join(names))
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
@@ -25,7 +28,8 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_qcflow_modules_load_no_scipy():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path})
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
     modules, scipy_modules = out.stdout.split("\n")[:2]
     assert "covering" in modules.split() and "cli" in modules.split()
     assert scipy_modules == ""

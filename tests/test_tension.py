@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcflow.boundary import singular_value_ratio
-from qcflow.geometry import INFINITY, IsometryFixingInfinity, general_isometry
+from qcflow.extension import anchoring_isometry
+from qcflow.geometry import IsometryFixingInfinity
 from qcflow.tension import (
     SCRATCH_ROWS,
     energy_density,
@@ -175,10 +176,7 @@ def test_one_point_gives_the_row_of_its_batch():
 
 def test_tension_isometry_not_fixing_infinity():
     rng = np.random.default_rng(5)
-    M = general_isometry(
-        [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-        [np.array([2.0, 1.0]), INFINITY, np.array([-1.0, 0.5])],
-    )
+    M = anchoring_isometry(np.array([2.0, 1.0])).inverse()  # infinity -> (2, 1)
     pts = box_points(rng, 15)
     assert np.max(tension_field(M.apply, pts)[1]) < 1e-4
 
@@ -194,10 +192,7 @@ def test_map_distortion_values(ext_linear):
 
 def test_finite_difference_convergence_order():
     # halving h cuts the tension defect of a curved harmonic map by >= 3x
-    M = general_isometry(
-        [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-        [np.array([1.0, -0.5]), np.array([0.0, 2.0]), INFINITY],
-    )
+    M = anchoring_isometry(np.array([1.0, -0.5])).compose(anchoring_isometry(np.array([0.0, 2.0])))
     F = M.apply
     rng = np.random.default_rng(7)
     pts = box_points(rng, 10)
