@@ -201,6 +201,11 @@ def _linear(matrix):
     )
 
 
+def _component_major(lead, dim, alloc):
+    """A (lead..., dim, dim) view of alloc((dim, dim) + lead): each J[..., i, j] is contiguous."""
+    return np.moveaxis(alloc((dim, dim) + lead), (0, 1), (-2, -1))
+
+
 def _sq_norm(x):
     """|x|^2 summed one component at a time."""
     r2 = x[..., 0] * x[..., 0]
@@ -233,7 +238,7 @@ def _radial_stretch(K, dim):
 
     def jac(x):
         _, fac, c2 = coeffs(x)
-        J = np.empty(x.shape + (dim,))
+        J = _component_major(x.shape[:-1], dim, np.empty)
         for i in range(dim):
             c2x = c2 * x[..., i]
             for j in range(dim):
@@ -269,7 +274,7 @@ def _shear(c, dim):
         return 4.0 * e / (1.0 + e) ** 2
 
     def jac(x):
-        J = np.zeros(x.shape + (dim,))
+        J = _component_major(x.shape[:-1], dim, np.zeros)
         for i in range(dim):
             J[..., i, i] = 1.0
         J[..., 0, 1] = c * sech2(x[..., 1])

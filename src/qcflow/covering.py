@@ -442,6 +442,7 @@ class SectorRecord:
     r1: float
     lo: np.ndarray
     side: float
+    address: tuple  # (i, j, n_per) per partition from the base cell down to this cell
     mean: float
     se: float
     good: bool
@@ -498,17 +499,18 @@ class CoveringReport:
         return rows
 
 
-def _rects_disjoint(a, b):
-    return bool(np.any(a.lo + a.side <= b.lo + 1e-15)
-                or np.any(b.lo + b.side <= a.lo + 1e-15))
-
-
 def _check_disjoint(sectors):
+    """Whether every two sectors that overlap in rho have disjoint cells.
+
+    Two cells are disjoint exactly when neither address is a prefix of the
+    other; comparing addresses, not corners, holds at any depth.
+    """
     for i in range(len(sectors)):
         for j in range(i + 1, len(sectors)):
             a, b = sectors[i], sectors[j]
             rho_overlap = (a.rho < b.rho + b.r1 - 1e-12) and (b.rho < a.rho + a.r1 - 1e-12)
-            if rho_overlap and not _rects_disjoint(a, b):
+            k = min(len(a.address), len(b.address))
+            if rho_overlap and a.address[:k] == b.address[:k]:
                 return False
     return True
 
@@ -578,19 +580,19 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
     use_chart = disk.radius <= SMALL_CAP
     chart = CubeToDisk(disk) if use_chart else None
 
-    def eval_cell(omega, rho, lo, side):
+    def eval_cell(omega, rho, lo, side, address):
         res = find_good_height(
             frame, rho, omega, eps, r0, field, rng=rng, n_slab=n_slab
         )
         r1 = res["r1"] if res["r1"] else 1.0
-        sectors.append(SectorRecord(rho, r1, lo, side, res["mean"], res["se"],
+        sectors.append(SectorRecord(rho, r1, lo, side, address, res["mean"], res["se"],
                                     bool(res["success"])))
         return rho + r1
 
     # base sector: Omega = the full disk, whose chart cube has side 2 x radius
     base_lo = np.array([-disk.radius, -disk.radius])
     base_side = 2.0 * disk.radius
-    top = eval_cell(disk, r_in, base_lo, base_side)
+    top = eval_cell(disk, r_in, base_lo, base_side, ())
 
     if top > stop_line or not use_chart:
         branch_tops.append(top)
@@ -607,10 +609,11 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
         )
         for pos, idx in enumerate(idxs):
             lo = subcube(base_lo, side, idx)
-            child_top = eval_cell(CubeImage(chart, lo, side), top, lo, side)
+            address = (idx + (n_per,),)
+            child_top = eval_cell(CubeImage(chart, lo, side), top, lo, side, address)
             if pos in audit_set:
                 # descend one random chain to the top of the cylinder
-                c_lo, c_side, c_rho = lo, side, child_top
+                c_lo, c_side, c_rho, c_address = lo, side, child_top, address
                 while c_rho <= stop_line:
                     np_ax, c_side = partition_cube(c_side, c_rho)
                     pick_idx = (
@@ -618,7 +621,9 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
                         int(rng.integers(np_ax)),
                     )
                     c_lo = subcube(c_lo, c_side, pick_idx)
-                    c_rho = eval_cell(CubeImage(chart, c_lo, c_side), c_rho, c_lo, c_side)
+                    c_address += (pick_idx + (np_ax,),)
+                    c_rho = eval_cell(CubeImage(chart, c_lo, c_side), c_rho, c_lo, c_side,
+                                      c_address)
                 branch_tops.append(c_rho)
 
     good_secs = [s for s in sectors if s.good]

@@ -42,13 +42,13 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 21
-# Points per evaluation and jet chunk.  At 64 the per-chunk node arrays stay
-# cache-sized (the extension workload peaks at 47 MiB, 56 at 256).  It suits
-# FlowGrid's step, which allocates nothing grid-sized: with 256, init_flow's
-# 1.8 MB chunk arrays raise glibc's dynamic mmap and trim thresholds, and only
-# that kept an allocating step's freed temporaries mapped; at 64 such a step
-# faults their pages in afresh every time (flow workload, 2 cores: 2.77 s
-# against 2.25 s).
+# Points per evaluation and jet chunk.  At 64 (m = 2, Q = 441) a chunk's sample
+# block is 0.45 MB and its Jacobians 0.9 MB (the extension workload peaks at
+# 47 MiB, 56 at 256).  It suits FlowGrid's step, which allocates nothing
+# grid-sized: with 256, init_flow's 1.8 MB sample blocks and 3.6 MB Jacobians
+# raise glibc's dynamic mmap and trim thresholds, and only that kept an
+# allocating step's freed temporaries mapped; at 64 such a step faults their
+# pages in afresh every time (flow workload, 2 cores: 2.77 s against 2.25 s).
 CHUNK = 64
 DEEP_HEIGHT = 1e-4   # below this, the jet takes closed-form moments of the local 2-jet
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
@@ -68,7 +68,7 @@ class QuadratureRule:
         y1 = np.sqrt(2.0) * t
         w1 = w / np.sqrt(np.pi)
         grids = np.meshgrid(*([y1] * dim), indexing="ij")
-        self.nodes = np.stack([g.ravel() for g in grids], axis=-1)  # (Q, dim)
+        self.nodes = np.stack([g.ravel() for g in grids]).T  # (Q, dim), component-major
         wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
         self.weights = np.prod(np.stack([g.ravel() for g in wgrids]), axis=0)
         self.dim = dim
@@ -136,8 +136,15 @@ class GoodExtension:
     # -- plain evaluation ---------------------------------------------------
 
     def _nodes_direct(self, x, s):
-        """f and e(f) at the scaled quadrature nodes x + s y_k, shapes (..., Q[, m])."""
-        args = x[..., None, :] + s[..., None, None] * self.quad.nodes
+        """f and e(f) at the scaled quadrature nodes x + s y_k, shapes (B, Q[, m]).
+
+        x (B, m) and s (B,).  The nodes are one component-major (m, B, Q)
+        block passed as its (B, Q, m) view, so each per-component operation
+        of the evaluators and Jacobians reads contiguous memory.
+        """
+        args = s[:, None] * self.quad.nodes.T[:, None, :]
+        args += x.T[:, :, None]
+        args = args.transpose(1, 2, 0)
         return self.f_inf(args), bd.boundary_energy_density(self.f_inf, args)
 
     def _eval_inf(self, pts):

@@ -24,7 +24,6 @@ __all__ = [
     "green_volume_integral",
     "epsilon0",
     "distance_laplacian_check",
-    "calibrate_green_constant",
 ]
 
 # Calibrated lower-bound constant: the sweep minimum of
@@ -143,14 +142,3 @@ def distance_laplacian_check(F, G, pts):
     skipped = d < DIST_MIN
     holds = skipped | (lap >= rhs - DIST_LAP_TOL)
     return lap, rhs, holds, skipped
-
-
-def calibrate_green_constant(r_list=(0.9, 0.99, 0.999, 1.0), n=3):
-    """Sweep minimum of g_r(rho) rho^{n-2} / (1-rho^2)^{n-1} on (0, 0.9 r]."""
-    worst = math.inf
-    for r in r_list:
-        rho = np.linspace(1e-4, 0.9 * r, 2000)
-        g = green(r, rho, n)
-        ratio = g * rho ** (n - 2) / (1.0 - rho**2) ** (n - 1)
-        worst = min(worst, float(np.min(ratio)))
-    return worst

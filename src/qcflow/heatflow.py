@@ -12,18 +12,22 @@ A FlowGrid stores its node values component-major: one row of an
 (..., n) view of that store.  In flat node indices a step along axis k
 is a fixed stride, so all interior nodes lie in the one range [lo, hi)
 with lo = sum of the strides, and a stencil neighbour of the range is the
-range shifted by a stride.  Every kernel (jets, tension, energy,
-geodesic step) runs over that range as 1-D contiguous slices, into
-arrays the grid allocates once.  The range also holds the boundary nodes
+range shifted by a stride.  Every kernel (jets, tension, geodesic step)
+runs over that range as 1-D contiguous slices, into arrays the grid
+allocates once.  The jets multiply by the reciprocals 0.5/h and 1/h^2
+(within 2 ulp of dividing), and the tension pass also writes the energy
+density from the squared Jacobian entries it forms, bit for bit
+`tension.energy_from_jet`.  The range also holds the boundary nodes
 between interior rows; their jets mix neighbours from adjacent rows and
 mean nothing, so their tension is set to 0 (geodesic_step then returns
 them bit for bit), and the blow-up guard and the statistics read the
 interior nodes only.  `interior_jets`, `tension` and `energy` return
-read-only interior views of the grid's arrays, valid until the next
-step or the next call of one of them.  The grid remembers which of them
+read-only interior views of the grid's arrays, valid until the node
+values change.  The grid remembers whether its jets and its tension pass
 hold the current node values, so a record's sup|tau| and mean energy
-and the next step's tension share one jet pass; `grid.u` is read-only
-and every write to the store goes through the setter or a step.
+and the next step's tension share one jet and one tension pass;
+`grid.u` is read-only and every write to the store goes through the
+setter or a step.
 
 `run_flow` advances by super-time-stepping (Alexiades, Amiez & Gremaud,
 Commun. Numer. Meth. Eng. 12, 1996): each super-step is STS_STAGES
@@ -142,11 +146,13 @@ class FlowGrid:
 
         size = self.nodes[..., 0].size
         self._strides = [int(np.prod(shape[ax + 1:])) for ax in range(n)]
+        # per axis: the stride and the factors the jets multiply by, 1/(2h) and 1/h^2
+        self._stencil = [(st, 0.5 / h, 1.0 / h**2) for st, h in zip(self._strides, self.spacings)]
         lo = sum(self._strides)
         hi = sum((r - 2) * st for r, st in zip(shape, self._strides)) + 1
         self._lo, self._hi = lo, hi
         self._store = np.empty((n, size))
-        self._fresh = set()  # which of "jets", "tension", "energy" hold the store's values
+        self._fresh = set()  # "jets" and "tension" while those passes hold the store's values
         self._u = self._nodes_last(self._store)
         self._u.flags.writeable = False
         if callable(values):
@@ -219,17 +225,16 @@ class FlowGrid:
         minus_2val = self._scratch[0]
         for g, ug in enumerate(self._store):
             np.multiply(-2.0, ug[lo:hi], out=minus_2val)
-            for ax, st in enumerate(self._strides):
-                h = self.spacings[ax]
+            for ax, (st, half_inv_h, inv_h2) in enumerate(self._stencil):
                 up = ug[lo + st:hi + st]
                 um = ug[lo - st:hi - st]
                 jac = self._jac[g, ax, lo:hi]
                 np.subtract(up, um, out=jac)
-                jac /= 2.0 * h
+                jac *= half_inv_h
                 lap = self._lap[g, ax, lo:hi]
                 np.add(up, minus_2val, out=lap)
                 lap += um
-                lap /= h**2
+                lap *= inv_h2
         self._fresh.add("jets")
 
     def interior_jets(self):
@@ -249,27 +254,24 @@ class FlowGrid:
         returned as a third array.  Read-only views, valid until the next
         step; the boundary lanes of the range get tension 0.
         """
-        self._fill_jets()
-        if "tension" not in self._fresh:
-            tn.tension_from_jet(self._val_r, self._jac_r, self._lap_r, self._s_r,
-                                out=(self._tau_r, self._norm_r), scratch=self._scratch)
-            self._tau[:, self._edge] = 0.0
-            self._fresh.add("tension")
+        self._fill_tension()
         if energy:
-            self._fill_energy()
             return self._tau_in, self._norm_in, self._energy_in
         return self._tau_in, self._norm_in
 
-    def _fill_energy(self):
-        if "energy" not in self._fresh:
-            tn.energy_from_jet(self._val_r, self._jac_r, self._s_r,
-                               out=self._energy_r, scratch=self._scratch)
-            self._fresh.add("energy")
+    def _fill_tension(self):
+        """Tension, norm and energy density over the range, from one jet pass."""
+        self._fill_jets()
+        if "tension" not in self._fresh:
+            tn.tension_from_jet(self._val_r, self._jac_r, self._lap_r, self._s_r,
+                                out=(self._tau_r, self._norm_r), scratch=self._scratch,
+                                energy=self._energy_r)
+            self._tau[:, self._edge] = 0.0
+            self._fresh.add("tension")
 
     def energy(self):
         """Energy density at interior nodes (a read-only view, valid until the next step)."""
-        self._fill_jets()
-        self._fill_energy()
+        self._fill_tension()
         return self._energy_in
 
     def stats_view(self, arr):

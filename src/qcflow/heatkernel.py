@@ -27,8 +27,6 @@ __all__ = [
     "reduce_to_annulus",
     "gaussian_profile",
     "peak_location",
-    "calibrate_tail_constant",
-    "calibrate_sandwich_constant",
 ]
 
 # Calibrated fixtures (see tests/test_heatkernel.py for the recalibration
@@ -301,50 +299,3 @@ def peak_location(t, n=3):
     grid = grid[grid > 0]
     vals = kern.log_radial_mass_density(grid, t)
     return float(grid[np.argmax(vals)])
-
-
-def calibrate_tail_constant(eps_list=(0.1, 0.01), t_list=(4.0, 16.0, 64.0), n=3):
-    """Smallest C with tail(t, l_C(eps)) < eps across the sweep (bisection).
-
-    The tail is decreasing in l and l is increasing in C, so feasibility
-    is monotone in C.
-    """
-
-    def feasible(C):
-        for eps in eps_list:
-            if eps >= C:
-                return False
-            l = l_of_eps(eps, C)
-            for t in t_list:
-                if annulus_tail_mass(t, l, n) >= eps:
-                    return False
-        return True
-
-    lo, hi = 0.02, 16.0
-    if not feasible(hi):
-        raise RuntimeError("tail constant calibration failed at upper bracket")
-    for _ in range(48):
-        mid = math.sqrt(lo * hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def calibrate_sandwich_constant(t_list=(8.0, 16.0, 64.0), l_list=(1.0, 2.0), n=3):
-    """Max two-sided annulus/Gaussian ratio bound over a profile sweep."""
-    profiles = [
-        lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        lambda r: np.asarray(r, dtype=float) * 0.0 + 2.5,
-    ]
-    worst = 1.0
-    for t in t_list:
-        for l in l_list:
-            if t < 2.0 * l * l:
-                continue
-            for Phi in profiles:
-                res = annulus_average_bounds(Phi, t, l, n)
-                ratio = res["ratio"]
-                worst = max(worst, ratio, 1.0 / ratio)
-    return worst

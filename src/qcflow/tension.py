@@ -40,7 +40,7 @@ def _steps(pts, h_rel):
     return h
 
 
-def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None):
+def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None, energy=None):
     """Tension vector from value, Jacobian and diagonal second derivatives.
 
     tau^g = g^{ii} (d2F^g - Gamma^k_{ii} dF^g_k + Gamma~^g_{ab} dF^a_i dF^b_i)
@@ -51,12 +51,16 @@ def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None):
     with lap_diag[..., g, i] = d^2 F^g / dx_i^2, s_dom: (...) base heights.
     Returns (tau (..., n), |tau| in the target metric at value), written
     into the pair out when given.  scratch, a (SCRATCH_ROWS, ...) float
-    array, holds the temporaries; both are allocated when not given.
+    array, holds the temporaries; both are allocated when not given.  An
+    energy array (...) receives the energy density, summed from the squared
+    Jacobian entries formed here in the order of `energy_from_jet`, so the
+    two agree bit for bit.
     """
     value = np.asarray(value, dtype=float)
     if value.ndim == 1:  # one point: its 0-d rows would be numpy scalars, which take no out=
         tau, norm = tension_from_jet(value[None], jac[None], lap_diag[None],
-                                     np.asarray(s_dom)[None], out, scratch)
+                                     np.asarray(s_dom)[None], out, scratch,
+                                     None if energy is None else energy[None])
         return tau[0], norm[0]
     n = value.shape[-1]
     S = value[..., -1]
@@ -78,7 +82,14 @@ def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None):
     for row in d[1:-1]:
         for r in row:
             horiz_sq += np.multiply(r, r, out=buf)
-    _dot(d[-1], d[-1], buf, out=vert_sq)
+    if energy is None:
+        _dot(d[-1], d[-1], buf, out=vert_sq)
+    else:  # the energy's sum runs on from the horizontal part, square by square
+        np.copyto(energy, horiz_sq)
+        energy += np.multiply(d[-1][0], d[-1][0], out=vert_sq)
+        for r in d[-1][1:]:
+            vert_sq += np.multiply(r, r, out=buf)
+            energy += buf
 
     taus = [tau[..., g] for g in range(n)]
     for g, tau_g in enumerate(taus):
@@ -95,6 +106,8 @@ def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None):
 
     np.sqrt(_dot(taus, taus, buf, out=norm), out=norm)
     norm /= S
+    if energy is not None:
+        _scale_energy(energy, s_dom, S, buf)
     return tau, norm
 
 
@@ -139,10 +152,14 @@ def energy_from_jet(val, jac, s_dom, out=None, scratch=None):
     """
     entries = [jac[..., g, i] for g in range(jac.shape[-2]) for i in range(jac.shape[-1])]
     buf = np.empty(jac.shape[:-2]) if scratch is None else scratch[0]
-    e = _dot(entries, entries, buf, out=out)
-    np.divide(s_dom, val[..., -1], out=buf)
-    e *= np.multiply(0.5, np.multiply(buf, buf, out=buf), out=buf)
-    return e
+    return _scale_energy(_dot(entries, entries, buf, out=out), s_dom, val[..., -1], buf)
+
+
+def _scale_energy(sq, s_dom, S, buf):
+    """sq *= (s/S)^2 / 2 in place: |dF|^2 to the energy density; buf is scratch."""
+    np.divide(s_dom, S, out=buf)
+    sq *= np.multiply(0.5, np.multiply(buf, buf, out=buf), out=buf)
+    return sq
 
 
 def tension_field(F, pts, h_rel=FD_REL_STEP):

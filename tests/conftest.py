@@ -92,7 +92,8 @@ def jet(F, p):
 def reference_jets(grid, u):
     """Value, Jacobian, diagonal second derivatives and heights at grid's interior nodes.
 
-    u: node values (..., n) on grid's nodes.
+    u: node values (..., n) on grid's nodes.  Like the grid, the stencil
+    multiplies by the reciprocals 0.5/h and 1/h^2 instead of dividing.
     """
     core = grid.interior()
     n = grid.n
@@ -111,10 +112,10 @@ def reference_jets(grid, u):
             up = ug[tuple(sl_p)]
             um = ug[tuple(sl_m)]
             np.subtract(up, um, out=jac[g, ax])
-            jac[g, ax] /= 2.0 * h
+            jac[g, ax] *= 0.5 / h
             np.add(up, minus_2val, out=lap[g, ax])
             lap[g, ax] += um
-            lap[g, ax] /= h**2
+            lap[g, ax] *= 1.0 / h**2
     s_dom = grid.nodes[core][..., -1]
     jac, lap = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (jac, lap))
     return val, jac, lap, s_dom

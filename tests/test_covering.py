@@ -16,6 +16,7 @@ from qcflow.covering import (
     POLAR_ROWS,
     CubeToDisk,
     FibonacciCover,
+    SectorRecord,
     SphericalDisk,
     besicovitch_cover,
     cell_alpha,
@@ -25,6 +26,7 @@ from qcflow.covering import (
     partition_cube,
     sector_svg,
     subcube,
+    _check_disjoint,
     _uniform_sphere,
 )
 from qcflow.geometry import PolarFrame, Point
@@ -414,6 +416,24 @@ def test_cover_annulus_linear_all_good(ext_linear):
     assert rows[0][0] == "cylinder"
     svg = sector_svg(rep)
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+def _cell(rho, address, side=1e-21):
+    return SectorRecord(rho, 1.0, np.full(2, 1e-20), side, address, 0.0, 0.0, True)
+
+
+def test_disjointness_compares_cell_addresses_at_any_depth():
+    # two identical 1e-21 cells at one height overlap; a corner comparison
+    # with an absolute slack of 1e-15 reported them disjoint
+    deep = ((0, 1, 3),) * 20
+    assert not _check_disjoint([_cell(40.0, deep), _cell(40.0, deep)])
+    # cells whose addresses part are disjoint, an ancestor overlaps its
+    # descendants, and cells stacked apart in rho never overlap
+    cousin = deep[:7] + ((2, 1, 3),) + deep[8:]
+    assert _check_disjoint([_cell(40.0, deep), _cell(40.0, cousin)])
+    assert not _check_disjoint([_cell(40.0, deep), _cell(39.5, deep[:5], side=1e-9)])
+    assert _check_disjoint([_cell(40.0, deep), _cell(39.0, deep[:5], side=1e-9)])
+    assert not _check_disjoint([_cell(40.0, deep), _cell(39.5, ())])
 
 
 def test_cover_annulus_rejects_annulus_through_origin(ext_linear):

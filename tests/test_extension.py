@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from qcflow import extension
-from qcflow.boundary import BoundaryMap, boundary_jacobian, conjugate_boundary, make_boundary_map
+from qcflow.boundary import (
+    BoundaryMap,
+    boundary_energy_density,
+    boundary_jacobian,
+    conjugate_boundary,
+    make_boundary_map,
+)
 from qcflow.extension import (
     DEEP_HEIGHT,
     GoodExtension,
@@ -540,3 +546,36 @@ def test_direct_moments_are_the_node_contraction(ext_stretch):
     terms = np.einsum("bqg,qk->bgk", np.abs(fv), np.abs(W)) / s0[:, None, None]
     assert np.all(np.abs(mom_f - ref) <= 1e-14 * terms)
     np.testing.assert_array_equal(mom_e, e @ ext_stretch._stein)
+
+
+def _row_major_oracle(f):
+    """The extension of f with its quadrature samples and Jacobians in C order.
+
+    The node pass as it ran before the samples were laid out component-major:
+    (B, Q, m) samples x + s y_k and (..., m, m) Jacobians, each row-major.
+    """
+    g = dataclasses.replace(f, jacobian=lambda x: np.ascontiguousarray(f.jacobian(x)))
+    ext = GoodExtension(g)
+
+    def nodes_direct(x, s):
+        args = x[:, None, :] + s[:, None, None] * np.ascontiguousarray(ext.quad.nodes)
+        return g(args), boundary_energy_density(g, args)
+
+    ext._nodes_direct = nodes_direct
+    return ext
+
+
+@pytest.mark.parametrize("name", ["f_stretch", "f_linear", "f_shear"])
+def test_component_major_samples_keep_the_row_major_jet(name, request):
+    # the jet's node contractions give the same bits whatever the layout;
+    # __call__'s einsum may round differently (at most 8.9e-15 in a
+    # coordinate, measured over three seeds of these points)
+    f = request.getfixturevalue(name)
+    pts = box_points(np.random.default_rng(23), 300, s_range=(1e-7, 4.0))
+    deep = pts[:, -1] < DEEP_HEIGHT
+    assert 0 < np.count_nonzero(deep) < len(pts)
+    ext, oracle = GoodExtension(f), _row_major_oracle(f)
+    for got, want in zip(ext.jet(pts), oracle.jet(pts)):
+        assert got.tobytes() == want.tobytes()
+    got, want = ext(pts), oracle(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13

@@ -105,6 +105,36 @@ def test_buffered_step_matches_the_allocating_reference(name):
         assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_energy_of_the_tension_pass_is_energy_from_jet(name):
+    grid = ORACLE_GRIDS[name]()
+    val, jac, _, s = grid.interior_jets()
+    assert _same_bits(grid.energy(), hf.tn.energy_from_jet(val, jac, s))
+
+
+def _division_jets(grid):
+    """Interior Jacobian and diagonal second derivatives, dividing by 2h and h^2."""
+    u, res = grid.u, grid.resolution
+    jac, lap = [], []
+    for ax, h in enumerate(grid.spacings):
+        def shifted(d):
+            return u[tuple(slice(1 + d * (k == ax), r - 1 + d * (k == ax))
+                           for k, r in enumerate(res))]
+        up, um = shifted(1), shifted(-1)
+        jac.append((up - um) / (2.0 * h))
+        lap.append((up + -2.0 * shifted(0) + um) / h**2)
+    return np.stack(jac, axis=-1), np.stack(lap, axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_reciprocal_stencil_is_within_two_ulp_of_division(name):
+    # the grid multiplies by 0.5/h and 1/h^2: one more rounding than a division
+    grid = ORACLE_GRIDS[name]()
+    _, jac, lap, _ = grid.interior_jets()
+    for got, want in zip((jac, lap), _division_jets(grid)):
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+
 def test_returned_arrays_are_read_only_views(f_stretch):
     grid = hf.init_flow(f_stretch, BOX, 9)
     for arr in grid.tension(energy=True) + grid.interior_jets():
@@ -337,25 +367,27 @@ def test_default_run_records_at_most_41_rows(super_steps):
 
 def test_records_share_the_next_steps_jet_pass(f_stretch, monkeypatch):
     fills = []
-    fill_jets, energy_from_jet = hf.FlowGrid._fill_jets, hf.tn.energy_from_jet
+    fill_jets, tension_from_jet = hf.FlowGrid._fill_jets, hf.tn.tension_from_jet
 
     def counting_jets(self):
         fills.append("jets" not in self._fresh)
         fill_jets(self)
 
-    def counting_energy(*args, **kwargs):
-        fills.append("energy")
-        return energy_from_jet(*args, **kwargs)
+    def counting_tension(*args, **kwargs):
+        fills.append("tension")
+        return tension_from_jet(*args, **kwargs)
 
     monkeypatch.setattr(hf.FlowGrid, "_fill_jets", counting_jets)
-    monkeypatch.setattr(hf.tn, "energy_from_jet", counting_energy)
+    monkeypatch.setattr(hf.tn, "tension_from_jet", counting_tension)
+    monkeypatch.setattr(hf.tn, "energy_from_jet", None)  # the energy comes with the tension
     passes = []
     for every in (1, 10**6):
         fills.clear()
         grid = hf.init_flow(f_stretch, BOX, 9)
         trace, final, _ = hf.run_flow(grid, t_end=0.05, record_every=every)
-        passes.append((fills.count(True), fills.count("energy")))
-    assert passes[0] == passes[1]  # a record adds no jet or energy pass
+        passes.append((fills.count(True), fills.count("tension")))
+    assert passes[0][0] == passes[0][1]  # one tension pass per jet pass
+    assert passes[0] == passes[1]  # a record adds no jet or tension pass
     # and reads the values a fresh grid computes from the same nodes
     fresh = hf.FlowGrid(BOX, 9, final.u)
     assert trace.sup_tension[-1] == fresh.sup_tension()

@@ -157,6 +157,13 @@ def test_kernels_into_buffers_match_the_allocating_calls_property(seed, k, n):
         assert g.tobytes() == w.tobytes()
     assert energy_from_jet(value, jac, s, out=energy, scratch=scratch) is energy
     assert energy.tobytes() == energy_from_jet(value, jac, s).tobytes()
+    # the energy read off the tension pass is energy_from_jet's, bit for bit,
+    # and asking for it leaves the tension unchanged
+    energy_t = np.full(k, np.nan)
+    with_energy = tension_from_jet(value, jac, lap, s, scratch=scratch, energy=energy_t)
+    for g, w in zip(with_energy, got):
+        assert g.tobytes() == w.tobytes()
+    assert energy_t.tobytes() == energy.tobytes()
 
 
 def test_one_point_gives_the_row_of_its_batch():
@@ -172,6 +179,9 @@ def test_one_point_gives_the_row_of_its_batch():
         assert tau_k.tobytes() == tau[k].tobytes()
         assert np.ndim(norm_k) == 0 and norm_k == norm[k]
         assert energy_from_jet(value[k], jac[k], s[k]) == energy[k]
+        energy_k = np.empty(())
+        tension_from_jet(value[k], jac[k], lap[k], s[k], energy=energy_k)
+        assert energy_k == energy[k]
 
 
 def test_tension_isometry_not_fixing_infinity():
