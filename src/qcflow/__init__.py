@@ -14,7 +14,7 @@ from .geometry import (
     geodesic_step,
 )
 from .heatkernel import RadialKernel
-from .tension import energy_density, map_distortion, tension_field
+from .tension import energy_density, map_distortion
 
 __all__ = [
     "BoundaryMap",
@@ -31,5 +31,4 @@ __all__ = [
     "RadialKernel",
     "energy_density",
     "map_distortion",
-    "tension_field",
 ]

@@ -220,9 +220,16 @@ def cmd_flow(cfg, out, seed, order):
         raise ConfigError(f"s_lo={cfg['s_lo']}, s_hi={cfg['s_hi']}: the flow box needs "
                           "s_lo < s_hi")
     box = (cfg["box_x"], cfg["s_lo"], cfg["s_hi"])
+    try:  # a plan too long to step, refused before the grid is built
+        hf.check_flow_plan(box, cfg["resolution"], cfg["t_end"], cfg["dt"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     grid = hf.init_flow(f, box, cfg["resolution"], order=order)
-    trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
-                              record_every=cfg["record_every"])
+    try:  # and after, when the spectral radius shortens the default step
+        trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
+                                  record_every=cfg["record_every"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if trace.aborted:
         raise ContractViolation(f"flow: aborted ({trace.abort_reason})")
     trace.write_csv(Path(out) / "flow.csv")

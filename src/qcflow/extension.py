@@ -160,9 +160,9 @@ class GoodExtension:
         pts = np.asarray(pts, dtype=float)
         if self.mob is None:
             return self._eval_chunked(pts)
-        inner = self.mob.apply(pts)
+        inner = self.mob(pts)
         out = self._eval_chunked(inner)
-        return self.mob.inverse().apply(out)
+        return self.mob.inverse()(out)
 
     def _eval_chunked(self, pts):
         flat = pts.reshape(-1, pts.shape[-1])
@@ -195,7 +195,7 @@ class GoodExtension:
         n = self.n
         flat = np.atleast_2d(pts.reshape(-1, n))
         if self.mob is not None:
-            flat = self.mob.apply(flat)
+            flat = self.mob(flat)
         jac = np.empty((flat.shape[0], n, n))
         lap = np.empty_like(jac)
         for sl in _chunked(flat.shape[0]):
@@ -329,7 +329,7 @@ def check_partial_conformal_naturality(f, I, J, a, b, pts):
     f_conj = bd.conjugate_boundary(f, I, J, fixed_point=a)
     ext_a = GoodExtension(f_conj, a)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs = I.apply(ext_b(J.inverse().apply(pts)))
+    lhs = I(ext_b(J.inverse()(pts)))
     rhs = ext_a(pts)
     return float(np.max(dist(lhs, rhs)))
 

@@ -212,7 +212,7 @@ class Mobius:
 
     The inversion primitive is p -> p/|p|^2 (Euclidean inversion in the
     unit sphere), which restricts to x -> x/|x|^2 on the boundary and
-    swaps 0 and infinity.
+    swaps 0 and infinity.  Every array action is one chain walk, `_walk`.
     """
 
     def __init__(self, chain):
@@ -226,19 +226,32 @@ class Mobius:
     def inversion(n):
         return Mobius([("inv", n)])
 
-    def apply(self, p):
-        pc = _coords(p)
-        out = np.array(pc, dtype=float, copy=True)
+    def _lifted(self):
+        """The chain acting on H^n: a similarity a O x + b becomes a diag(O, 1) p + (b, 0)."""
+        lifted = []
         for prim in self.chain:
             if prim[0] == "sim":
                 _, a, O, b = prim
-                out[..., :-1] = a * (out[..., :-1] @ O.T) + b
-                out[..., -1] = a * out[..., -1]
-            else:
-                out = out / np.sum(out**2, axis=-1, keepdims=True)
+                O = np.block([[O, np.zeros((len(b), 1))], [np.zeros(len(b)), 1.0]])
+                prim = ("sim", a, O, np.append(b, 0.0))
+            lifted.append(prim)
+        return lifted
+
+    def __call__(self, p):
+        """Action on H^n; a Point for a Point, else (..., n) coordinate arrays."""
+        out = _walk(self._lifted(), _coords(p))[0]
         if isinstance(p, Point) and out.ndim == 1:
             return Point.from_coords(out)
         return out
+
+    def jet(self, pts):
+        """Exact jet tuple (val, jac, lap, s_dom) of the action on H^n, as `tension` reads it."""
+        pts = np.asarray(pts, dtype=float)
+        n = pts.shape[-1]
+        start = (np.broadcast_to(np.eye(n), pts.shape + (n,)),
+                 np.zeros(pts.shape + (n, n)))
+        val, (jac, hess) = _walk(self._lifted(), pts, start)
+        return val, jac, np.diagonal(hess, axis1=-2, axis2=-1), pts[..., -1]
 
     def boundary(self, x):
         """Boundary action on R^{n-1} u {INFINITY} (scalar points)."""
@@ -259,15 +272,7 @@ class Mobius:
 
     def boundary_array(self, x):
         """Vectorised boundary action; poles map to inf entries."""
-        x = np.asarray(x, dtype=float)
-        for prim in self.chain:
-            if prim[0] == "sim":
-                _, a, O, b = prim
-                x = a * (x @ O.T) + b
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    x = x / np.sum(x**2, axis=-1, keepdims=True)
-        return x
+        return _walk(self.chain, x)[0]
 
     def boundary_jet(self, x, jet):
         """Push a jet through the boundary action, one primitive at a time.
@@ -275,37 +280,9 @@ class Mobius:
         x holds the values h(.) of some map h and jet = (Dh,) or (Dh, D2h)
         its derivatives there, D[..., i, j] = d_j h_i and
         D2[..., i, j, k] = d_j d_k h_i.  Returns (M(x), jet of M o h) by
-        `chain_rule`.  A similarity a O x + b contributes a O; the
-        inversion x/|x|^2 contributes (I - 2 x x^T/|x|^2)/|x|^2, conformal
-        with factor |x|^{-2} (Ahlfors, Mobius transformations in several
-        dimensions, 1981), and second derivatives
-        (-2 (d_ij x_k + d_ik x_j + d_jk x_i) + 8 x_i x_j x_k/|x|^2)/|x|^4.
-        At a pole the jet is non-finite, like the boundary action.
+        `_walk`.  At a pole the jet is non-finite, like the boundary action.
         """
-        x = np.asarray(x, dtype=float)
-        m = x.shape[-1]
-        eye = np.eye(m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for prim in self.chain:
-                if prim[0] == "sim":
-                    _, a, O, b = prim
-                    x = a * (x @ O.T) + b
-                    jet = ((a * O) @ jet[0],) + tuple(
-                        a * np.einsum("ia,...ajk->...ijk", O, d2) for d2 in jet[1:])
-                else:
-                    nn = np.sum(x**2, axis=-1, keepdims=True)[..., None]
-                    xi, xj = x[..., :, None], x[..., None, :]
-                    outer = ((eye - 2.0 * xi * xj / nn) / nn,)
-                    if len(jet) == 2:
-                        xk = x[..., None, None, :]
-                        sym = (eye[:, :, None] * xk + eye[:, None, :] * xj[..., None]
-                               + eye * xi[..., None])
-                        cube = xi[..., None] * xj[..., None] * xk
-                        outer += ((8.0 * cube / nn[..., None] - 2.0 * sym)
-                                  / (nn * nn)[..., None],)
-                    jet = chain_rule(outer, jet)
-                    x = x / nn[..., 0]
-        return x, jet
+        return _walk(self.chain, x, jet)
 
     def compose(self, other):
         """self o other (apply other first)."""
@@ -340,6 +317,47 @@ class IsometryFixingInfinity(Mobius):
     @classmethod
     def identity(cls, n):
         return cls(1.0, np.eye(n - 1), np.zeros(n - 1))
+
+
+def _walk(chain, x, jet=()):
+    """(M(x), jet of M o h): a chain acting on x (..., m), pushing jet along.
+
+    jet is () or the jet (Dh,) or (Dh, D2h) of some map h with values x, as
+    in `chain_rule`.  A similarity a O x + b contributes a O; the inversion
+    x/|x|^2 contributes (I - 2 x x^T/|x|^2)/|x|^2, conformal with factor
+    |x|^{-2} (Ahlfors, Mobius transformations in several dimensions, 1981),
+    and second derivatives
+    (-2 (d_ij x_k + d_ik x_j + d_jk x_i) + 8 x_i x_j x_k/|x|^2)/|x|^4.  None
+    of it depends on m, so the boundary action (m = n - 1) and the action
+    on H^n (m = n, similarities lifted) share it.  A pole maps to inf, and
+    near one the jet overflows to inf.
+    """
+    x = np.asarray(x, dtype=float)
+    eye = np.eye(x.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for prim in chain:
+            if prim[0] == "sim":
+                _, a, O, b = prim
+                x = a * (x @ O.T) + b
+                if jet:
+                    jet = ((a * O) @ jet[0],) + tuple(
+                        a * np.einsum("ia,...ajk->...ijk", O, d2) for d2 in jet[1:])
+                continue
+            nn = np.sum(x**2, axis=-1, keepdims=True)
+            if jet:
+                nn2 = nn[..., None]
+                xi, xj = x[..., :, None], x[..., None, :]
+                outer = ((eye - 2.0 * xi * xj / nn2) / nn2,)
+                if len(jet) == 2:
+                    xk = x[..., None, None, :]
+                    sym = (eye[:, :, None] * xk + eye[:, None, :] * xj[..., None]
+                           + eye * xi[..., None])
+                    cube = xi[..., None] * xj[..., None] * xk
+                    outer += ((8.0 * cube / nn2[..., None] - 2.0 * sym)
+                              / (nn2 * nn2)[..., None],)
+                jet = chain_rule(outer, jet)
+            x = x / nn
+    return x, jet
 
 
 def chain_rule(outer, inner):

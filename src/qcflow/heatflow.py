@@ -65,6 +65,7 @@ __all__ = [
     "hamilton_check",
     "radial_bump_map",
     "cfl_time_step",
+    "check_flow_plan",
 ]
 
 CFL_COEFF = 0.2   # dt = CFL_COEFF * (min spacing / s_hi)^2; sits just at the
@@ -84,6 +85,11 @@ POWER_MAX_ITER = 50  # spectral_radius: iteration cap (7-13 used at 9^3-33^3)
 DEFAULT_DT_RHO = 1.9  # run_flow: cap on the default dt * rho, 5% inside the limit 2
                       # because the power method converges to rho from below
 RECORDS = 40       # run_flow: records kept by the default record_every
+# Longest plan run_flow accepts.  A super-step on the coarsest grid the
+# statistics allow (7^3) costs 0.86 ms (six 144 us Euler steps, 2-core x86,
+# numpy 2.4.6), so a longer plan runs for over 15 minutes on every grid, and
+# its list holds 88 bytes per super-step.  Criterion 7 takes 479.
+MAX_SUPER_STEPS = 10**6
 
 
 @dataclass
@@ -303,6 +309,29 @@ def cfl_time_step(grid):
     return CFL_COEFF * (float(np.min(grid.spacings)) / grid.box[2]) ** 2
 
 
+def check_flow_plan(box, resolution, t_end, dt=None):
+    """ValueError, before any grid is built, for a flow of over MAX_SUPER_STEPS super-steps.
+
+    resolution is the node count per axis.  The base step is dt capped at
+    the CFL step, which the default step never exceeds; a larger dt is
+    stable only up to 2/rho, at most 1.6 CFL steps (rho dt_CFL = 1.25 at
+    7^3, rising with the resolution).  A CFL step that underflows to 0
+    refuses every t_end.
+    """
+    X, s_lo, s_hi = box
+    cfl = CFL_COEFF * (min(2.0 * X, s_hi - s_lo) / (resolution - 1) / s_hi) ** 2
+    _check_plan_length(box, resolution, t_end, dt, cfl if dt is None else min(dt, cfl))
+
+
+def _check_plan_length(box, resolution, t_end, dt, step):
+    """ValueError when t_end takes more than MAX_SUPER_STEPS super-steps of base step `step`."""
+    if not t_end <= MAX_SUPER_STEPS * float(np.sum(sts_substeps(step))):
+        given = "dt unset" if dt is None else f"dt={dt:g}"
+        raise ValueError(
+            f"box_x={box[0]:g}, resolution={resolution}, t_end={t_end:g}, {given}: the flow "
+            f"needs more than {MAX_SUPER_STEPS} super-steps of base step {step:.3g}")
+
+
 def flow_step(grid, dt, max_energy=np.inf):
     """One intrinsic forward-Euler step; boundary layer untouched.
 
@@ -409,15 +438,19 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     first step, leaving the grid unchanged, when dt exceeds the explicit
     limit 2 / spectral_radius; before every substep and at every record
     when the energy density exceeds BLOWUP_FACTOR times its initial
-    maximum.  It also aborts on invalid node values.  Returns (FlowTrace,
-    FlowGrid, snapshots) where snapshots maps requested times to copies
-    of the node values.
+    maximum.  It also aborts on invalid node values.  Raises ValueError,
+    before the plan is built, when t_end takes more than MAX_SUPER_STEPS
+    super-steps (see `check_flow_plan`).  Returns (FlowTrace, FlowGrid,
+    snapshots) where snapshots maps requested times to copies of the node
+    values.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     rho = spectral_radius(grid)
+    given = dt
     if dt is None:
         dt = min(cfl_time_step(grid), DEFAULT_DT_RHO / rho if rho else math.inf)
+    _check_plan_length(grid.box, grid.resolution, t_end, given, dt)
     snapshot_times = set(snapshot_times or [])
     plan = _super_steps(sts_substeps(dt), t_end, snapshot_times)
     if record_every is None:

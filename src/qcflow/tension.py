@@ -1,15 +1,14 @@
 """Energy density, tension field and distortion of maps H^n -> H^n.
 
-A map is any callable taking coordinate arrays (..., n) to (..., n).  All
-operators work in upper half-space coordinates and read one jet
-tuple (val, jac, lap, s_dom): image points val (..., n), Jacobian
-jac[..., g, i] = dF^g/dx^i, diagonal second derivatives
-lap[..., g, i] = d^2 F^g/dx_i^2 and base heights s_dom (...).  The metric
-is diagonal, so the tension contraction only needs the diagonal second
-derivatives.  A map with its own `jet` method (a good extension, in unit
-frames) supplies the tuple itself; for any other map `fd_jet` takes it by
-central differences with step proportional to the height of the base
-point, so accuracy is uniform in the hyperbolic metric.
+A map is any callable on coordinate arrays (..., n) with a `jet` method
+that returns the jet tuple (val, jac, lap, s_dom): image points val
+(..., n), Jacobian jac[..., g, i] = dF^g/dx^i, diagonal second
+derivatives lap[..., g, i] = d^2 F^g/dx_i^2 and base heights s_dom (...).
+All operators work in upper half-space coordinates and read that tuple;
+the metric is diagonal, so the tension contraction only needs the
+diagonal second derivatives.  Good extensions supply it in per-point unit
+frames and isometries (`geometry.Mobius.jet`) exactly, so no operator
+here takes a difference quotient.
 """
 
 import numpy as np
@@ -18,26 +17,14 @@ from .boundary import singular_value_ratio
 
 __all__ = [
     "energy_density",
-    "tension_field",
     "tension_norm",
     "map_distortion",
     "good_set_membership",
-    "fd_jet",
     "energy_from_jet",
     "tension_from_jet",
 ]
 
-FD_REL_STEP = 1e-4  # h = 1e-4 * s, stencils stay inside the half-space
-H_MIN = 1e-300
 SCRATCH_ROWS = 7   # temporaries of tension_from_jet (energy_from_jet needs one)
-
-
-def _steps(pts, h_rel):
-    s = pts[..., -1]
-    h = h_rel * s
-    if np.any(h < H_MIN):
-        raise ValueError("finite-difference step underflowed below h_min")
-    return h
 
 
 def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None, energy=None):
@@ -119,32 +106,6 @@ def _dot(xs, ys, buf, out=None):
     return acc
 
 
-def fd_jet(F, pts, h_rel=FD_REL_STEP):
-    """Jet tuple (val, jac, lap, s_dom) of F at pts by central differences.
-
-    The step is h_rel times the base height, so the 2n-point stencil stays
-    inside the half-space.  Batched over leading axes.
-    """
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[-1]
-    h = _steps(pts, h_rel)
-    val = F(pts)
-    jac = np.empty(val.shape + (n,))
-    lap = np.empty_like(jac)
-    for i in range(n):
-        step = np.zeros(pts.shape)
-        step[..., i] = h
-        fp, fm = F(pts + step), F(pts - step)
-        jac[..., i] = (fp - fm) / (2.0 * h[..., None])
-        lap[..., i] = (fp - 2.0 * val + fm) / (h**2)[..., None]
-    return val, jac, lap, pts[..., -1]
-
-
-def _jet_of(F, pts):
-    """F's own jet tuple when it has one, else its central-difference jet."""
-    return F.jet(pts) if hasattr(F, "jet") else fd_jet(F, pts)
-
-
 def energy_from_jet(val, jac, s_dom, out=None, scratch=None):
     """e = (s/S)^2 |dF|^2 / 2, summed one Jacobian entry at a time.
 
@@ -162,29 +123,20 @@ def _scale_energy(sq, s_dom, S, buf):
     return sq
 
 
-def tension_field(F, pts, h_rel=FD_REL_STEP):
-    """Tension vector and its hyperbolic norm at pts (batched).
-
-    Returns (tau (..., n) in Euclidean components at F(p), |tau| measured
-    in the target metric at F(p)), from central differences of F.
-    """
-    return tension_from_jet(*fd_jet(F, pts, h_rel))
-
-
 def tension_norm(F, pts):
-    """|tau(F)| at pts; dispatches to a map-specific evaluator when present.
+    """|tau(F)| at pts, in the target metric at F(p).
 
-    Good extensions carry a conjugation-stabilised evaluator that stays
-    accurate arbitrarily close to the boundary.
+    Dispatches to F.tension_norm when present: good extensions carry an
+    evaluator that stays accurate arbitrarily close to the boundary.
     """
     if hasattr(F, "tension_norm"):
         return F.tension_norm(pts)
-    return tension_field(F, pts)[1]
+    return tension_from_jet(*F.jet(np.asarray(pts, dtype=float)))[1]
 
 
 def energy_density(F, pts):
     """e(F) = 1/2 g^{ij} h_{ab} dF^a_i dF^b_j = (s/S)^2 |dF|_F^2 / 2."""
-    val, jac, _, s_dom = _jet_of(F, np.asarray(pts, dtype=float))
+    val, jac, _, s_dom = F.jet(np.asarray(pts, dtype=float))
     return energy_from_jet(val, jac, s_dom)
 
 
@@ -194,7 +146,7 @@ def map_distortion(F, pts):
     The s/S normalisation cancels in the ratio, so this is the singular
     value ratio of the coordinate Jacobian; inf for singular differentials.
     """
-    return singular_value_ratio(_jet_of(F, np.asarray(pts, dtype=float))[1])
+    return singular_value_ratio(F.jet(np.asarray(pts, dtype=float))[1])
 
 
 def good_set_membership(ext, eps, pts):

@@ -6,7 +6,15 @@ import pytest
 from qcflow.boundary import make_boundary_map
 from qcflow.extension import GoodExtension
 from qcflow.geometry import geodesic_step
-from qcflow.tension import FD_REL_STEP, energy_from_jet, tension_from_jet
+from qcflow.tension import energy_from_jet, tension_from_jet
+
+FD_REL_STEP = 1e-4  # h = 1e-4 * s, stencils stay inside the half-space
+H_MIN = 1e-300
+# An isometry's exact jet (`Mobius.jet`) over 2200 random chains with
+# inversions and rotations (the strategies of test_geometry.py): worst |tau|
+# 3.6e-15, |energy - 3/2| 1.6e-15, |distortion - 1| 1.1e-15; about 3x that.
+ISOMETRY_TAU_TOL = 1e-14
+ISOMETRY_JET_TOL = 5e-15
 
 
 @pytest.fixture(scope="session")
@@ -53,15 +61,15 @@ class JetData:
         return float(np.max(np.abs(self.hessian - np.swapaxes(self.hessian, 1, 2))))
 
 
-def jet(F, p):
+def jet(F, p, h_rel=FD_REL_STEP):
     """Full finite-difference 2-jet of F at a single point p, the tests' reference.
 
-    O(h^2) accurate; the step h = FD_REL_STEP * s is proportional to the height,
+    O(h^2) accurate; the step h = h_rel * s is proportional to the height,
     so the stencil stays in the half-space.
     """
     pc = np.asarray(p, dtype=float)
     n = pc.shape[-1]
-    h = FD_REL_STEP * float(pc[-1])
+    h = h_rel * float(pc[-1])
     val = F(pc)
     jac = np.empty((n, n))
     hess = np.empty((n, n, n))
@@ -83,6 +91,73 @@ def jet(F, p):
             hess[:, i, j] = mixed
             hess[:, j, i] = mixed
     return JetData(val, jac, hess)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference jets: the oracle for maps with exact jets, and the jet of
+# plain test maps, which the library's energy, distortion and tension read
+
+def _steps(pts, h_rel):
+    s = pts[..., -1]
+    h = h_rel * s
+    if np.any(h < H_MIN):
+        raise ValueError("finite-difference step underflowed below h_min")
+    return h
+
+
+def fd_jet(F, pts, h_rel=FD_REL_STEP):
+    """Jet tuple (val, jac, lap, s_dom) of F at pts by central differences.
+
+    The step is h_rel times the base height, so the 2n-point stencil stays
+    inside the half-space.  Batched over leading axes.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[-1]
+    h = _steps(pts, h_rel)
+    val = F(pts)
+    jac = np.empty(val.shape + (n,))
+    lap = np.empty_like(jac)
+    for i in range(n):
+        step = np.zeros(pts.shape)
+        step[..., i] = h
+        fp, fm = F(pts + step), F(pts - step)
+        jac[..., i] = (fp - fm) / (2.0 * h[..., None])
+        lap[..., i] = (fp - 2.0 * val + fm) / (h**2)[..., None]
+    return val, jac, lap, pts[..., -1]
+
+
+def tension_field(F, pts, h_rel=FD_REL_STEP):
+    """(tau, |tau|) of the callable F at pts, from its central-difference jet."""
+    return tension_from_jet(*fd_jet(F, pts, h_rel))
+
+
+class FDMap:
+    """A plain callable on coordinate arrays, given its central-difference jet."""
+
+    def __init__(self, F, h_rel=FD_REL_STEP):
+        self.F, self.h_rel = F, h_rel
+
+    def __call__(self, pts):
+        return self.F(pts)
+
+    def jet(self, pts):
+        return fd_jet(self.F, pts, self.h_rel)
+
+
+def apply_reference(M, p):
+    """The Mobius chain M acting on coordinate rows p without lifting its
+    similarities: each moves the horizontal part by a O x + b and scales the
+    height by a, and the inversion divides by |p|^2.  `Mobius.__call__`
+    must give these bits."""
+    out = np.array(p, dtype=float, copy=True)
+    for prim in M.chain:
+        if prim[0] == "sim":
+            _, a, O, b = prim
+            out[..., :-1] = a * (out[..., :-1] @ O.T) + b
+            out[..., -1] = a * out[..., -1]
+        else:
+            out = out / np.sum(out**2, axis=-1, keepdims=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qcflow import covering as cov
+from qcflow import cli
 from qcflow.cli import SCHEMA, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -146,6 +147,28 @@ def test_flow_dt_above_the_explicit_limit_is_contract_violation(tmp_path, capsys
         assert lines == ["contract violation: flow: aborted (energy blow-up: CFL violation)"]
     else:
         assert lines == [] and read_csv(out / "flow.csv")[-1][0] == "0.05"
+
+@pytest.mark.parametrize("cfg_text", [
+    "box_x=1e-200\n",           # the CFL step underflows to 0
+    "box_x=1e-8\n",             # 5.9e15 super-steps of the CFL step
+    "box_x=1e-200\ndt=0.01\n",  # a given dt is counted at the CFL step
+    "t_end=1e5\n",              # an ordinary box, stepped for too long
+], ids=["underflow", "tiny", "tiny_dt", "long"])
+def test_flow_too_long_to_step_is_config_error(tmp_path, capsys, monkeypatch, cfg_text):
+    # refused before the grid is built: its stencil factors would overflow
+    # and the plan would not fit in memory.  pytest turns RuntimeWarnings
+    # into errors, so this also checks that none is emitted
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.hf, "init_flow", refuse)
+    rc, _ = run(tmp_path, "flow", "map=identity\nresolution=7\nt_end=0.01\n" + cfg_text)
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: box_x=")
+    for key in ("resolution=", "t_end=", "dt"):
+        assert key in lines[0]
+
 
 @pytest.mark.parametrize("s_lo", ["1e-200", "1e-300"])
 def test_extend_underflowed_height_is_contract_violation(tmp_path, capsys, s_lo):

@@ -17,7 +17,9 @@ from qcflow.geometry import (
     log_map,
 )
 
-from conftest import box_points
+from qcflow.tension import energy_density, map_distortion, tension_norm
+
+from conftest import ISOMETRY_JET_TOL, ISOMETRY_TAU_TOL, apply_reference, box_points, jet
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +215,8 @@ def test_geodesic_step_commutes_with_isometries_property(p, u, rate, t, angle, s
     v = rate * p[-1] * u
     # the differential of (x, s) -> (a O x + b, a s) is a diag(O, 1)
     dv = scale * np.concatenate([rot @ v[:2], v[2:]])
-    left = iso.apply(geodesic_step(p, v, t))
-    right = geodesic_step(iso.apply(p), dv, t)
+    left = iso(geodesic_step(p, v, t))
+    right = geodesic_step(iso(p), dv, t)
     assert dist(left, right) <= 1e-9
 
 
@@ -224,9 +226,9 @@ def test_geodesic_step_commutes_with_isometries_property(p, u, rate, t, angle, s
 def test_isometry_identity_and_scale():
     p = Point(np.zeros(2), 1.0)
     ident = IsometryFixingInfinity.identity(3)
-    assert np.allclose(ident.apply(p).coords, p.coords)
+    assert np.allclose(ident(p).coords, p.coords)
     double = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2))
-    assert np.allclose(double.apply(p).coords, [0.0, 0.0, 2.0])
+    assert np.allclose(double(p).coords, [0.0, 0.0, 2.0])
 
 
 def test_isometry_validation():
@@ -242,7 +244,7 @@ def test_isometry_preserves_distance():
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     iso = IsometryFixingInfinity(1.7, rot, rng.normal(size=2))
     p, q = box_points(rng, 60), box_points(rng, 60)
-    assert np.allclose(dist(iso.apply(p), iso.apply(q)), dist(p, q), atol=1e-10)
+    assert np.allclose(dist(iso(p), iso(q)), dist(p, q), atol=1e-10)
 
 
 def test_isometry_group_closure_and_composition_action():
@@ -255,10 +257,10 @@ def test_isometry_group_closure_and_composition_action():
     p = box_points(rng, 20)
     for I in isos:
         for J in isos:
-            left = I.compose(J).apply(p)
-            right = I.apply(J.apply(p))
+            left = I.compose(J)(p)
+            right = I(J(p))
             assert np.allclose(left, right, atol=1e-12)
-        back = I.compose(I.inverse()).apply(p)
+        back = I.compose(I.inverse())(p)
         assert np.allclose(back, p, atol=1e-12)
 
 
@@ -285,7 +287,7 @@ def test_inversion_is_isometry_swapping_zero_and_infinity():
     assert V.boundary(np.zeros(2)) is INFINITY
     rng = np.random.default_rng(7)
     p, q = box_points(rng, 40), box_points(rng, 40)
-    assert np.allclose(dist(V.apply(p), V.apply(q)), dist(p, q), atol=1e-10)
+    assert np.allclose(dist(V(p), V(q)), dist(p, q), atol=1e-10)
 
 
 # hypothesis: Mobius chains that contain inversions.  A chain alternates 2-3
@@ -333,15 +335,15 @@ def _chordal(x, y):
 @given(M=chains, p=points, q=points)
 def test_mobius_chain_preserves_dist_property(M, p, q):
     d = dist(p, q)
-    assert dist(M.apply(p), M.apply(q)) == pytest.approx(d, rel=1e-9, abs=1e-12)
+    assert dist(M(p), M(q)) == pytest.approx(d, rel=1e-9, abs=1e-12)
 
 
 @GEODESIC_SETTINGS
 @given(M=chains, N=chains, p=points, x=boundary_points)
 def test_mobius_chain_compose_and_inverse_round_trip_property(M, N, p, x):
-    assert np.array_equal(M.compose(N).apply(p), M.apply(N.apply(p)))
-    assert dist(M.inverse().apply(M.apply(p)), p) < 1e-9
-    assert dist(M.compose(M.inverse()).apply(p), p) < 1e-9
+    assert np.array_equal(M.compose(N)(p), M(N(p)))
+    assert dist(M.inverse()(M(p)), p) < 1e-9
+    assert dist(M.compose(M.inverse())(p), p) < 1e-9
     with np.errstate(divide="ignore", invalid="ignore"):
         assert np.array_equal(M.compose(N).boundary_array(x),
                               M.boundary_array(N.boundary_array(x)), equal_nan=True)
@@ -359,6 +361,66 @@ def test_mobius_boundary_jacobian_is_conformal_property(M, x):
     # J^T J = lambda^2 I, lambda the product of the chain's factors
     # (a for a similarity, |x|^-2 for the inversion at its argument x)
     assert np.allclose(D.T @ D, factor**2 * np.eye(2), rtol=0.0, atol=1e-12 * factor**2)
+
+
+# Calibration sweep of the oracle step h_rel (h = h_rel s): worst error of
+# the central-difference jet (conftest `jet`) against `Mobius.jet`, per point
+# over its largest Jacobian entry (J) or over max(largest lap entry,
+# largest Jacobian entry / s) (lap), over 2200 examples drawn from the
+# strategies of the property below.
+#
+#   h_rel        1e-3     1e-4     1e-5     1e-6     1e-7
+#   Jacobian     1.2e-6   1.2e-8   1.3e-7   1.2e-6   1.9e-5
+#   h_rel        1e-2     1e-3     1e-4     1e-5
+#   lap          1.2e-4   3.8e-6   3.0e-4   2.5e-2
+#
+# An isometry varies on the scale s of the base point, so the truncation
+# error falls as h_rel^2 whatever the chain, down to a rounding floor of
+# eps |M(p)| / h.  Each step is the one with the least worst error, and
+# each tolerance is about 4x that error.
+ORACLE_STEP_J, ORACLE_TOL_J = 1e-4, 5e-8
+ORACLE_STEP_LAP, ORACLE_TOL_LAP = 1e-3, 1.5e-5
+
+chains_with_inversion = st.one_of(chains, st.just(Mobius.inversion(3)))
+
+
+@GEODESIC_SETTINGS
+@given(M=chains_with_inversion, p=points)
+def test_mobius_jet_matches_central_differences_property(M, p):
+    val, jac, lap, s_dom = M.jet(p[None])
+    assert np.array_equal(val[0], M(p)) and s_dom[0] == p[-1]
+    scale_j = np.max(np.abs(jac))
+    scale_lap = max(np.max(np.abs(lap)), scale_j / p[-1])
+    fd_j = jet(M, p, ORACLE_STEP_J).jacobian
+    fd_lap = np.diagonal(jet(M, p, ORACLE_STEP_LAP).hessian, axis1=1, axis2=2)
+    assert np.max(np.abs(jac[0] - fd_j)) < ORACLE_TOL_J * scale_j
+    assert np.max(np.abs(lap[0] - fd_lap)) < ORACLE_TOL_LAP * scale_lap
+
+
+@GEODESIC_SETTINGS
+@given(M=chains_with_inversion, p=points)
+def test_isometry_is_harmonic_to_rounding_property(M, p):
+    # an isometry is harmonic with energy n/2 and distortion 1; the library
+    # reads all three off the exact jet
+    pts = p[None]
+    assert tension_norm(M, pts)[0] <= ISOMETRY_TAU_TOL
+    assert abs(energy_density(M, pts)[0] - 1.5) <= ISOMETRY_JET_TOL
+    assert abs(map_distortion(M, pts)[0] - 1.0) <= ISOMETRY_JET_TOL
+
+
+@GEODESIC_SETTINGS
+@given(M=chains_with_inversion, p=points, x=boundary_points)
+def test_mobius_walk_matches_the_primitive_arithmetic_property(M, p, x):
+    # the lifted walk computes the same floating-point operations as the
+    # action written primitive by primitive, and the boundary actions share
+    # one walk with or without a jet
+    assert M(p).tobytes() == apply_reference(M, p).tobytes()
+    batch = np.stack([p, 2.0 * p])
+    assert M(batch).tobytes() == apply_reference(M, batch).tobytes()
+    assert M(Point.from_coords(p)).coords.tobytes() == M(p).tobytes()
+    # x may sit on or next to a pole, where the jet overflows without a warning
+    y, _ = M.boundary_jet(x, (np.eye(2), np.zeros((2, 2, 2))))
+    assert y.tobytes() == M.boundary_array(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,36 @@ def test_default_run_records_at_most_41_rows(super_steps):
     assert len(trace.times) >= min(super_steps, 21) + 1
 
 
+@pytest.mark.parametrize("dt", [None, 1e-3])
+def test_plan_longer_than_the_cap_is_refused_before_it_is_built(dt, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized plan was built or stepped")
+
+    monkeypatch.setattr(hf, "_super_steps", refuse)
+    monkeypatch.setattr(hf, "flow_step", refuse)
+    grid = hf.FlowGrid(BOX, 7, identity_values(BOX, 7))
+    u = grid.u.copy()
+    step = hf.cfl_time_step(grid) if dt is None else dt
+    t_end = 2.0 * hf.MAX_SUPER_STEPS * float(np.sum(hf.sts_substeps(step)))
+    with pytest.raises(ValueError, match=r"box_x=2, resolution=\(7, 7, 7\), t_end=.*super-steps"):
+        hf.run_flow(grid, t_end=t_end, dt=dt)
+    assert np.array_equal(grid.u, u)
+    with pytest.raises(ValueError, match="super-steps"):
+        hf.check_flow_plan(BOX, 7, t_end, dt)
+
+
+def test_flow_plan_check_passes_the_test_and_workload_runs():
+    # criterion 7 (33^3 to t = 1) and the flow workload (25^3 to t = 0.25)
+    hf.check_flow_plan(BOX, 33, 1.0)
+    hf.check_flow_plan(BOX, 25, 0.25)
+    # a given dt above the CFL step is counted at the CFL step
+    cfl = hf.cfl_time_step(hf.FlowGrid(BOX, 9, identity_values(BOX, 9)))
+    reach = hf.MAX_SUPER_STEPS * float(np.sum(hf.sts_substeps(cfl)))
+    hf.check_flow_plan(BOX, 9, 0.99 * reach, dt=1.5 * cfl)
+    with pytest.raises(ValueError, match=f"dt={1.5 * cfl:g}: "):
+        hf.check_flow_plan(BOX, 9, 1.01 * reach, dt=1.5 * cfl)
+
+
 def test_records_share_the_next_steps_jet_pass(f_stretch, monkeypatch):
     fills = []
     fill_jets, tension_from_jet = hf.FlowGrid._fill_jets, hf.tn.tension_from_jet
