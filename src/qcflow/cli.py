@@ -205,12 +205,12 @@ def cmd_extend(cfg, out, seed, order):
     if f.name in ("identity", "linear") and float(np.max(tau)) > 1e-3:
         raise ContractViolation("extend: linear map tension exceeded 1e-3")
 
-    fh, w = _writer(Path(out) / "extend.csv")
-    with fh:
-        w.writerow(["x1", "x2", "s", "F1", "F2", "F3", "energy", "distortion",
-                    "tension"])
-        for p, v, e, d, t in zip(grid, vals, en, dist, tau):
-            w.writerow([_fmt(u) for u in (*p, *v, e, d, t)])
+    # every cell is a float, so one %.12g per cell writes what _fmt would
+    rows = np.column_stack([grid, vals, en, dist, tau]).tolist()
+    line = ",".join(["%.12g"] * 9) + "\n"
+    with open(Path(out) / "extend.csv", "w", newline="") as fh:
+        fh.write("x1,x2,s,F1,F2,F3,energy,distortion,tension\n")
+        fh.writelines(line % tuple(r) for r in rows)
     return 0
 
 
@@ -224,7 +224,10 @@ def cmd_flow(cfg, out, seed, order):
         hf.check_flow_plan(box, cfg["resolution"], cfg["t_end"], cfg["dt"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    grid = hf.init_flow(f, box, cfg["resolution"], order=order)
+    try:  # over a singular point the extension's heights can underflow to 0
+        grid = hf.init_flow(f, box, cfg["resolution"], order=order)
+    except ValueError as exc:
+        raise ContractViolation(f"flow: {exc}") from None
     try:  # and after, when the spectral radius shortens the default step
         trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
                                   record_every=cfg["record_every"])

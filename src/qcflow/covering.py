@@ -4,10 +4,14 @@ Besicovitch-style disk covers of S^2 are built from a Fibonacci-spiral
 lattice with spacing 0.9 x disk radius and held in closed form (count,
 radius), all disks sharing one radius; the overlap multiplicity is a
 measured constant, counted through the inverse Fibonacci map with no
-centre array.  Cylinders over the main annulus are partitioned into
-admissible sectors by stacking: each good sector's top face, viewed as a
-Euclidean cube through a bi-Lipschitz chart, is partitioned into subcubes
-of the next admissible scale and a good sector is erected over each.
+centre array.  The count runs block by block: beside the 16 B per sample
+of its drawn angles, it holds one block of 8192 sample points (192 KiB)
+and, for each 512 of them, 16 candidate centres per point, i.e.
+512 x 16 x 8 B = 64 KiB per array.  Cylinders over the main annulus
+are partitioned into admissible sectors by stacking: each good sector's
+top face, viewed as a Euclidean cube through a bi-Lipschitz chart, is
+partitioned into subcubes of the next admissible scale and a good sector
+is erected over each.
 A cell is a square (corner plus side) whose side is carried down the
 stack, and its admissibility follows in closed form from that side and
 the chart's Lipschitz constants.
@@ -134,12 +138,20 @@ def _exp_on_sphere(c, theta, tang):
     return c + np.sin(theta) * tang - 2.0 * np.sin(theta / 2.0) ** 2 * c
 
 
-def _uniform_sphere(rng, k):
-    """k points uniform on S^2: height z and azimuth drawn uniformly (Archimedes)."""
-    z = rng.uniform(-1.0, 1.0, size=k)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=k)
+def _sphere_angles(rng, k):
+    """Heights z and azimuths of k points uniform on S^2 (Archimedes), every z drawn first."""
+    return rng.uniform(-1.0, 1.0, size=k), rng.uniform(0.0, 2.0 * math.pi, size=k)
+
+
+def _sphere_points(z, phi):
+    """Unit vectors at heights z and azimuths phi."""
     rad = np.sqrt(1.0 - z * z)
     return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
+
+
+def _uniform_sphere(rng, k):
+    """k points uniform on S^2."""
+    return _sphere_points(*_sphere_angles(rng, k))
 
 
 def _lattice_xyz(i, n_points):
@@ -165,7 +177,16 @@ MAX_LATTICE_COUNT = int((0.01 * math.sqrt(4.0 * math.pi) / (4 * 2.4 * 2.0**-52))
 POLAR_ROWS = 50     # rows at each pole searched directly (the inverse fails within ~2)
 _PATCH = np.mgrid[-1:3, -1:3].reshape(2, -1)   # (a, b) offsets around the cell
 _FIB = np.round(GOLDEN_RATIO ** np.arange(32) / math.sqrt(5.0)).astype(np.int64)
-_BLOCK = 1 << 16    # point-centre distances held at once by caps_at
+# Point-centre distances held at once by caps_at: 512 points x 16 patch
+# centres x 8 B = 64 KiB per array, of which a block keeps about a dozen
+# alive (~0.75 MiB).  The arrays stay below glibc's default 128 KiB mmap
+# threshold: in the benchmark's cover workload, blocks of 2^14 (128 KiB
+# arrays) took about 5,000 page faults per 679,382-cap cover build against
+# about 350 for 2^13, at the same speed; blocks of 2^16 ran ~1.5x slower.
+_BLOCK = 1 << 13
+# Sample points formed and counted at once by besicovitch_cover: 8192 x 3 x
+# 8 B = 192 KiB of points, which caps_at splits into blocks of _BLOCK.
+_SAMPLE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -208,6 +229,8 @@ class FibonacciCover:
         band = np.arange(min(n, POLAR_ROWS + int(n * chord / 2.0) + 1))
         for south in (False, True):
             idx = np.flatnonzero(polar & ((points[:, 2] < 0.0) == south))
+            if idx.size == 0:   # most blocks hold no polar point
+                continue
             rows = n - 1 - band if south else band
             cx, cy, cz = _lattice_xyz(rows.astype(float), n)
             step = max(1, _BLOCK // len(band))
@@ -271,16 +294,26 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         raise ValueError(f"R={R}: {n_pts} caps exceed the {MAX_LATTICE_COUNT} "
                          "that float64 resolves on the Fibonacci lattice")
     cover = FibonacciCover(n_pts, radius)
-    samples = _uniform_sphere(rng or np.random.default_rng(0), sample_size)
-    mult, near = cover.caps_at(samples)
+    # drawn as _uniform_sphere draws them, then formed and counted a block
+    # at a time: only the angles grow with sample_size (16 B per sample)
+    z, phi = _sphere_angles(rng or np.random.default_rng(0), sample_size)
+    top = total = covered = 0
+    far = 0.0
+    for j in range(0, sample_size, _SAMPLE_BLOCK):
+        blk = slice(j, j + _SAMPLE_BLOCK)
+        mult, near = cover.caps_at(_sphere_points(z[blk], phi[blk]))
+        top = max(top, int(np.max(mult)))
+        total += int(np.sum(mult))
+        covered += int(np.count_nonzero(mult))
+        far = max(far, float(np.max(near)))
     report = {
         "R": R,
         "radius": radius,
         "count": n_pts,
-        "max_multiplicity": int(np.max(mult)),
-        "mean_multiplicity": float(np.mean(mult)),
-        "covered_fraction": float(np.mean(mult >= 1)),
-        "covering_radius_sample": 2.0 * math.asin(min(1.0, float(np.max(near)) / 2.0)),
+        "max_multiplicity": top,
+        "mean_multiplicity": total / sample_size,
+        "covered_fraction": covered / sample_size,
+        "covering_radius_sample": 2.0 * math.asin(min(1.0, far / 2.0)),
     }
     return cover, report
 

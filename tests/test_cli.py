@@ -3,11 +3,13 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcflow import covering as cov
 from qcflow import cli
 from qcflow.cli import SCHEMA, main
+from qcflow.tension import energy_density, map_distortion, tension_norm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,6 +42,28 @@ def test_extend_identity_reproduces_inputs(tmp_path):
         assert vals[0] == pytest.approx(vals[3], abs=1e-9)
         assert vals[1] == pytest.approx(vals[4], abs=1e-9)
         assert vals[2] == pytest.approx(vals[5], abs=1e-9)
+
+
+def test_extend_csv_equals_the_per_cell_writer(tmp_path):
+    # extend.csv formats a row at a time; the reference writes each cell
+    # with _fmt through csv.writer, from values computed here
+    cfg_text = "map=shear\nc=0.7\nnx=4\nns=3\ns_lo=1e-3\n"
+    rc, out = run(tmp_path, "extend", cfg_text)
+    assert rc == 0
+    cfg = cli._parse_config(write_cfg(tmp_path, cfg_text), SCHEMA["extend"])
+    ext = cli.GoodExtension(cli._boundary_from_config(cfg))
+    xs = np.linspace(-cfg["box_x"], cfg["box_x"], cfg["nx"])
+    ss = np.geomspace(cfg["s_lo"], cfg["s_hi"], cfg["ns"])
+    grid = np.stack(np.meshgrid(xs, xs, ss, indexing="ij"), axis=-1).reshape(-1, 3)
+    cols = (ext(grid), energy_density(ext, grid), map_distortion(ext, grid),
+            tension_norm(ext, grid))
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["x1", "x2", "s", "F1", "F2", "F3", "energy", "distortion", "tension"])
+        for p, v, e, d, t in zip(grid, *cols):
+            w.writerow([cli._fmt(u) for u in (*p, *v, e, d, t)])
+    assert (out / "extend.csv").read_bytes() == want.read_bytes()
 
 
 def test_extend_linear_tension_column_small(tmp_path):
@@ -180,6 +204,17 @@ def test_extend_underflowed_height_is_contract_violation(tmp_path, capsys, s_lo)
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["contract violation: extend: extension produced non-positive heights"]
+
+
+def test_flow_underflowed_height_is_contract_violation(tmp_path, capsys):
+    # the same underflow as extend's, met when the flow's grid is built
+    rc, out = run(tmp_path, "flow",
+                  "map=radial_stretch\ns_lo=1e-300\nresolution=7\nt_end=0.01\n")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["contract violation: flow: initial map has non-positive heights"]
+    assert "Traceback" not in err
+    assert not (out / "flow.csv").exists()
 
 
 def test_kernel_outputs(tmp_path):
