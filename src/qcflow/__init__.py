@@ -6,9 +6,7 @@ from .boundary import BoundaryMap, make_boundary_map
 from .extension import GoodExtension, QuadratureRule
 from .geometry import (
     INFINITY,
-    IsometryFixingInfinity,
     Mobius,
-    Point,
     PolarFrame,
     dist,
     geodesic_step,
@@ -22,9 +20,7 @@ __all__ = [
     "GoodExtension",
     "QuadratureRule",
     "INFINITY",
-    "IsometryFixingInfinity",
     "Mobius",
-    "Point",
     "PolarFrame",
     "dist",
     "geodesic_step",

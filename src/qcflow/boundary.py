@@ -32,7 +32,6 @@ __all__ = [
     "MissingJetError",
     "boundary_energy_density",
     "boundary_jacobian",
-    "distortion_estimate",
     "conjugate_boundary",
     "make_boundary_map",
     "CATALOG",
@@ -121,15 +120,6 @@ def singular_value_ratio(J):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(smin > 0.0, sv[..., 0] / np.where(smin > 0, smin, 1.0), np.inf)
     return np.where(finite, ratio, np.nan)
-
-
-def distortion_estimate(f, x):
-    """Ratio of extreme singular values of the exact Jacobian of f at x.
-
-    Equals the displacement-ratio distortion for differentiable f.  A
-    singular Jacobian gives inf.
-    """
-    return singular_value_ratio(boundary_jacobian(f, x))
 
 
 def conjugate_boundary(f, I, J, fixed_point=None):

@@ -21,8 +21,8 @@ import numpy as np
 from . import covering as cov
 from . import heatflow as hf
 from .boundary import CATALOG, make_boundary_map
-from .extension import GoodExtension
-from .geometry import PolarFrame, Point
+from .extension import MAX_QUAD_ORDER, GoodExtension
+from .geometry import PolarFrame
 from .heatkernel import C3_TAIL, RadialKernel, annulus_tail_mass, l_of_eps
 from .tension import energy_density, good_set_membership, map_distortion, tension_norm
 
@@ -280,7 +280,7 @@ def cmd_cover(cfg, out, seed, order):
         cov.main_annulus(t, eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    frame = PolarFrame(Point([0.0, 0.0], 1.0))
+    frame = PolarFrame([0.0, 0.0, 1.0])
     rep = cov.cover_annulus(
         frame, t, eps, lambda p: ext.tension_norm(p) ** 2,
         r0=cfg["r0"], max_cylinders=cfg["max_cylinders"],
@@ -364,8 +364,9 @@ def main(argv=None):
 
     try:
         cfg = _parse_config(args.config, SCHEMA[args.command])
-        if args.quad_order < 1:
-            raise ConfigError(f"quad_order={args.quad_order} must be at least 1")
+        if not 1 <= args.quad_order <= MAX_QUAD_ORDER:
+            raise ConfigError(f"quad_order={args.quad_order}: expected integer in "
+                              f"[1, {MAX_QUAD_ORDER}]")
         if args.seed < 0:
             raise ConfigError(f"seed={args.seed}: expected integer >= 0")
         out = Path(args.out)

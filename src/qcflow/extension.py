@@ -38,7 +38,6 @@ __all__ = [
     "anchoring_isometry",
     "check_partial_conformal_naturality",
     "quasi_isometry_constants",
-    "tension_sup_estimate",
 ]
 
 DEFAULT_ORDER = 21
@@ -50,6 +49,14 @@ DEFAULT_ORDER = 21
 # allocating step's freed temporaries mapped; at 64 such a step faults their
 # pages in afresh every time (flow workload, 2 cores: 2.77 s against 2.25 s).
 CHUNK = 64
+# Largest quadrature order the CLI accepts.  In float64 the Gauss-Hermite
+# weights of numpy's hermgauss are finite and nonzero through order 370; at
+# 371 one underflows to 0 with an overflow warning, and by 400 they are NaN.
+# A chunk holds Q = order^2 node samples per point (m = 2): at 370, Q = 136900,
+# so its sample block is 140 MB and its Jacobians 280 MB, where the default
+# order takes 1.4 MB.  Orders far beyond would also need hermgauss's
+# order x order companion matrix (80 GB at 10^5).
+MAX_QUAD_ORDER = 370
 DEEP_HEIGHT = 1e-4   # below this, the jet takes closed-form moments of the local 2-jet
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
 QI_ADDITIVE_GRID = np.linspace(0.0, 2.0, 41)  # A scanned by quasi_isometry_constants
@@ -308,7 +315,7 @@ def anchoring_isometry(a, n=3):
     """
     if is_infinity(a):
         return Mobius.identity(n)
-    shift = Mobius([("sim", 1.0, np.eye(n - 1), -np.asarray(a, dtype=float))])
+    shift = Mobius.similarity(1.0, np.eye(n - 1), -np.asarray(a, dtype=float))
     return Mobius.inversion(n).compose(shift)
 
 
@@ -356,14 +363,3 @@ def quasi_isometry_constants(F, pairs):
         if best is None or L < best[0] - 1e-12:
             best = (float(L), float(A))
     return best
-
-
-def tension_sup_estimate(F, sampler, n_samples):
-    """Max |tau(F)| over sampled points; nondecreasing in n_samples.
-
-    sampler(rng, k) must return k points (k, n) and be prefix-stable for
-    the fixed seed 0 so that larger sample counts extend smaller ones.
-    """
-    rng = np.random.default_rng(0)
-    pts = sampler(rng, n_samples)
-    return float(np.max(tn.tension_norm(F, pts)))

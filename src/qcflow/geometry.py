@@ -1,22 +1,20 @@
 """Upper half-space model of hyperbolic n-space.
 
-Points carry Euclidean coordinates (x, s) with x in R^{n-1} and height
-s > 0; the metric is (|dx|^2 + ds^2)/s^2.  Tangent vectors are stored in
-Euclidean coordinates and the metric factor 1/s^2 is applied explicitly
-where norms are taken.
+A point is a coordinate array (..., n) holding (x, s) with x in R^{n-1}
+and height s > 0; the metric is (|dx|^2 + ds^2)/s^2.  Every function takes
+and returns such arrays and broadcasts over their leading axes.  Tangent
+vectors are stored in Euclidean coordinates and the metric factor 1/s^2 is
+applied explicitly where norms are taken.  Isometries are `Mobius` chains
+of similarities and inversions.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "INFINITY",
-    "Point",
     "dist",
     "geodesic_step",
     "log_map",
-    "IsometryFixingInfinity",
     "Mobius",
     "chain_rule",
     "PolarFrame",
@@ -47,49 +45,13 @@ def is_infinity(b):
     return b is INFINITY
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of H^n: horizontal part x in R^{n-1}, height s > 0."""
-
-    x: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "s", float(self.s))
-        if not self.s > 0.0:
-            raise ValueError(f"point height must be positive, got {self.s}")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("point has non-finite horizontal coordinates")
-
-    @property
-    def n(self):
-        return self.x.shape[-1] + 1
-
-    @property
-    def coords(self):
-        return np.concatenate([self.x, [self.s]])
-
-    @classmethod
-    def from_coords(cls, c):
-        c = np.asarray(c, dtype=float)
-        return cls(c[:-1], c[-1])
-
-
-def _coords(p):
-    """Accept a Point or a raw (..., n) coordinate array."""
-    if isinstance(p, Point):
-        return p.coords
-    return np.asarray(p, dtype=float)
-
-
 def dist(p, q):
-    """Hyperbolic distance; broadcasts over leading axes of raw arrays.
+    """Hyperbolic distance; broadcasts over leading axes.
 
     Uses d = 2 asinh(|p-q| / (2 sqrt(s_p s_q))), which is exact and stable
     for nearby points (the acosh form loses half the digits there).
     """
-    pc, qc = _coords(p), _coords(q)
+    pc, qc = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     dd = np.sum((pc - qc) ** 2, axis=-1)
     sp = pc[..., -1]
     sq = qc[..., -1]
@@ -109,9 +71,7 @@ def geodesic_step(p, v, t, out=None, scratch=None):
     The result is written into out when given; scratch, a
     (STEP_SCRATCH_ROWS, ...) float array, holds the temporaries.
     """
-    pc = _coords(p)
-    v = np.asarray(v, dtype=float)
-    pc, v = np.broadcast_arrays(pc, v)
+    pc, v = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
     single = pc.ndim == 1
     if single:  # 0-d results would be numpy scalars, which do not update in place
         pc, v = pc[None], v[None]
@@ -155,11 +115,7 @@ def geodesic_step(p, v, t, out=None, scratch=None):
     for k in range(n - 1):
         np.subtract(pc[..., k], np.multiply(move, v[..., k], out=tmp), out=out[..., k])
     np.multiply(q, np.multiply(2.0, E, out=E), out=out[..., -1])
-    if single:
-        out = out[0]
-        if isinstance(p, Point):
-            return Point.from_coords(out)
-    return out
+    return out[0] if single else out
 
 
 def log_map(p, q):
@@ -167,7 +123,7 @@ def log_map(p, q):
 
     Inverse of geodesic_step at unit time.  Broadcasts over leading axes.
     """
-    pc, qc = np.broadcast_arrays(_coords(p), _coords(q))
+    pc, qc = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     x0, s0 = pc[..., :-1], pc[..., -1]
     # conjugate to p = (0,1)
     y = (qc[..., :-1] - x0) / s0[..., None]
@@ -219,8 +175,18 @@ class Mobius:
         self.chain = list(chain)
 
     @staticmethod
+    def similarity(scale, rotation, translation):
+        """The isometry (x, s) -> (a O x + b, a s): a chain of one similarity."""
+        translation = np.asarray(translation, dtype=float)
+        rotation = _check_rotation(rotation, translation.shape[-1])
+        scale = float(scale)
+        if not scale > 0.0:
+            raise ValueError("scale must be positive")
+        return Mobius([("sim", scale, rotation, translation)])
+
+    @staticmethod
     def identity(n):
-        return Mobius([("sim", 1.0, np.eye(n - 1), np.zeros(n - 1))])
+        return Mobius.similarity(1.0, np.eye(n - 1), np.zeros(n - 1))
 
     @staticmethod
     def inversion(n):
@@ -238,11 +204,8 @@ class Mobius:
         return lifted
 
     def __call__(self, p):
-        """Action on H^n; a Point for a Point, else (..., n) coordinate arrays."""
-        out = _walk(self._lifted(), _coords(p))[0]
-        if isinstance(p, Point) and out.ndim == 1:
-            return Point.from_coords(out)
-        return out
+        """Action on H^n, on (..., n) coordinate arrays."""
+        return _walk(self._lifted(), p)[0]
 
     def jet(self, pts):
         """Exact jet tuple (val, jac, lap, s_dom) of the action on H^n, as `tension` reads it."""
@@ -297,26 +260,6 @@ class Mobius:
             else:
                 inv_chain.append(prim)
         return Mobius(inv_chain)
-
-
-class IsometryFixingInfinity(Mobius):
-    """Isometry (x, s) -> (a O(x) + b, a s) of the upper half-space.
-
-    A Mobius chain of one similarity; composing or inverting it gives a
-    plain Mobius.
-    """
-
-    def __init__(self, scale, rotation, translation):
-        translation = np.asarray(translation, dtype=float)
-        rotation = _check_rotation(rotation, translation.shape[-1])
-        scale = float(scale)
-        if not scale > 0.0:
-            raise ValueError("scale must be positive")
-        super().__init__([("sim", scale, rotation, translation)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(1.0, np.eye(n - 1), np.zeros(n - 1))
 
 
 def _walk(chain, x, jet=()):
@@ -384,25 +327,16 @@ class PolarFrame:
     """
 
     def __init__(self, center):
-        self.center = center if isinstance(center, Point) else Point.from_coords(center)
-        self.basis = np.eye(self.center.n) * self.center.s
-
-    @property
-    def n(self):
-        return self.center.n
+        center = np.asarray(center, dtype=float)
+        if not center[-1] > 0.0:
+            raise ValueError(f"point height must be positive, got {center[-1]}")
+        if not np.all(np.isfinite(center[:-1])):
+            raise ValueError("point has non-finite horizontal coordinates")
+        self.center = center
+        self.basis = np.eye(len(center)) * center[-1]
 
     def from_polar(self, rho, zeta):
         """Map (rho, zeta) to H^n; zeta has shape (..., n), rho broadcasts."""
         zeta = np.asarray(zeta, dtype=float)
         v = zeta @ self.basis
-        return geodesic_step(self.center.coords, v, np.asarray(rho, dtype=float))
-
-    def to_polar(self, p):
-        """Inverse of from_polar; returns (rho, zeta)."""
-        pc = _coords(p)
-        rho = dist(self.center.coords, pc)
-        v = log_map(self.center.coords, pc)
-        zeta = (v @ self.basis.T) / self.center.s**2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            zeta = zeta / np.where(rho == 0.0, 1.0, rho)[..., None]
-        return rho, zeta
+        return geodesic_step(self.center, v, np.asarray(rho, dtype=float))

@@ -22,7 +22,6 @@ __all__ = [
     "green",
     "green_lower_bound_check",
     "green_volume_integral",
-    "epsilon0",
     "distance_laplacian_check",
 ]
 
@@ -96,13 +95,6 @@ def green_volume_integral(r, n=3):
     fine = 1.0 - np.geomspace(1.0 - r, 1.0, 129)
     edges = np.union1d(coarse, fine[(fine > 0) & (fine < r)])
     return _panel_quad(integrand, np.sort(edges))
-
-
-def epsilon0(K, q_of_2K):
-    """epsilon_0(K) = q(2K)/8 * tanh(1/4); q must be supplied positive."""
-    if q_of_2K <= 0.0:
-        raise ValueError("q(2K) must be positive")
-    return q_of_2K / 8.0 * math.tanh(0.25)
 
 
 def distance_laplacian_check(F, G, pts):

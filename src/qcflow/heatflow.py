@@ -42,6 +42,9 @@ its meaning.  Stability needs the base step dt within the explicit limit
 `spectral_radius` estimates by the nonlinear power method of RKC
 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998) before
 the first step.
+
+`hamilton_check` compares a flow against the closed-form heat kernel of
+H^3, so it takes grids with n = 3 only.
 """
 
 import csv
@@ -517,9 +520,13 @@ def hamilton_check(grid0, snapshots, center_point=None):
     middle node), with the right side computed by radial quadrature from
     the initial profile binned into RADIAL_BINS.  The initial |tau|^2 must
     be radial around the center within RADIAL_TOL of its scale, else the
-    check is rejected.  Returns a list of (t, lhs, rhs, holds) rows.
+    check is rejected.  The heat kernel is the closed form for H^3, so the
+    grid must have n = 3.  Returns a list of (t, lhs, rhs, holds) rows.
     """
-    kernel = RadialKernel(grid0.n)
+    if grid0.n != 3:
+        raise ValueError(f"hamilton_check: grid has n = {grid0.n}, but the heat "
+                         "kernel is the closed form for H^3")
+    kernel = RadialKernel(3)
     core = grid0.interior()
     _, norm0 = grid0.tension()
     nodes = grid0.nodes[core]

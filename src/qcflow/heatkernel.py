@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "RadialKernel",
     "AnnulusSpec",
-    "RadialProfile",
     "sphere_area",
     "l_of_eps",
     "annulus_tail_mass",
@@ -89,18 +88,6 @@ class AnnulusSpec:
     @property
     def r_out(self):
         return (self.n - 1) * self.t + self.l * math.sqrt(self.t)
-
-
-@dataclass
-class RadialProfile:
-    """Nonnegative radial function with a declared sup bound."""
-
-    evaluator: object
-    sup_bound: float
-
-    def __call__(self, rho):
-        v = self.evaluator(np.asarray(rho, dtype=float))
-        return np.asarray(v, dtype=float)
 
 
 class RadialKernel:

@@ -10,7 +10,7 @@ from qcflow.boundary import make_boundary_map
 from qcflow.cli import main as cli_main
 from qcflow.covering import BETA_IMPL, besicovitch_cover, cover_annulus
 from qcflow.extension import GoodExtension, check_partial_conformal_naturality
-from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, Point, PolarFrame
+from qcflow.geometry import INFINITY, Mobius, PolarFrame
 from qcflow.greens import C_GREEN, green, green_volume_integral
 from qcflow.heatkernel import (
     RadialKernel,
@@ -82,12 +82,12 @@ def test_criterion_3_partial_conformal_naturality():
     th = 0.8
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     pair_a = (
-        IsometryFixingInfinity(2.0, rot, np.array([0.5, -0.3])),
-        IsometryFixingInfinity(1.25, np.eye(2), np.array([1.0, 0.0])),
+        Mobius.similarity(2.0, rot, np.array([0.5, -0.3])),
+        Mobius.similarity(1.25, np.eye(2), np.array([1.0, 0.0])),
     )
     pair_b = (
-        IsometryFixingInfinity(1.3, np.eye(2), np.array([-0.7, 0.4])),
-        IsometryFixingInfinity(1.3, rot.T, np.zeros(2)),
+        Mobius.similarity(1.3, np.eye(2), np.array([-0.7, 0.4])),
+        Mobius.similarity(1.3, rot.T, np.zeros(2)),
     )
     V = Mobius.inversion(3)
     worst = 0.0
@@ -148,9 +148,7 @@ def tabulated_tension_profile(ext, hi, rng, sup_bound):
     the clip is what keeps the tabulated profile an honest bounded radial
     function.
     """
-    from qcflow.heatkernel import RadialProfile
-
-    frame = PolarFrame(Point([0.0, 0.0], 1.0))
+    frame = PolarFrame([0.0, 0.0, 1.0])
     rho_grid = np.linspace(0.05, hi, int(hi) + 1)
     vals = np.empty_like(rho_grid)
     for i, rho in enumerate(rho_grid):
@@ -159,9 +157,7 @@ def tabulated_tension_profile(ext, hi, rng, sup_bound):
         pts = frame.from_polar(rho, zeta)
         vals[i] = float(np.mean(np.minimum(ext.tension_norm(pts),
                                            math.sqrt(sup_bound)) ** 2))
-    return RadialProfile(
-        lambda r: np.interp(np.asarray(r, dtype=float), rho_grid, vals), sup_bound
-    )
+    return lambda r: np.interp(np.asarray(r, dtype=float), rho_grid, vals)
 
 
 def test_criterion_6_reduction_inequality():
@@ -242,7 +238,7 @@ def test_criterion_9_covering():
     cover_ok = all(covered) and max(mults) <= BETA_IMPL
 
     ext = GoodExtension(make_boundary_map("linear", matrix=np.diag([2.0, 1.0])))
-    frame = PolarFrame(Point([0.0, 0.0], 1.0))
+    frame = PolarFrame([0.0, 0.0, 1.0])
     repc = cover_annulus(frame, 16.0, 0.1,
                          lambda p: ext.tension_norm(p) ** 2,
                          max_cylinders=2, enumeration_cap=4, audit_branches=1,

@@ -7,12 +7,11 @@ from qcflow.boundary import (
     boundary_energy_density,
     boundary_jacobian,
     conjugate_boundary,
-    distortion_estimate,
     make_boundary_map,
     singular_value_ratio,
 )
 from qcflow.extension import anchoring_isometry
-from qcflow.geometry import INFINITY, IsometryFixingInfinity, Mobius, chain_rule, is_infinity
+from qcflow.geometry import INFINITY, Mobius, chain_rule, is_infinity
 
 
 def test_eval_identity_and_linear():
@@ -55,8 +54,8 @@ def test_distortion_estimates():
     ident = make_boundary_map("identity")
     lin = make_boundary_map("linear", matrix=np.diag([2.0, 1.0]))
     x = np.array([[0.5, -0.4], [1.0, 2.0]])
-    assert np.allclose(distortion_estimate(ident, x), 1.0, atol=1e-8)
-    assert np.allclose(distortion_estimate(lin, x), 2.0, atol=1e-8)
+    assert np.allclose(singular_value_ratio(ident.jacobian(x)), 1.0, atol=1e-8)
+    assert np.allclose(singular_value_ratio(lin.jacobian(x)), 2.0, atol=1e-8)
 
 
 def test_singular_value_ratio_flags_non_finite_rows():
@@ -75,14 +74,14 @@ def test_distortion_radial_stretch_equals_K():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(50, 2)) * np.array([2.0, 0.5])
     x = x[np.linalg.norm(x, axis=1) > 0.05]
-    assert np.allclose(distortion_estimate(f, x), 1.5, atol=1e-4)
+    assert np.allclose(singular_value_ratio(f.jacobian(x)), 1.5, atol=1e-4)
 
 
 def test_shear_distortion_within_declared():
     f = make_boundary_map("shear", c=0.5)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(100, 2)) * 2.0
-    K = distortion_estimate(f, x)
+    K = singular_value_ratio(f.jacobian(x))
     assert np.all(K <= f.declared_K * (1.0 + 1e-3))
 
 
@@ -95,7 +94,7 @@ def test_catalog_maps_fix_their_fixed_point_and_have_positive_energy():
         assert f.check_fixed_point()
         e = boundary_energy_density(f, x)
         assert np.all(e > 0.0)
-        K = distortion_estimate(f, x)
+        K = singular_value_ratio(f.jacobian(x))
         assert np.all(K <= f.declared_K * (1.0 + 1e-3))
 
 
@@ -109,9 +108,9 @@ def test_composition_submultiplicative_distortion():
                                                     (g.jacobian(x), g.hessian(x)))[1])
     rng = np.random.default_rng(4)
     x = rng.normal(size=(60, 2)) * 1.5
-    Kf = distortion_estimate(f, g(x))
-    Kg = distortion_estimate(g, x)
-    Kc = distortion_estimate(comp, x)
+    Kf = singular_value_ratio(f.jacobian(g(x)))
+    Kg = singular_value_ratio(g.jacobian(x))
+    Kc = singular_value_ratio(comp.jacobian(x))
     assert np.all(Kc <= Kf * Kg * (1.0 + 1e-3))
 
 
@@ -122,19 +121,19 @@ def test_conjugate_identity_cases():
     x = np.random.default_rng(5).normal(size=(20, 2))
     assert np.allclose(g(x), f(x))
     fid = make_boundary_map("identity")
-    I = IsometryFixingInfinity(2.0, np.eye(2), np.array([1.0, 0.0]))
+    I = Mobius.similarity(2.0, np.eye(2), np.array([1.0, 0.0]))
     gid = conjugate_boundary(fid, I, I)
     assert np.allclose(gid(x), x, atol=1e-12)
 
 
 def test_conjugate_by_bare_isometry_fixing_infinity():
-    # an IsometryFixingInfinity is a one-similarity Mobius chain: it conjugates
-    # as it is and agrees bit for bit with the hand-built chain
+    # Mobius.similarity builds a one-similarity chain: it conjugates as it is
+    # and agrees bit for bit with the hand-built chain
     f = make_boundary_map("radial_stretch", K=1.5)
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     b = np.array([0.4, -0.2])
-    I = IsometryFixingInfinity(1.6, rot, b)
+    I = Mobius.similarity(1.6, rot, b)
     M = Mobius([("sim", 1.6, rot, b)])
     g, h = conjugate_boundary(f, I, I), conjugate_boundary(f, M, M)
     assert is_infinity(g.fixed_point)
@@ -148,19 +147,19 @@ def test_conjugate_preserves_distortion():
     f = make_boundary_map("radial_stretch", K=1.5)
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    I = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2]))
-    J = IsometryFixingInfinity(0.8, np.eye(2), np.array([-1.0, 0.3]))
+    I = Mobius.similarity(1.6, rot, np.array([0.4, -0.2]))
+    J = Mobius.similarity(0.8, np.eye(2), np.array([-1.0, 0.3]))
     g = conjugate_boundary(f, I, J)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(40, 2)) * 1.5
     # distortion of the conjugate at x equals distortion of f at J^{-1}(x)
-    base = distortion_estimate(f, J.inverse().boundary_array(x))
-    assert np.allclose(distortion_estimate(g, x), base, atol=1e-6)
+    base = singular_value_ratio(f.jacobian(J.inverse().boundary_array(x)))
+    assert np.allclose(singular_value_ratio(g.jacobian(x)), base, atol=1e-6)
 
 
 def test_conjugate_tracks_singular_points():
     f = make_boundary_map("radial_stretch", K=1.5)
-    I = IsometryFixingInfinity(1.0, np.eye(2), np.array([2.0, 0.0]))
+    I = Mobius.similarity(1.0, np.eye(2), np.array([2.0, 0.0]))
     g = conjugate_boundary(f, I, I)
     assert any(np.allclose(s, [2.0, 0.0]) for s in g.singular_points)
 
@@ -224,7 +223,7 @@ def _jet_maps():
     }
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    iso = IsometryFixingInfinity(1.6, rot, np.array([0.4, -0.2]))
+    iso = Mobius.similarity(1.6, rot, np.array([0.4, -0.2]))
     anchor = anchoring_isometry(np.array([0.3, -0.5]), 3)  # a chain with an inversion
     assert any(prim[0] == "inv" for prim in anchor.chain)
     maps = dict(catalog)

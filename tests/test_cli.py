@@ -88,6 +88,7 @@ def test_unknown_key_exits_one(tmp_path):
         ("extend", "map=radial_stretch\nK=abc\n", [], "K"),
         ("extend", "map=bogus\n", [], "map"),
         ("extend", "map=identity\nnx=2\nns=2\n", ["--quad-order", "0"], "quad_order"),
+        ("extend", "map=identity\nnx=2\nns=2\n", ["--quad-order", "371"], "quad_order"),
         ("flow", "map=identity\nresolution=2\n", [], "resolution"),
         ("cover", "map=identity\nt=1\n", [], "t"),
         ("cover", "map=identity\nt=300\n", [], "t"),
@@ -109,7 +110,7 @@ def test_unknown_key_exits_one(tmp_path):
         ("goodset", "map=identity\n", ["--seed", "-1"], "seed"),
         ("cover", "map=identity\n", ["--seed", "-3"], "seed"),
     ],
-    ids=["K", "map", "quad_order", "resolution", "t", "cover_t300", "cover_t1e6",
+    ids=["K", "map", "quad_order", "quad_order_371", "resolution", "t", "cover_t300", "cover_t1e6",
          "matrix_len3", "matrix_3x3", "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
          "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
          "goodset_heights", "flow_s_lo_s_hi", "goodset_seed", "cover_seed"],

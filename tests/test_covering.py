@@ -33,9 +33,9 @@ from qcflow.covering import (
     _uniform_sphere,
     main_annulus,
 )
-from qcflow.geometry import PolarFrame, Point
+from qcflow.geometry import PolarFrame
 
-FRAME = PolarFrame(Point([0.0, 0.0], 1.0))
+FRAME = PolarFrame([0.0, 0.0, 1.0])
 
 
 def tension_sq_field(ext):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from qcflow.geometry import (
     INFINITY,
     STEP_SCRATCH_ROWS,
-    IsometryFixingInfinity,
     Mobius,
-    Point,
     PolarFrame,
     dist,
     geodesic_step,
@@ -55,18 +53,11 @@ def geodesic_rk4(p0, v0, t_end, n_steps=4000):
 
 
 # ---------------------------------------------------------------------------
-# points and distance
-
-def test_point_rejects_nonpositive_height():
-    with pytest.raises(ValueError):
-        Point(np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        Point(np.zeros(2), -1.0)
-
+# distance
 
 def test_distance_vertical_geodesic():
-    p = Point(np.zeros(2), 1.0)
-    q = Point(np.zeros(2), math.e)
+    p = np.array([0.0, 0.0, 1.0])
+    q = np.array([0.0, 0.0, math.e])
     assert dist(p, q) == pytest.approx(1.0, abs=1e-14)
     assert dist(p, p) == 0.0
 
@@ -79,7 +70,7 @@ def test_distance_against_path_integration():
     phi = np.linspace(phi0, phi1, 20001)
     pts = np.column_stack([c + r * np.cos(phi), np.zeros_like(phi), r * np.sin(phi)])
     oracle = path_length(pts)
-    d = dist(Point([1.0, 0.0], 1.0), Point([0.0, 0.0], 1.0))
+    d = dist([1.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     assert d == pytest.approx(oracle, abs=1e-7)
     assert d == pytest.approx(math.acosh(1.5), abs=1e-12)
 
@@ -96,15 +87,15 @@ def test_distance_symmetry_and_triangle():
 # geodesics
 
 def test_geodesic_step_vertical():
-    p = Point(np.zeros(2), 1.0)
+    p = np.array([0.0, 0.0, 1.0])
     q = geodesic_step(p, np.array([0.0, 0.0, 1.0]), 1.0)
-    assert np.allclose(q.coords, [0.0, 0.0, math.e], atol=1e-14)
+    assert np.allclose(q, [0.0, 0.0, math.e], atol=1e-14)
 
 
 def test_geodesic_step_zero_time_is_identity():
-    p = Point([0.3, -0.2], 0.7)
+    p = np.array([0.3, -0.2, 0.7])
     q = geodesic_step(p, np.array([1.0, 2.0, -0.5]), 0.0)
-    assert np.allclose(q.coords, p.coords)
+    assert np.allclose(q, p)
 
 
 def test_geodesic_unit_speed():
@@ -211,7 +202,7 @@ def test_geodesic_step_into_buffers_matches_the_allocating_call_property(seed, k
 def test_geodesic_step_commutes_with_isometries_property(p, u, rate, t, angle, scale,
                                                           shift):
     rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-    iso = IsometryFixingInfinity(scale, rot, np.array(shift))
+    iso = Mobius.similarity(scale, rot, np.array(shift))
     v = rate * p[-1] * u
     # the differential of (x, s) -> (a O x + b, a s) is a diag(O, 1)
     dv = scale * np.concatenate([rot @ v[:2], v[2:]])
@@ -224,25 +215,25 @@ def test_geodesic_step_commutes_with_isometries_property(p, u, rate, t, angle, s
 # isometries
 
 def test_isometry_identity_and_scale():
-    p = Point(np.zeros(2), 1.0)
-    ident = IsometryFixingInfinity.identity(3)
-    assert np.allclose(ident(p).coords, p.coords)
-    double = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2))
-    assert np.allclose(double(p).coords, [0.0, 0.0, 2.0])
+    p = np.array([0.0, 0.0, 1.0])
+    ident = Mobius.identity(3)
+    assert np.allclose(ident(p), p)
+    double = Mobius.similarity(2.0, np.eye(2), np.zeros(2))
+    assert np.allclose(double(p), [0.0, 0.0, 2.0])
 
 
 def test_isometry_validation():
     with pytest.raises(ValueError):
-        IsometryFixingInfinity(1.0, np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
+        Mobius.similarity(1.0, np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
-        IsometryFixingInfinity(1.0, np.diag([1.0, -1.0]), np.zeros(2))  # det -1
+        Mobius.similarity(1.0, np.diag([1.0, -1.0]), np.zeros(2))  # det -1
 
 
 def test_isometry_preserves_distance():
     rng = np.random.default_rng(3)
     th = rng.uniform(0, 2 * math.pi)
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    iso = IsometryFixingInfinity(1.7, rot, rng.normal(size=2))
+    iso = Mobius.similarity(1.7, rot, rng.normal(size=2))
     p, q = box_points(rng, 60), box_points(rng, 60)
     assert np.allclose(dist(iso(p), iso(q)), dist(p, q), atol=1e-10)
 
@@ -253,7 +244,7 @@ def test_isometry_group_closure_and_composition_action():
     for _ in range(3):
         th = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        isos.append(IsometryFixingInfinity(math.exp(rng.normal()), rot, rng.normal(size=2)))
+        isos.append(Mobius.similarity(math.exp(rng.normal()), rot, rng.normal(size=2)))
     p = box_points(rng, 20)
     for I in isos:
         for J in isos:
@@ -267,18 +258,16 @@ def test_isometry_group_closure_and_composition_action():
 def test_isometry_fixing_infinity_is_a_one_similarity_mobius():
     th = 0.4
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    iso = IsometryFixingInfinity(1.5, rot, np.array([0.2, -0.1]))
-    assert isinstance(iso, Mobius)
+    iso = Mobius.similarity(1.5, rot, np.array([0.2, -0.1]))
     assert len(iso.chain) == 1 and iso.chain[0][0] == "sim"
     assert iso.boundary(INFINITY) is INFINITY
-    # the group operations and the Mobius constructors return plain chains
-    assert type(iso.compose(iso)) is Mobius and type(iso.inverse()) is Mobius
-    assert type(IsometryFixingInfinity.inversion(3)) is Mobius
-    assert type(IsometryFixingInfinity.identity(3)) is IsometryFixingInfinity
+    # the identity is the one-similarity chain of scale 1
+    ident = Mobius.identity(3)
+    assert len(ident.chain) == 1 and ident.chain[0][0] == "sim"
     x = np.random.default_rng(8).normal(size=(10, 2))
     assert np.array_equal(iso.boundary_array(x), 1.5 * (x @ rot.T) + np.array([0.2, -0.1]))
     with pytest.raises(ValueError):
-        IsometryFixingInfinity(0.0, np.eye(2), np.zeros(2))
+        Mobius.similarity(0.0, np.eye(2), np.zeros(2))
 
 
 def test_inversion_is_isometry_swapping_zero_and_infinity():
@@ -417,7 +406,6 @@ def test_mobius_walk_matches_the_primitive_arithmetic_property(M, p, x):
     assert M(p).tobytes() == apply_reference(M, p).tobytes()
     batch = np.stack([p, 2.0 * p])
     assert M(batch).tobytes() == apply_reference(M, batch).tobytes()
-    assert M(Point.from_coords(p)).coords.tobytes() == M(p).tobytes()
     # x may sit on or next to a pole, where the jet overflows without a warning
     y, _ = M.boundary_jet(x, (np.eye(2), np.zeros((2, 2, 2))))
     assert y.tobytes() == M.boundary_array(x).tobytes()
@@ -426,21 +414,22 @@ def test_mobius_walk_matches_the_primitive_arithmetic_property(M, p, x):
 # ---------------------------------------------------------------------------
 # polar coordinates
 
+def test_point_rejects_nonpositive_height():
+    # PolarFrame is the one constructor given a point; it checks it
+    with pytest.raises(ValueError, match="height must be positive"):
+        PolarFrame([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="height must be positive"):
+        PolarFrame([0.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="height must be positive"):
+        PolarFrame([0.0, 0.0, np.nan])
+    with pytest.raises(ValueError, match="non-finite horizontal"):
+        PolarFrame([np.inf, 0.0, 1.0])
+
+
 def test_from_polar_vertical():
-    fr = PolarFrame(Point(np.zeros(2), 1.0))
+    fr = PolarFrame([0.0, 0.0, 1.0])
     q = fr.from_polar(1.0, np.array([0.0, 0.0, 1.0]))
     assert np.allclose(q, [0.0, 0.0, math.e], atol=1e-12)
-
-
-def test_polar_round_trip():
-    rng = np.random.default_rng(8)
-    fr = PolarFrame(Point([0.4, -0.1], 1.7))
-    p = box_points(rng, 40)
-    rho, zeta = fr.to_polar(p)
-    back = fr.from_polar(rho, zeta)
-    assert np.allclose(back, p, atol=1e-10)
-    assert np.allclose(rho, dist(fr.center.coords, p), atol=1e-12)
-    assert np.allclose(np.linalg.norm(zeta, axis=-1), 1.0, atol=1e-10)
 
 
 def test_geodesic_sphere_area_matches_sinh_squared():
@@ -448,7 +437,7 @@ def test_geodesic_sphere_area_matches_sinh_squared():
     # sphere with center (0,0,s_c cosh rho) and radius s_c sinh rho; its
     # hyperbolic area is the surface integral of 1/s^2
     rng = np.random.default_rng(9)
-    fr = PolarFrame(Point(np.zeros(2), 1.3))
+    fr = PolarFrame([0.0, 0.0, 1.3])
     for rho in (0.5, 1.5):
         zeta = rng.normal(size=(4000, 3))
         zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)

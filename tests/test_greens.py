@@ -6,12 +6,11 @@ import pytest
 from qcflow.greens import (
     C_GREEN,
     distance_laplacian_check,
-    epsilon0,
     green,
     green_lower_bound_check,
     green_volume_integral,
 )
-from qcflow.geometry import IsometryFixingInfinity
+from qcflow.geometry import Mobius
 
 from conftest import box_points
 
@@ -85,15 +84,8 @@ def test_volume_integral_growth():
         assert v / math.log(1.0 / (1.0 - r * r)) >= 3.0 * C_GREEN / 2.0
 
 
-def test_epsilon0():
-    assert epsilon0(2.0, 8.0) == pytest.approx(math.tanh(0.25), abs=1e-15)
-    assert epsilon0(2.0, 16.0) == pytest.approx(2.0 * epsilon0(2.0, 8.0))
-    with pytest.raises(ValueError):
-        epsilon0(2.0, 0.0)
-
-
 def test_distance_laplacian_equal_maps_skipped():
-    iso = IsometryFixingInfinity(1.3, np.eye(2), np.zeros(2))
+    iso = Mobius.similarity(1.3, np.eye(2), np.zeros(2))
     pts = np.array([[0.2, 0.1, 1.0]])
     lap, rhs, holds, skipped = distance_laplacian_check(iso, iso, pts)
     assert skipped[0] and holds[0]
@@ -102,8 +94,8 @@ def test_distance_laplacian_equal_maps_skipped():
 def test_distance_laplacian_isometry_pair():
     # two distinct isometries: both tensions vanish so the bound is zero,
     # and the squared distance of two isometries is convex
-    A = IsometryFixingInfinity(2.0, np.eye(2), np.zeros(2))
-    B = IsometryFixingInfinity(1.0, np.eye(2), np.array([1.0, 0.0]))
+    A = Mobius.similarity(2.0, np.eye(2), np.zeros(2))
+    B = Mobius.similarity(1.0, np.eye(2), np.array([1.0, 0.0]))
     rng = np.random.default_rng(1)
     pts = box_points(rng, 60)
     lap, rhs, holds, skipped = distance_laplacian_check(A, B, pts)

@@ -526,3 +526,10 @@ def test_hamilton_check_rejects_non_radial_profile(f_stretch):
     grid = hf.init_flow(f_stretch, (2.0, 0.3, 3.0), 13)
     with pytest.raises(ValueError):
         hf.hamilton_check(grid, {0.1: grid.u.copy()})
+
+
+def test_hamilton_check_refuses_a_grid_off_h3():
+    # the kernel is the closed form for H^3: refused at entry, before binning
+    grid = hf.FlowGrid(BOX, 11, lambda p: p, n=4)
+    with pytest.raises(ValueError, match="closed form for H\\^3"):
+        hf.hamilton_check(grid, {0.1: grid.u.copy()})

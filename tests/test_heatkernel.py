@@ -8,7 +8,6 @@ from qcflow.heatkernel import (
     C3_TAIL,
     AnnulusSpec,
     RadialKernel,
-    RadialProfile,
     annulus_average_bounds,
     annulus_tail_mass,
     gaussian_profile,
@@ -236,12 +235,6 @@ def test_reduce_to_annulus_hypothesis_enforced():
     one = lambda r: np.ones_like(np.asarray(r, float))
     with pytest.raises(ValueError):
         reduce_to_annulus(one, 4.0, 0.1)  # t < 2 l(eps)^2
-
-
-def test_radial_profile_type():
-    prof = RadialProfile(lambda r: np.minimum(np.asarray(r, float), 2.0), 2.0)
-    v = prof(np.array([1.0, 5.0]))
-    assert np.all(v <= prof.sup_bound)
 
 
 def test_sphere_area_values():

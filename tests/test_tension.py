@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qcflow.boundary import singular_value_ratio
 from qcflow.extension import anchoring_isometry
-from qcflow.geometry import IsometryFixingInfinity
+from qcflow.geometry import Mobius
 from qcflow.tension import (
     SCRATCH_ROWS,
     energy_density,
@@ -77,7 +77,7 @@ def test_energy_density_values():
     pts = box_points(rng, 12)
     assert np.allclose(energy_density(FDMap(IDENTITY), pts), 1.5, atol=1e-8)
     assert np.allclose(energy_density(FDMap(DOUBLE_HEIGHT), pts), 0.75, atol=1e-8)
-    iso = IsometryFixingInfinity(1.7, np.eye(2), np.array([0.3, 0.1]))
+    iso = Mobius.similarity(1.7, np.eye(2), np.array([0.3, 0.1]))
     assert np.max(np.abs(energy_density(iso, pts) - 1.5)) <= ISOMETRY_JET_TOL
 
 
@@ -201,7 +201,7 @@ def test_tension_isometry_not_fixing_infinity():
 def test_map_distortion_values(ext_linear):
     rng = np.random.default_rng(6)
     pts = box_points(rng, 10)
-    iso = IsometryFixingInfinity(0.6, np.eye(2), np.zeros(2))
+    iso = Mobius.similarity(0.6, np.eye(2), np.zeros(2))
     assert np.max(np.abs(map_distortion(iso, pts) - 1.0)) <= ISOMETRY_JET_TOL
     assert np.allclose(map_distortion(ext_linear, pts), 2.0, atol=1e-4)
     assert np.allclose(map_distortion(FDMap(DOUBLE_HEIGHT), pts), 2.0, atol=1e-8)
@@ -222,7 +222,7 @@ def test_chain_rule_under_isometries():
     pts = box_points(rng, 12)
     th = 0.9
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    I = IsometryFixingInfinity(1.8, rot, np.array([0.2, -0.4]))
+    I = Mobius.similarity(1.8, rot, np.array([0.2, -0.4]))
 
     def composed(p):
         return I(SQUARE_HEIGHT(p))
