@@ -10,7 +10,6 @@ violated check is named on stderr).
 """
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -175,15 +174,17 @@ def _boundary_from_config(cfg):
     return make_boundary_map(cfg["map"], K=cfg["K"], c=cfg["c"])
 
 
-def _writer(path):
-    fh = open(path, "w", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header, rows):
+    """Write the header line, then every row with one %.12g per cell.
 
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.12g}"
+    Floats print with 12 significant digits, NaN and +-inf as nan, inf and
+    -inf, and an int below 10^12 as its digits.  The only ints written are
+    cylinder indices, sector counts and all_good.
+    """
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(r) for r in rows)
 
 
 def cmd_extend(cfg, out, seed, order):
@@ -205,12 +206,9 @@ def cmd_extend(cfg, out, seed, order):
     if f.name in ("identity", "linear") and float(np.max(tau)) > 1e-3:
         raise ContractViolation("extend: linear map tension exceeded 1e-3")
 
-    # every cell is a float, so one %.12g per cell writes what _fmt would
-    rows = np.column_stack([grid, vals, en, dist, tau]).tolist()
-    line = ",".join(["%.12g"] * 9) + "\n"
-    with open(Path(out) / "extend.csv", "w", newline="") as fh:
-        fh.write("x1,x2,s,F1,F2,F3,energy,distortion,tension\n")
-        fh.writelines(line % tuple(r) for r in rows)
+    _write_csv(out / "extend.csv",
+               ["x1", "x2", "s", "F1", "F2", "F3", "energy", "distortion", "tension"],
+               np.column_stack([grid, vals, en, dist, tau]).tolist())
     return 0
 
 
@@ -235,7 +233,8 @@ def cmd_flow(cfg, out, seed, order):
         raise ConfigError(str(exc)) from None
     if trace.aborted:
         raise ContractViolation(f"flow: aborted ({trace.abort_reason})")
-    trace.write_csv(Path(out) / "flow.csv")
+    _write_csv(out / "flow.csv", ["t", "sup_tension", "sup_drift", "mean_energy"],
+               zip(trace.times, trace.sup_tension, trace.sup_drift, trace.mean_energy))
     return 0
 
 
@@ -252,23 +251,15 @@ def cmd_kernel(cfg, out, seed, order):
     rho = np.linspace(max(center - half, 1e-6), center + half, cfg["n_rho"])
     dens = kern.radial_mass_density(rho, t) / (4.0 * math.pi)
 
-    fh, w = _writer(Path(out) / "kernel_profile.csv")
-    with fh:
-        w.writerow(["rho", "H_sinh2"])
-        for r, d in zip(rho, dens):
-            w.writerow([_fmt(r), _fmt(d)])
-
-    fh, w = _writer(Path(out) / "kernel_tails.csv")
-    with fh:
-        w.writerow(["t", "eps", "l", "tail_mass"])
-        for eps in (0.1, 0.01):
-            l = l_of_eps(eps)
-            tail = annulus_tail_mass(t, l)
-            if tail >= eps:
-                raise ContractViolation(
-                    f"kernel: tail mass {tail} at eps={eps} exceeds eps"
-                )
-            w.writerow([_fmt(t), _fmt(eps), _fmt(l), _fmt(tail)])
+    tails = []
+    for eps in (0.1, 0.01):
+        l = l_of_eps(eps)
+        tail = annulus_tail_mass(t, l)
+        if tail >= eps:
+            raise ContractViolation(f"kernel: tail mass {tail} at eps={eps} exceeds eps")
+        tails.append((t, eps, l, tail))
+    _write_csv(out / "kernel_profile.csv", ["rho", "H_sinh2"], zip(rho, dens))
+    _write_csv(out / "kernel_tails.csv", ["t", "eps", "l", "tail_mass"], tails)
     return 0
 
 
@@ -280,9 +271,16 @@ def cmd_cover(cfg, out, seed, order):
         cov.main_annulus(t, eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+    def tension_sq(p):  # an overflowed extension gives no measurement
+        tau = ext.tension_norm(p)
+        if not np.isfinite(tau).all():
+            raise ContractViolation("cover: non-finite tension in the stacking field")
+        return tau**2
+
     frame = PolarFrame([0.0, 0.0, 1.0])
     rep = cov.cover_annulus(
-        frame, t, eps, lambda p: ext.tension_norm(p) ** 2,
+        frame, t, eps, tension_sq,
         r0=cfg["r0"], max_cylinders=cfg["max_cylinders"],
         enumeration_cap=cfg["enumeration_cap"], audit_branches=cfg["audit_branches"],
         n_slab=cfg["n_slab"],
@@ -308,12 +306,10 @@ def cmd_cover(cfg, out, seed, order):
             raise ContractViolation(
                 f"cover: cylinder {c.index} leftover exceeds r0 |D_i|"
             )
-    fh, w = _writer(Path(out) / "cover.csv")
-    with fh:
-        for row in rep.csv_rows():
-            w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    header, *rows = rep.csv_rows()
+    _write_csv(out / "cover.csv", header, rows)
     if cfg["svg"]:
-        (Path(out) / "cover.svg").write_text(cov.sector_svg(rep))
+        (out / "cover.svg").write_text(cov.sector_svg(rep))
     return 0
 
 
@@ -327,18 +323,19 @@ def cmd_goodset(cfg, out, seed, order):
     th = 2.0 * math.pi * u[:, 1]
     X = np.column_stack([r * np.cos(th), r * np.sin(th)])
 
-    fh, w = _writer(Path(out) / "goodset.csv")
-    with fh:
-        w.writerow(["s", "fraction", "frac_energy", "frac_distortion",
-                    "frac_tension"])
-        for s in cfg["heights"]:
-            pts = np.column_stack([X, np.full(n_x, s)])
+    rows = []
+    for s in cfg["heights"]:
+        pts = np.column_stack([X, np.full(n_x, s)])
+        try:  # an overflowed extension would fail every test, which measures nothing
             ok_e, ok_k, ok_t, ok = good_set_membership(ext, cfg["eps"], pts)
-            frac = float(np.mean(ok))
-            if not np.isfinite(frac) or not 0.0 <= frac <= 1.0:
-                raise ContractViolation("goodset: fraction out of range")
-            w.writerow([_fmt(v) for v in
-                        (s, frac, ok_e.mean(), ok_k.mean(), ok_t.mean())])
+        except FloatingPointError as exc:
+            raise ContractViolation(f"goodset: {exc} at s={s:.6g}") from None
+        frac = float(np.mean(ok))
+        if not np.isfinite(frac) or not 0.0 <= frac <= 1.0:
+            raise ContractViolation("goodset: fraction out of range")
+        rows.append((s, frac, ok_e.mean(), ok_k.mean(), ok_t.mean()))
+    _write_csv(out / "goodset.csv",
+               ["s", "fraction", "frac_energy", "frac_distortion", "frac_tension"], rows)
     return 0
 
 

@@ -47,7 +47,6 @@ the first step.
 H^3, so it takes grids with n = 3 only.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -97,7 +96,7 @@ MAX_SUPER_STEPS = 10**6
 
 @dataclass
 class FlowTrace:
-    """Recorded flow statistics plus termination flags."""
+    """Recorded flow statistics plus termination flags, as data; `qcflow flow` writes them."""
 
     times: np.ndarray
     sup_tension: np.ndarray
@@ -117,13 +116,6 @@ class FlowTrace:
         return bool(
             np.all(self.sup_tension <= self.sup_tension[0] * (1.0 + self.monotone_band))
         )
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t", "sup_tension", "sup_drift", "mean_energy"])
-            for row in zip(self.times, self.sup_tension, self.sup_drift, self.mean_energy):
-                w.writerow([f"{v:.12g}" for v in row])
 
 
 class FlowGrid:

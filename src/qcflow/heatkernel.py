@@ -61,12 +61,17 @@ def _panel_quad(f, edges, rule=GL12):
     return float(np.sum(vals @ weights * half))
 
 
+def _cutoff(t, n):
+    """Radius past which the kernel's radial mass is negligible at time t."""
+    return (n - 1) * t + 12.0 * math.sqrt(t) + 20.0
+
+
 def _annulus_edges(t, n, lo=0.0, hi=None, r_span=14.0):
     """Panel edges graded to resolve the bump at (n-1)t on scale sqrt(t)."""
     center = (n - 1) * t
     st = math.sqrt(t)
     if hi is None:
-        hi = center + 12.0 * st + 20.0
+        hi = _cutoff(t, n)
     coarse = np.linspace(lo, hi, 65)
     fine = center + st * np.linspace(-r_span, r_span, int(16 * r_span) + 1)
     edges = np.union1d(coarse, fine)
@@ -181,16 +186,14 @@ def annulus_tail_mass(t, l, n=3):
         raise ValueError("tail estimate defined for t >= 1")
     kern = RadialKernel(n)
     ann = AnnulusSpec(t, l, n)
-    hi = (n - 1) * t + 12.0 * math.sqrt(t) + 20.0
+    hi = _cutoff(t, n)
     total = 0.0
     if ann.r_in > 0.0:
         edges = _annulus_edges(t, n, lo=0.0, hi=ann.r_in)
-        if len(edges) >= 2:
-            total += _panel_quad(lambda r: kern.radial_mass_density(r, t), edges)
+        total += _panel_quad(lambda r: kern.radial_mass_density(r, t), edges)
     if ann.r_out < hi:
         edges = _annulus_edges(t, n, lo=ann.r_out, hi=hi)
-        if len(edges) >= 2:
-            total += _panel_quad(lambda r: kern.radial_mass_density(r, t), edges)
+        total += _panel_quad(lambda r: kern.radial_mass_density(r, t), edges)
     return total
 
 
@@ -256,8 +259,7 @@ def reduce_to_annulus(Phi, t, eps, n=3):
     annulus_plain = _panel_quad(lambda r: np.asarray(Phi(r), dtype=float), redges)
     bound = C3_SANDWICH / math.sqrt(t) * annulus_plain + eps
 
-    hi = (n - 1) * t + 12.0 * math.sqrt(t) + 20.0
-    edges = _annulus_edges(t, n, lo=0.0, hi=hi)
+    edges = _annulus_edges(t, n)
     full = _panel_quad(lambda r: Phi(r) * kern.radial_mass_density(r, t), edges)
     return bound, full, bound >= full - 1e-12
 

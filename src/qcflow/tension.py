@@ -154,12 +154,17 @@ def good_set_membership(ext, eps, pts):
 
     Returns (energy > 1, distortion < 2K, |tau| < eps), with K the
     declared distortion of ext's boundary map, plus the conjunction, all
-    as boolean arrays.
+    as boolean arrays.  Raises FloatingPointError when an energy or a
+    tension is not finite or a distortion is NaN: an overflowed extension
+    fails every test, and that is no measurement.  An infinite distortion
+    is a singular differential and fails the distortion test.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     e = energy_density(ext, pts)
     dist = map_distortion(ext, pts)
     tau = tension_norm(ext, pts)
+    if not (np.isfinite(e).all() and np.isfinite(tau).all()) or np.isnan(dist).any():
+        raise FloatingPointError("energy or tension not finite, or distortion NaN")
     ok_e = e > 1.0
     ok_k = dist < 2.0 * ext.f.declared_K
     ok_t = tau < eps

@@ -8,6 +8,7 @@ import pytest
 
 from qcflow import covering as cov
 from qcflow import cli
+from qcflow import heatflow as hf
 from qcflow.cli import SCHEMA, main
 from qcflow.tension import energy_density, map_distortion, tension_norm
 
@@ -44,9 +45,34 @@ def test_extend_identity_reproduces_inputs(tmp_path):
         assert vals[2] == pytest.approx(vals[5], abs=1e-9)
 
 
+def _fmt(v):
+    """The per-cell rule of the reference writer: ints as digits, floats %.12g."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.12g}"
+
+
+def test_write_csv_equals_csv_writer_with_the_per_cell_rule(tmp_path):
+    header = ["a", "b", "c", "d", "e"]
+    rows = [
+        (0, 7, np.int64(12), np.int32(-3), 999_999_999_999),
+        (True, False, np.int64(0), 1, 2),
+        (0.0, -0.0, 1.5, -2.25e-7, 1 / 3),
+        (math.nan, math.inf, -math.inf, 1e-300, 1e300),
+        (np.float64(0.1), np.float64(-1e-5), np.float32(0.1), 123456789012.5, 5e-324),
+    ]
+    cli._write_csv(tmp_path / "got.csv", header, rows)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for r in rows:
+            w.writerow([_fmt(v) for v in r])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_extend_csv_equals_the_per_cell_writer(tmp_path):
-    # extend.csv formats a row at a time; the reference writes each cell
-    # with _fmt through csv.writer, from values computed here
+    # the reference writes each cell, a float, with %.12g through
+    # csv.writer, from values computed here
     cfg_text = "map=shear\nc=0.7\nnx=4\nns=3\ns_lo=1e-3\n"
     rc, out = run(tmp_path, "extend", cfg_text)
     assert rc == 0
@@ -62,7 +88,7 @@ def test_extend_csv_equals_the_per_cell_writer(tmp_path):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x1", "x2", "s", "F1", "F2", "F3", "energy", "distortion", "tension"])
         for p, v, e, d, t in zip(grid, *cols):
-            w.writerow([cli._fmt(u) for u in (*p, *v, e, d, t)])
+            w.writerow([f"{float(u):.12g}" for u in (*p, *v, e, d, t)])
     assert (out / "extend.csv").read_bytes() == want.read_bytes()
 
 
@@ -230,6 +256,22 @@ def test_kernel_outputs(tmp_path):
         assert float(r[3]) < float(r[1])
 
 
+def test_flow_csv_round_trip(tmp_path, f_linear):
+    # flow.csv holds one row per record, each cell the trace's value to 12 digits
+    grid = hf.init_flow(f_linear, (2.0, 0.25, 4.0), 9)
+    dt = hf.cfl_time_step(grid)
+    trace, _, _ = hf.run_flow(grid, t_end=20 * dt, dt=dt, record_every=10)
+    rc, out = run(tmp_path, "flow", f"map=linear\nresolution=9\ndt={dt!r}\n"
+                  f"t_end={20 * dt!r}\nrecord_every=10\n")
+    assert rc == 0
+    rows = read_csv(out / "flow.csv")
+    assert rows[0] == ["t", "sup_tension", "sup_drift", "mean_energy"]
+    assert len(rows) == len(trace.times) + 1
+    records = zip(trace.times, trace.sup_tension, trace.sup_drift, trace.mean_energy)
+    for row, record in zip(rows[1:], records):
+        assert [float(v) for v in row] == [float(f"{v:.12g}") for v in record]
+
+
 def test_goodset_outputs(tmp_path):
     rc, out = run(tmp_path, "goodset",
                   "map=radial_stretch\nK=1.5\nn_x=40\nheights=1e-2,1e-3\n")
@@ -271,6 +313,28 @@ def test_cover_deep_stack(tmp_path):
     rows = read_csv(out / "cover.csv")
     assert len(rows) == 3
     assert all(r[-1] == "1" for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "cmd,cfg_text,message",
+    [("goodset", "map=radial_stretch\nK=1.5\nbox_x=1e300\nn_x=10\nheights=1e-3\n",
+      "contract violation: goodset: "),
+     ("cover", "map=shear\nc=1e300\nt=5.5\nmax_cylinders=1\nenumeration_cap=1\n"
+      "audit_branches=1\nn_slab=8\n", "contract violation: cover: ")],
+    ids=["goodset", "cover"],
+)
+def test_overflowed_extension_is_a_contract_violation(tmp_path, capsys, cmd, cfg_text, message):
+    # the extension overflows to NaN, which would fail every good-set test
+    # and give a NaN stacking average; both are refused, and no CSV is written
+    with pytest.warns(RuntimeWarning):
+        rc, out = run(tmp_path, cmd, cfg_text)
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(message)
+    assert "Traceback" not in err
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("bad", [{"covered_fraction": 0.99999},

@@ -464,17 +464,6 @@ def test_sts_error_against_a_fine_euler_reference(K):
     assert err_sts <= STS_ERR_PER_STRETCH * (K - 1.0), err_sts
 
 
-def test_trace_csv_round_trip(tmp_path, f_linear):
-    grid = hf.init_flow(f_linear, BOX, 9)
-    dt = hf.cfl_time_step(grid)
-    trace, _, _ = hf.run_flow(grid, t_end=20 * dt, dt=dt, record_every=10)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "t,sup_tension,sup_drift,mean_energy"
-    assert len(rows) == len(trace.times) + 1
-
-
 # ---------------------------------------------------------------------------
 # parabolic maximum principle on radial test data
 
