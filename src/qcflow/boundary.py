@@ -20,6 +20,7 @@ the jet through the Mobius chains by the chain rule
 (`geometry.Mobius.boundary_jet`).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +34,7 @@ __all__ = [
     "boundary_energy_density",
     "boundary_jacobian",
     "conjugate_boundary",
+    "into_block",
     "make_boundary_map",
     "CATALOG",
 ]
@@ -49,20 +51,24 @@ class MissingJetError(ValueError):
 class BoundaryMap:
     """Evaluable boundary map with declared fixed point, distortion bound and 2-jet.
 
-    evaluator acts on arrays of shape (..., n-1) and is vectorised, and so
-    are jacobian, returning (..., m, m) with J[..., i, j] = d f_i / dx_j, and
-    hessian, returning (..., m, m, m) with H[..., i, j, k] = d^2 f_i / dx_j dx_k.
-    singular_points lists finite boundary points where the map fails to be
-    smooth (local models must keep away from them).
+    evaluator(x, out=None) acts on arrays of shape (..., m), m = n-1, and
+    is vectorised, and so are jacobian(x, out=None), returning (..., m, m)
+    with J[..., i, j] = d f_i / dx_j, and hessian(x), returning (..., m, m, m)
+    with H[..., i, j, k] = d^2 f_i / dx_j dx_k.  out, when given, is a
+    C-contiguous (rows, *x.shape[:-1]) block, m rows for the values and
+    m*m + 1 for the Jacobian: the only scratch, and where a computed result
+    goes (row i*m + j takes J[..., i, j]; `into_block` writes one computed
+    whole).  singular_points lists finite boundary points where the map
+    fails to be smooth (local models must keep away from them).
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[..., np.ndarray]
     fixed_point: object  # array or INFINITY
     declared_K: float = 1.0
     name: str = ""
     dim: int = 2  # boundary dimension n-1
     singular_points: tuple = ()
-    jacobian: Callable[[np.ndarray], np.ndarray] = None
+    jacobian: Callable[..., np.ndarray] = None
     hessian: Callable[[np.ndarray], np.ndarray] = None
 
     def __post_init__(self):
@@ -71,8 +77,8 @@ class BoundaryMap:
                 f"boundary map {self.name!r} needs exact jacobian and hessian callables"
             )
 
-    def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
+    def __call__(self, x, out=None):
+        return self.evaluator(np.asarray(x, dtype=float), out)
 
     @property
     def fixes_infinity(self):
@@ -86,22 +92,48 @@ class BoundaryMap:
         return np.max(np.abs(self(fp) - fp)) <= FIXED_POINT_TOL * max(1.0, np.max(np.abs(fp)))
 
 
-def boundary_jacobian(f, x):
-    """Exact Jacobian of f at x, shape (..., m, m)."""
-    return f.jacobian(np.asarray(x, dtype=float))
+def _rows(out, rows, x):
+    """out, or a fresh (rows, *x.shape[:-1]) block, and its rows as arrays (0-d ones too)."""
+    block = np.empty((rows,) + x.shape[:-1]) if out is None else out
+    return block, [block[r, ...] for r in range(rows)]
 
 
-def boundary_energy_density(f, x):
+def _view(block, tail):
+    """The (..., *tail) view of a block's leading rows, the tail's entries in C order."""
+    k = len(tail)
+    rows = block[:math.prod(tail)].reshape(tail + block.shape[1:])
+    return rows.transpose(*range(k, rows.ndim), *range(k))
+
+
+def into_block(out, result):
+    """result, copied into the leading rows of the block out as `BoundaryMap` asks."""
+    if out is None:
+        return result
+    dest = _view(out, result.shape[out.ndim - 1:])
+    dest[...] = result
+    return dest
+
+
+def boundary_jacobian(f, x, out=None):
+    """Exact Jacobian of f at x, shape (..., m, m), written into out when given."""
+    return f.jacobian(np.asarray(x, dtype=float), out)
+
+
+def boundary_energy_density(f, x, out=None):
     """Squared Frobenius norm of the Jacobian of f at x.
 
     Normalised so the identity has energy n-1; a non-finite Jacobian (at a
-    pole) gives a non-finite energy for the caller to flag.
+    pole) gives a non-finite energy for the caller to flag.  out is the
+    Jacobian's block; the squared entries go into its rows and their sum,
+    returned, into the last.
     """
-    J = boundary_jacobian(f, x)
-    e = np.zeros(J.shape[:-2])
-    for i in range(J.shape[-2]):
-        for j in range(J.shape[-1]):
-            e += J[..., i, j] ** 2
+    x = np.asarray(x, dtype=float)
+    m = x.shape[-1]
+    out, rows = _rows(out, m * m + 1, x)
+    J = boundary_jacobian(f, x, out)
+    e = np.square(J[..., 0, 0], out=rows[-1])
+    for r in range(1, m * m):
+        e += np.square(J[..., r // m, r % m], out=rows[r])
     return e
 
 
@@ -133,8 +165,8 @@ def conjugate_boundary(f, I, J, fixed_point=None):
     """
     Jinv = J.inverse()
 
-    def ev(x):
-        return I.boundary_array(f(Jinv.boundary_array(x)))
+    def ev(x, out=None):
+        return into_block(out, I.boundary_array(f(Jinv.boundary_array(x))))
 
     def jet(x, second):
         x = np.asarray(x, dtype=float)
@@ -148,18 +180,13 @@ def conjugate_boundary(f, I, J, fixed_point=None):
             return I.boundary_jet(f(y), chain_rule(f_jet, inner))[1]
 
     fp = I.boundary(f.fixed_point) if fixed_point is None else fixed_point
-    sing = []
-    for s in f.singular_points:
-        img = J.boundary(np.asarray(s, dtype=float))
-        if not is_infinity(img):
-            sing.append(np.asarray(img, dtype=float))
-    pole = J.boundary(INFINITY)  # J^{-1} blows up there
-    if not is_infinity(pole):
-        sing.append(np.asarray(pole, dtype=float))
+    images = [J.boundary(np.asarray(s, dtype=float)) for s in f.singular_points]
+    images.append(J.boundary(INFINITY))  # J^{-1} blows up there
+    sing = [np.asarray(img, dtype=float) for img in images if not is_infinity(img)]
     return BoundaryMap(
         ev, fp, declared_K=f.declared_K, name=f"conj({f.name})", dim=f.dim,
         singular_points=tuple(sing),
-        jacobian=lambda x: jet(x, False)[0],
+        jacobian=lambda x, out=None: into_block(out, jet(x, False)[0]),
         hessian=lambda x: jet(x, True)[1],
     )
 
@@ -167,78 +194,78 @@ def conjugate_boundary(f, I, J, fixed_point=None):
 # ---------------------------------------------------------------------------
 # catalog
 
-def _affine_jet(A):
-    """Jacobian and Hessian callables of x -> A x: A (a read-only view) and 0."""
+def _affine(A, ev, K, name):
+    """x -> A x, evaluated by ev: J = A (a read-only view, out unused), H = 0."""
     m = A.shape[0]
-    return (lambda x: np.broadcast_to(A, x.shape + (m,)),
-            lambda x: np.zeros(x.shape + (m, m)))
+    return BoundaryMap(
+        ev, INFINITY, K, name, m,
+        jacobian=lambda x, out=None: np.broadcast_to(A, x.shape + (m,)),
+        hessian=lambda x: np.zeros(x.shape + (m, m)))
 
 
 def _identity(dim):
-    jac, hess = _affine_jet(np.eye(dim))
-    return BoundaryMap(lambda x: np.array(x, copy=True), INFINITY, 1.0, "identity", dim,
-                       jacobian=jac, hessian=hess)
+    return _affine(np.eye(dim), lambda x, out=None: into_block(_rows(out, dim, x)[0], x),
+                   1.0, "identity")
 
 
 def _linear(matrix):
     A = np.asarray(matrix, dtype=float)
     sv = np.linalg.svd(A, compute_uv=False)
-    K = sv[0] / sv[-1]
-    jac, hess = _affine_jet(A)
-    return BoundaryMap(
-        lambda x: x @ A.T, INFINITY, float(K), "linear", A.shape[0],
-        jacobian=jac, hessian=hess,
-    )
 
+    def ev(x, out=None):  # in C order, as x @ A.T allocates it
+        return np.matmul(x, A.T, out=None if out is None else
+                         np.reshape(out[:A.shape[0]], x.shape, copy=False))
 
-def _component_major(lead, dim, alloc):
-    """A (lead..., dim, dim) view of alloc((dim, dim) + lead): each J[..., i, j] is contiguous."""
-    return np.moveaxis(alloc((dim, dim) + lead), (0, 1), (-2, -1))
-
-
-def _sq_norm(x):
-    """|x|^2 summed one component at a time."""
-    r2 = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        r2 += x[..., k] * x[..., k]
-    return r2
-
-
-def _over_r2(a, r2):
-    """a / r^2, taken as 0 where r = 0."""
-    return np.divide(a, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    return _affine(A, ev, float(sv[0] / sv[-1]), "linear")
 
 
 def _radial_stretch(K, dim):
     """f(x) = |x|^{K-1} x; fixes 0 and infinity, distortion K."""
     expo = K - 1.0
 
-    def ev(x):
-        r = np.sqrt(_sq_norm(x))[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = np.where(r > 0.0, r**expo, 0.0)
-        return fac * x
+    def sq_norm(x, r2, tmp):
+        """|x|^2 into r2, summed one component at a time; tmp takes each square."""
+        np.square(x[..., 0], out=r2)
+        for k in range(1, dim):
+            r2 += np.square(x[..., k], out=tmp)
+        return r2
 
-    def coeffs(x):
-        """r^2, r^p and p r^(p-2), the last 0 at the origin."""
-        r2 = _sq_norm(x)
+    def coeffs(x, r2, fac, c2):
+        """Rows r^2, r^p and p r^(p-2), the last 0 at the origin; c2 is scratch first."""
+        np.sqrt(sq_norm(x, r2, c2), out=fac)
         with np.errstate(divide="ignore"):  # r^p at the origin for K < 1
-            fac = np.sqrt(r2) ** expo
-        return r2, fac, _over_r2(expo * fac, r2)
+            fac **= expo
+        np.multiply(expo, fac, out=c2)
+        pos = r2 > 0.0
+        np.divide(c2, r2, out=c2, where=pos)
+        c2[~pos] = 0.0
+        return r2, fac, c2
 
-    def jac(x):
-        _, fac, c2 = coeffs(x)
-        J = _component_major(x.shape[:-1], dim, np.empty)
-        for i in range(dim):
-            c2x = c2 * x[..., i]
-            for j in range(dim):
-                J[..., i, j] = c2x * x[..., j]
-            J[..., i, i] += fac
-        return J
+    def ev(x, out=None):
+        block, o = _rows(out, dim, x)
+        fac = np.sqrt(sq_norm(x, o[0], o[-1]), out=o[0])
+        pos = fac > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fac **= expo
+        fac[~pos] = 0.0
+        for k in range(dim - 1, -1, -1):  # fac itself last
+            np.multiply(fac, x[..., k], out=o[k])
+        return _view(block, (dim,))
+
+    def jac(x, out=None):
+        block, J = _rows(out, dim * dim + 1, x)
+        _, fac, c2 = coeffs(x, J[-2], J[-1], J[0])
+        for i in (*range(1, dim), 0):  # row 0 last: its diagonal holds c2
+            diag = np.multiply(c2, x[..., i], out=J[i * (dim + 1)])
+            for j in set(range(dim)) - {i}:
+                np.multiply(diag, x[..., j], out=J[i * dim + j])
+            diag *= x[..., i]
+            diag += fac
+        return _view(block, (dim, dim))
 
     def hess(x):
-        r2, _, c2 = coeffs(x)
-        c3 = _over_r2((expo - 2.0) * c2, r2)
+        r2, _, c2 = coeffs(x, *_rows(None, 3, x)[1])
+        c3 = np.divide((expo - 2.0) * c2, r2, out=np.zeros_like(r2), where=r2 > 0.0)
         eye = np.eye(dim)
         xi, xj, xk = x[..., :, None, None], x[..., None, :, None], x[..., None, None, :]
         sym = eye[:, :, None] * xk + eye[:, None, :] * xj + eye * xi
@@ -253,26 +280,30 @@ def _radial_stretch(K, dim):
 def _shear(c, dim):
     """(x1 + c tanh(x2), x2, ...): smooth bounded shear fixing infinity."""
 
-    def ev(x):
-        out = np.array(x, copy=True)
-        out[..., 0] = out[..., 0] + c * np.tanh(x[..., 1])
-        return out
+    def ev(x, out=None):
+        block, o = _rows(out, dim, x)
+        np.multiply(c, np.tanh(x[..., 1], out=o[1]), out=o[1])
+        np.add(x[..., 0], o[1], out=o[0])
+        block[1:dim] = np.moveaxis(x[..., 1:], -1, 0)
+        return _view(block, (dim,))
 
-    def sech2(t):
-        """sech^2 t = 4 e^{-2|t|} / (1 + e^{-2|t|})^2, free of overflow."""
-        e = np.exp(-2.0 * np.abs(t))
-        return 4.0 * e / (1.0 + e) ** 2
+    def sech2(t, out, den):
+        """sech^2 t = 4 e^{-2|t|} / (1 + e^{-2|t|})^2, free of overflow; den is scratch."""
+        e = np.exp(np.multiply(-2.0, np.abs(t, out=out), out=out), out=out)
+        np.multiply(np.add(1.0, e, out=den), den, out=den)
+        return np.divide(np.multiply(4.0, e, out=e), den, out=e)
 
-    def jac(x):
-        J = _component_major(x.shape[:-1], dim, np.zeros)
-        for i in range(dim):
-            J[..., i, i] = 1.0
-        J[..., 0, 1] = c * sech2(x[..., 1])
+    def jac(x, out=None):
+        block = _rows(out, dim * dim + 1, x)[0]
+        J = _view(block, (dim, dim))
+        J[...] = np.eye(dim)
+        J01 = sech2(x[..., 1], block[1, ...], block[-1, ...])
+        J01 *= c
         return J
 
     def hess(x):
         H = np.zeros(x.shape + (dim, dim))
-        H[..., 0, 1, 1] = -2.0 * c * sech2(x[..., 1]) * np.tanh(x[..., 1])
+        H[..., 0, 1, 1] = -2.0 * c * sech2(x[..., 1], *_rows(None, 2, x)[1]) * np.tanh(x[..., 1])
         return H
 
     q = abs(c)  # sup |g'| = 1

@@ -378,6 +378,9 @@ def main(argv=None):
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # an overflowed extension gives no measurement
+        print(f"contract violation: {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,21 +41,19 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 21
-# Points per evaluation and jet chunk.  At 64 (m = 2, Q = 441) a chunk's sample
-# block is 0.45 MB and its Jacobians 0.9 MB (the extension workload peaks at
-# 47 MiB, 56 at 256).  It suits FlowGrid's step, which allocates nothing
-# grid-sized: with 256, init_flow's 1.8 MB sample blocks and 3.6 MB Jacobians
-# raise glibc's dynamic mmap and trim thresholds, and only that kept an
-# allocating step's freed temporaries mapped; at 64 such a step faults their
-# pages in afresh every time (flow workload, 2 cores: 2.77 s against 2.25 s).
+# Points per node-pass chunk.  The direct node pass writes its samples,
+# values, Jacobians and energies into one workspace the extension keeps,
+# 2m + m^2 + 1 rows of CHUNK x Q floats (2.0 MB for m = 2, Q = 441).  On 2
+# cores, 32 slows the extension workload 1.5x by per-chunk call overhead;
+# 128 and 256 add 2 and 6 MiB of peak RSS, and 256 slows init_flow 1.5x.
 CHUNK = 64
 # Largest quadrature order the CLI accepts.  In float64 the Gauss-Hermite
 # weights of numpy's hermgauss are finite and nonzero through order 370; at
 # 371 one underflows to 0 with an overflow warning, and by 400 they are NaN.
 # A chunk holds Q = order^2 node samples per point (m = 2): at 370, Q = 136900,
-# so its sample block is 140 MB and its Jacobians 280 MB, where the default
-# order takes 1.4 MB.  Orders far beyond would also need hermgauss's
-# order x order companion matrix (80 GB at 10^5).
+# so the workspace takes 631 MB, where the default order takes 2.0 MB.
+# Orders far beyond would also need hermgauss's order x order companion
+# matrix (80 GB at 10^5).
 MAX_QUAD_ORDER = 370
 DEEP_HEIGHT = 1e-4   # below this, the jet takes closed-form moments of the local 2-jet
 DEEP_GUARD = 2e-3    # keep the local model away from catalog singular points
@@ -126,7 +124,9 @@ class GoodExtension:
         self.n = f.dim + 1
         self.quad = QuadratureRule(f.dim, order)
         self._stein = _stein_weights(self.quad)
+        self._nodes_t = np.ascontiguousarray(self.quad.nodes.T)[:, None, :]  # (m, 1, Q)
         self._last_jet = None  # (key, jet tuple) of the last batch `jet` computed
+        self._work = None  # the flat node-pass workspace, allocated by the first pass
         if is_infinity(anchor):
             if not f.fixes_infinity:
                 raise ValueError("anchor is infinity but f does not fix infinity")
@@ -145,38 +145,39 @@ class GoodExtension:
     def _nodes_direct(self, x, s):
         """f and e(f) at the scaled quadrature nodes x + s y_k, shapes (B, Q[, m]).
 
-        x (B, m) and s (B,).  The nodes are one component-major (m, B, Q)
-        block passed as its (B, Q, m) view, so each per-component operation
-        of the evaluators and Jacobians reads contiguous memory.
+        x (B, m) and s (B,), B <= CHUNK.  A (2m + m^2 + 1, B, Q) block of the
+        workspace holds the component-major samples, passed as their (B, Q, m)
+        view so each per-component operation reads contiguous memory, then
+        the values and the Jacobian and energy rows (see `BoundaryMap`).
+        FloatingPointError when a value or an energy is not finite.
         """
-        args = s[:, None] * self.quad.nodes.T[:, None, :]
+        m, B, Q = self.n - 1, len(s), self.quad.weights.size
+        if self._work is None:
+            self._work = np.empty(self.n ** 2 * CHUNK * Q)
+        block = self._work[:self.n ** 2 * B * Q].reshape(-1, B, Q)
+        args = np.multiply(s[:, None], self._nodes_t, out=block[:m])
         args += x.T[:, :, None]
         args = args.transpose(1, 2, 0)
-        return self.f_inf(args), bd.boundary_energy_density(self.f_inf, args)
-
-    def _eval_inf(self, pts):
-        """G_infinity(f_inf) on (..., n) arrays."""
-        pts = np.asarray(pts, dtype=float)
-        s = pts[..., -1]
-        fv, e = self._nodes_direct(pts[..., :-1], s)
-        horiz = self.quad.integrate(fv)
-        vert = s * np.sqrt(self.quad.integrate(e) / (self.n - 1))
-        return np.concatenate([horiz, vert[..., None]], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv = self.f_inf(args, block[m:2 * m])
+            e = bd.boundary_energy_density(self.f_inf, args, block[2 * m:])
+        if not np.isfinite([e.max(), fv.min(), fv.max()]).all():  # NaN propagates
+            raise FloatingPointError("boundary values or energy not finite at quadrature nodes")
+        return fv, e
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
-        if self.mob is None:
-            return self._eval_chunked(pts)
-        inner = self.mob(pts)
-        out = self._eval_chunked(inner)
-        return self.mob.inverse()(out)
-
-    def _eval_chunked(self, pts):
-        flat = pts.reshape(-1, pts.shape[-1])
+        flat = pts.reshape(-1, self.n)
+        if self.mob is not None:
+            flat = self.mob(flat)
         out = np.empty_like(flat)
-        for sl in _chunked(flat.shape[0]):
-            out[sl] = self._eval_inf(flat[sl])
-        return out.reshape(pts.shape)
+        for sl in _chunked(len(flat)):
+            s = flat[sl, -1]
+            fv, e = self._nodes_direct(flat[sl, :-1], s)
+            out[sl, :-1] = self.quad.integrate(fv)
+            out[sl, -1] = s * np.sqrt(self.quad.integrate(e) / (self.n - 1))
+        out = out.reshape(pts.shape)
+        return out if self.mob is None else self.mob.inverse()(out)
 
     # -- moment jet ----------------------------------------------------------
 
@@ -266,7 +267,8 @@ class GoodExtension:
         s0 = pts[:, -1]
         deep = s0 < DEEP_HEIGHT
         for sp in self.f_inf.singular_points:
-            d_sing = np.linalg.norm(x0 - np.asarray(sp, dtype=float), axis=-1)
+            with np.errstate(over="ignore"):  # a distance that overflows is far enough
+                d_sing = np.linalg.norm(x0 - np.asarray(sp, dtype=float), axis=-1)
             deep &= d_sing > np.maximum(30.0 * s0, DEEP_GUARD)
         mom_e = np.empty((len(pts), 2 * m + 3))
         mom_f = np.empty((len(pts), m, 2 * m + 2))

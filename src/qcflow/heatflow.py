@@ -157,7 +157,10 @@ class FlowGrid:
         self._u = self._nodes_last(self._store)
         self._u.flags.writeable = False
         if callable(values):
-            values = values(self.nodes)
+            try:  # an extension refuses non-finite boundary data
+                values = values(self.nodes)
+            except FloatingPointError as exc:
+                raise ValueError(f"non-finite initial data: {exc}") from None
         self.u = values
         if np.any(self.u[..., -1] <= 0.0):
             raise ValueError("initial map has non-positive heights")
@@ -292,11 +295,12 @@ class FlowGrid:
 
 
 def init_flow(f, box, resolution, order=None):
-    """Grid carrying the good extension of the boundary map f."""
+    """Grid carrying the good extension of the boundary map f; the extension
+    and its node workspace are gone before the grid allocates its work arrays."""
     from .extension import DEFAULT_ORDER, GoodExtension
 
-    ext = GoodExtension(f, order=order or DEFAULT_ORDER)
-    return FlowGrid(box, resolution, ext, f.dim + 1)
+    return FlowGrid(box, resolution,
+                    lambda nodes: GoodExtension(f, order=order or DEFAULT_ORDER)(nodes), f.dim + 1)
 
 
 def cfl_time_step(grid):

@@ -7,6 +7,7 @@ from qcflow.boundary import (
     boundary_energy_density,
     boundary_jacobian,
     conjugate_boundary,
+    into_block,
     make_boundary_map,
     singular_value_ratio,
 )
@@ -101,9 +102,10 @@ def test_catalog_maps_fix_their_fixed_point_and_have_positive_energy():
 def test_composition_submultiplicative_distortion():
     f = make_boundary_map("radial_stretch", K=1.5)
     g = make_boundary_map("shear", c=0.5)
-    comp = BoundaryMap(lambda x: f(g(x)), INFINITY, f.declared_K * g.declared_K,
-                       "comp", 2,
-                       jacobian=lambda x: f.jacobian(g(x)) @ g.jacobian(x),
+    comp = BoundaryMap(lambda x, out=None: into_block(out, f(g(x))), INFINITY,
+                       f.declared_K * g.declared_K, "comp", 2,
+                       jacobian=lambda x, out=None: into_block(
+                           out, f.jacobian(g(x)) @ g.jacobian(x)),
                        hessian=lambda x: chain_rule((f.jacobian(g(x)), f.hessian(g(x))),
                                                     (g.jacobian(x), g.hessian(x)))[1])
     rng = np.random.default_rng(4)

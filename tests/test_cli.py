@@ -320,14 +320,20 @@ def test_cover_deep_stack(tmp_path):
     [("goodset", "map=radial_stretch\nK=1.5\nbox_x=1e300\nn_x=10\nheights=1e-3\n",
       "contract violation: goodset: "),
      ("cover", "map=shear\nc=1e300\nt=5.5\nmax_cylinders=1\nenumeration_cap=1\n"
-      "audit_branches=1\nn_slab=8\n", "contract violation: cover: ")],
-    ids=["goodset", "cover"],
+      "audit_branches=1\nn_slab=8\n", "contract violation: cover: "),
+     ("extend", "map=radial_stretch\nbox_x=1e300\n", "contract violation: extend: "),
+     ("flow", "map=shear\nc=1e300\nresolution=7\nt_end=0.01\n",
+      "contract violation: flow: non-finite initial data")],
+    ids=["goodset", "cover", "extend", "flow"],
 )
 def test_overflowed_extension_is_a_contract_violation(tmp_path, capsys, cmd, cfg_text, message):
-    # the extension overflows to NaN, which would fail every good-set test
-    # and give a NaN stacking average; both are refused, and no CSV is written
-    with pytest.warns(RuntimeWarning):
-        rc, out = run(tmp_path, cmd, cfg_text)
+    # the boundary values or energies overflow at the quadrature nodes, which
+    # would fail every good-set test, give a NaN stacking average and seed
+    # the flow with non-finite data; the node pass refuses them before any
+    # sum reads them, and no CSV is written.  pytest turns RuntimeWarnings
+    # into errors, so this also checks that none is emitted: outside pytest
+    # stderr is the one line
+    rc, out = run(tmp_path, cmd, cfg_text)
     assert rc == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
