@@ -20,7 +20,7 @@ import numpy as np
 from . import covering as cov
 from . import heatflow as hf
 from .boundary import CATALOG, make_boundary_map
-from .extension import MAX_QUAD_ORDER, GoodExtension
+from .extension import DEFAULT_ORDER, MAX_QUAD_ORDER, GoodExtension
 from .geometry import PolarFrame
 from .heatkernel import C3_TAIL, RadialKernel, annulus_tail_mass, l_of_eps
 from .tension import energy_density, good_set_membership, map_distortion, tension_norm
@@ -106,7 +106,6 @@ SCHEMA = {
         "record_every": _count(None),
     },
     "kernel": {
-        **_COMMON,
         "t": _at_least("16.0", 1),
         "r_span": _above("6.0", 0),
         "n_rho": _count("201"),
@@ -240,7 +239,7 @@ def cmd_flow(cfg, out, seed, order):
 
 def cmd_kernel(cfg, out, seed, order):
     t = cfg["t"]
-    kern = RadialKernel(3)
+    kern = RadialKernel()
 
     mass = kern.total_mass(t)
     if abs(mass - 1.0) > 1e-6:
@@ -348,16 +347,16 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(prog="qcflow", description=__doc__)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", default=None)
+_PARSER.add_argument("--out", default=".")
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="qcflow", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--quad-order", type=int, default=21)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = _parse_config(args.config, SCHEMA[args.command])

@@ -477,7 +477,6 @@ class SectorRecord:
     side: float
     address: tuple  # (i, j, n_per) per partition from the base cell down to this cell
     mean: float
-    se: float
     good: bool
 
 
@@ -618,7 +617,7 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
             frame, rho, omega, eps, r0, field, rng=rng, n_slab=n_slab
         )
         r1 = res["r1"] if res["r1"] else 1.0
-        sectors.append(SectorRecord(rho, r1, lo, side, address, res["mean"], res["se"],
+        sectors.append(SectorRecord(rho, r1, lo, side, address, res["mean"],
                                     bool(res["success"])))
         return rho + r1
 

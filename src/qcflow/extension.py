@@ -236,20 +236,25 @@ class GoodExtension:
         and M_k = sum H_ijk^2 they are, column by column:
         e: |A|^2 + s^2 tr M, 2 s c, 2 s^2 tr M, 2 s^2 M, 2 s^2 tr M;
         u / s: A, s tr H_g, s H_gii, s tr H_g.
+        FloatingPointError when a moment is not finite.
         """
-        A = bd.boundary_jacobian(self.f_inf, x0)                  # (B, m, m)
-        H = self.f_inf.hessian(x0)                                # (B, m, m, m)
         s = s0[:, None]
         s2 = s * s
-        c = np.sum(A[..., None] * H, axis=(1, 2))                 # (B, m)
-        M = np.sum(H * H, axis=(1, 2))                            # (B, m)
-        trM = np.sum(M, axis=-1, keepdims=True)
-        e0 = np.sum(A * A, axis=(1, 2))[:, None] + s2 * trM
-        mom_e = np.concatenate([e0, 2.0 * s * c, 2.0 * s2 * trM, 2.0 * s2 * M, 2.0 * s2 * trM],
-                               axis=-1)
-        Hdiag = s[..., None] * np.diagonal(H, axis1=-2, axis2=-1)  # (B, m, m)
-        trH = np.sum(Hdiag, axis=-1, keepdims=True)
-        return mom_e, np.concatenate([A, trH, Hdiag, trH], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = bd.boundary_jacobian(self.f_inf, x0)                  # (B, m, m)
+            H = self.f_inf.hessian(x0)                                # (B, m, m, m)
+            c = np.sum(A[..., None] * H, axis=(1, 2))                 # (B, m)
+            M = np.sum(H * H, axis=(1, 2))                            # (B, m)
+            trM = np.sum(M, axis=-1, keepdims=True)
+            e0 = np.sum(A * A, axis=(1, 2))[:, None] + s2 * trM
+            mom_e = np.concatenate([e0, 2.0 * s * c, 2.0 * s2 * trM, 2.0 * s2 * M,
+                                    2.0 * s2 * trM], axis=-1)
+            Hdiag = s[..., None] * np.diagonal(H, axis1=-2, axis2=-1)  # (B, m, m)
+            trH = np.sum(Hdiag, axis=-1, keepdims=True)
+            mom_f = np.concatenate([A, trH, Hdiag, trH], axis=-1)
+        if not (np.isfinite(mom_e).all() and np.isfinite(mom_f).all()):
+            raise FloatingPointError("boundary 2-jet moments not finite at deep base points")
+        return mom_e, mom_f
 
     def _jet_unit_frame(self, pts):
         """Moment jet of G_infinity(f_inf) at pts, each conjugated to (0, 1).

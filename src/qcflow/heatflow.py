@@ -140,7 +140,6 @@ class FlowGrid:
         self.n = n
         axes = [np.linspace(-X, X, resolution[i]) for i in range(n - 1)]
         axes.append(np.linspace(s_lo, s_hi, resolution[-1]))
-        self.axes = axes
         self.spacings = np.array([ax[1] - ax[0] for ax in axes])
         mesh = np.meshgrid(*axes, indexing="ij")
         self.nodes = np.stack(mesh, axis=-1)          # (..., n)
@@ -522,7 +521,7 @@ def hamilton_check(grid0, snapshots, center_point=None):
     if grid0.n != 3:
         raise ValueError(f"hamilton_check: grid has n = {grid0.n}, but the heat "
                          "kernel is the closed form for H^3")
-    kernel = RadialKernel(3)
+    kernel = RadialKernel()
     core = grid0.interior()
     _, norm0 = grid0.tension()
     nodes = grid0.nodes[core]

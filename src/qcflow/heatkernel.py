@@ -1,14 +1,13 @@
-"""Radial heat kernel on H^n and the ballistic main-annulus estimates.
+"""Radial heat kernel of H^3 and the ballistic main-annulus estimates.
 
-For n = 3 the kernel has the closed form
+The kernel has the closed form
 
     H(rho, t) = (4 pi t)^{-3/2} (rho / sinh rho) exp(-t - rho^2 / 4t),
 
 validated internally by mass normalisation and the radial PDE residual.
-For other n only the two-sided envelope of Davies-Mandouvalos type is
-provided.  The radial mass density H(rho,t) * omega_{n-1} sinh^{n-1}(rho)
-concentrates, for large t, on the main annulus (n-1)t +/- l sqrt(t) with
-a fixed Gaussian profile e^{-r^2/4} in r = (rho - (n-1)t)/sqrt(t).
+The radial mass density H(rho, t) * 4 pi sinh^2(rho) concentrates, for
+large t, on the main annulus 2t +/- l sqrt(t) with a fixed Gaussian
+profile e^{-r^2/4} in r = (rho - 2t)/sqrt(t).
 """
 
 import math
@@ -19,30 +18,21 @@ import numpy as np
 __all__ = [
     "RadialKernel",
     "AnnulusSpec",
-    "sphere_area",
     "l_of_eps",
     "annulus_tail_mass",
     "annulus_average_bounds",
     "reduce_to_annulus",
-    "gaussian_profile",
     "peak_location",
 ]
 
 # Calibrated fixtures (see tests/test_heatkernel.py for the recalibration
 # sweeps that pin them).  C3_TAIL is the constant in l(eps) =
 # sqrt(8 log(C/eps)); C3_SANDWICH bounds the annulus/Gaussian ratio both
-# ways; the envelope constants sandwich the n=3 closed form.
+# ways.
 C3_TAIL = 0.25
 C3_SANDWICH = 50.0
-ENV_LOWER = 0.022
-ENV_UPPER = 0.046
 
 GL12 = np.polynomial.legendre.leggauss(12)  # (nodes, weights) on [-1, 1]
-
-
-def sphere_area(n):
-    """Area of the unit sphere S^{n-1}."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def _panel_quad(f, edges, rule=GL12):
@@ -61,58 +51,56 @@ def _panel_quad(f, edges, rule=GL12):
     return float(np.sum(vals @ weights * half))
 
 
-def _cutoff(t, n):
+def _cutoff(t):
     """Radius past which the kernel's radial mass is negligible at time t."""
-    return (n - 1) * t + 12.0 * math.sqrt(t) + 20.0
+    return 2 * t + 12.0 * math.sqrt(t) + 20.0
 
 
-def _annulus_edges(t, n, lo=0.0, hi=None, r_span=14.0):
-    """Panel edges graded to resolve the bump at (n-1)t on scale sqrt(t)."""
-    center = (n - 1) * t
+def _annulus_edges(t, lo=0.0, hi=None):
+    """Panel edges graded to resolve the bump at 2t on scale sqrt(t).
+
+    Panels of width sqrt(t)/16 span 2t +/- 14 sqrt(t).
+    """
     st = math.sqrt(t)
     if hi is None:
-        hi = _cutoff(t, n)
+        hi = _cutoff(t)
     coarse = np.linspace(lo, hi, 65)
-    fine = center + st * np.linspace(-r_span, r_span, int(16 * r_span) + 1)
+    fine = 2 * t + st * np.linspace(-14.0, 14.0, 225)
     edges = np.union1d(coarse, fine)
     return edges[(edges >= lo) & (edges <= hi)]
 
 
 @dataclass
 class AnnulusSpec:
-    """Main annulus at time t: [R_in, R_out] = (n-1)t -/+ l sqrt(t)."""
+    """Main annulus at time t: [R_in, R_out] = 2t -/+ l sqrt(t)."""
 
     t: float
     l: float
-    n: int = 3
 
     @property
     def r_in(self):
-        return (self.n - 1) * self.t - self.l * math.sqrt(self.t)
+        return 2 * self.t - self.l * math.sqrt(self.t)
 
     @property
     def r_out(self):
-        return (self.n - 1) * self.t + self.l * math.sqrt(self.t)
+        return 2 * self.t + self.l * math.sqrt(self.t)
 
 
 class RadialKernel:
-    """Heat kernel of H^n as a radial function H(rho, t)."""
+    """Heat kernel of H^3 as a radial function H(rho, t)."""
 
     def __init__(self, n=3):
-        self.n = n
+        if n != 3:
+            raise ValueError(f"n={n}: the closed-form heat kernel is H^3's, n = 3")
 
     def density(self, rho, t):
-        """Pointwise kernel value; closed form, n = 3 only."""
-        if self.n != 3:
-            raise NotImplementedError("closed form implemented for n = 3 only")
+        """Pointwise kernel value from the closed form."""
         if np.any(np.asarray(t) <= 0):
             raise ValueError("t must be positive")
         rho = np.asarray(rho, dtype=float)
         return np.exp(self.log_density(rho, t))
 
     def log_density(self, rho, t):
-        if self.n != 3:
-            raise NotImplementedError("closed form implemented for n = 3 only")
         rho = np.asarray(rho, dtype=float)
         small = rho < 1e-6
         safe = np.where(small, 1.0, rho)
@@ -125,41 +113,18 @@ class RadialKernel:
         return -1.5 * np.log(4.0 * math.pi * t) + log_ratio - t - rho**2 / (4.0 * t)
 
     def radial_mass_density(self, rho, t):
-        """H(rho,t) * omega_{n-1} * sinh^{n-1}(rho): integrates to 1 over rho."""
+        """H(rho,t) * 4 pi * sinh^2(rho): integrates to 1 over rho."""
         return np.exp(self.log_radial_mass_density(rho, t))
 
     def log_radial_mass_density(self, rho, t):
         rho = np.asarray(rho, dtype=float)
         lg = self.log_density(rho, t)
-        out = lg + np.log(sphere_area(self.n))
-        return np.where(
-            rho > 0.0, out + (self.n - 1) * _log_sinh(np.maximum(rho, 1e-300)), -np.inf
-        )
-
-    def envelope(self, rho, t):
-        """Two-sided kernel envelope C t^{-n/2} (1+rho+t)^{(n-3)/2} (1+rho) e^{...}.
-
-        The exponential factor is exp(-rho^2/4t - (n-1)^2 t/4 - (n-1) rho / 2)
-        and C is ENV_LOWER below, ENV_UPPER above.  The constants are
-        calibrated against the closed form for n = 3 and are shape-only
-        (uncalibrated) for other n.
-        """
-        rho = np.asarray(rho, dtype=float)
-        n = self.n
-        log_shape = (
-            -0.5 * n * np.log(t)
-            + 0.5 * (n - 3) * np.log1p(rho + t)
-            + np.log1p(rho)
-            - rho**2 / (4.0 * t)
-            - 0.25 * (n - 1) ** 2 * t
-            - 0.5 * (n - 1) * rho
-        )
-        shape = np.exp(log_shape)
-        return ENV_LOWER * shape, ENV_UPPER * shape
+        out = lg + np.log(4.0 * math.pi)
+        return np.where(rho > 0.0, out + 2 * _log_sinh(np.maximum(rho, 1e-300)), -np.inf)
 
     def total_mass(self, t):
         """Quadrature of the radial mass density; equals 1 up to truncation."""
-        edges = _annulus_edges(t, self.n)
+        edges = _annulus_edges(t)
         return _panel_quad(lambda r: self.radial_mass_density(r, t), edges)
 
 
@@ -176,33 +141,33 @@ def l_of_eps(eps, C=C3_TAIL):
     return math.sqrt(8.0 * math.log(C / eps))
 
 
-def annulus_tail_mass(t, l, n=3):
-    """Kernel mass outside |rho - (n-1)t| <= l sqrt(t).
+def annulus_tail_mass(t, l):
+    """Kernel mass outside |rho - 2t| <= l sqrt(t).
 
     Computed as the direct quadrature of the two tail pieces, which is
     accurate for small tails; l = 0 returns the total mass 1.
     """
     if t < 1.0:
         raise ValueError("tail estimate defined for t >= 1")
-    kern = RadialKernel(n)
-    ann = AnnulusSpec(t, l, n)
-    hi = _cutoff(t, n)
+    kern = RadialKernel()
+    ann = AnnulusSpec(t, l)
+    hi = _cutoff(t)
     total = 0.0
     if ann.r_in > 0.0:
-        edges = _annulus_edges(t, n, lo=0.0, hi=ann.r_in)
+        edges = _annulus_edges(t, lo=0.0, hi=ann.r_in)
         total += _panel_quad(lambda r: kern.radial_mass_density(r, t), edges)
     if ann.r_out < hi:
-        edges = _annulus_edges(t, n, lo=ann.r_out, hi=hi)
+        edges = _annulus_edges(t, lo=ann.r_out, hi=hi)
         total += _panel_quad(lambda r: kern.radial_mass_density(r, t), edges)
     return total
 
 
-def annulus_average_bounds(Phi, t, l, n=3):
+def annulus_average_bounds(Phi, t, l):
     """Annulus integral of Phi against the kernel vs its Gaussian comparator.
 
-    Returns a dict with the annulus integral int Phi H sinh^{n-1} d rho
+    Returns a dict with the annulus integral int Phi H sinh^2 d rho
     (over the main annulus), the comparator
-    int_{-l}^{l} Phi((n-1)t + r sqrt t) e^{-r^2/4} dr, their ratio, and
+    int_{-l}^{l} Phi(2t + r sqrt t) e^{-r^2/4} dr, their ratio, and
     whether the two-sided sandwich with C3_SANDWICH holds.  Requires
     t >= 2 l^2 and l >= 1.
     """
@@ -210,20 +175,19 @@ def annulus_average_bounds(Phi, t, l, n=3):
         raise ValueError("sandwich hypothesis requires l >= 1")
     if t < 2.0 * l * l:
         raise ValueError("sandwich hypothesis requires t >= 2 l^2")
-    kern = RadialKernel(n)
-    ann = AnnulusSpec(t, l, n)
-    omega = sphere_area(n)
+    kern = RadialKernel()
+    ann = AnnulusSpec(t, l)
 
     def integrand(rho):
-        return Phi(rho) * kern.radial_mass_density(rho, t) / omega
+        return Phi(rho) * kern.radial_mass_density(rho, t) / (4.0 * math.pi)
 
-    edges = _annulus_edges(t, n, lo=max(ann.r_in, 0.0), hi=ann.r_out)
+    edges = _annulus_edges(t, lo=max(ann.r_in, 0.0), hi=ann.r_out)
     annulus = _panel_quad(integrand, edges)
 
     st = math.sqrt(t)
 
     def gauss_integrand(r):
-        return Phi((n - 1) * t + r * st) * np.exp(-(r**2) / 4.0)
+        return Phi(2 * t + r * st) * np.exp(-(r**2) / 4.0)
 
     redges = np.linspace(-l, l, 201)
     gauss = _panel_quad(gauss_integrand, redges)
@@ -242,49 +206,33 @@ def annulus_average_bounds(Phi, t, l, n=3):
     }
 
 
-def reduce_to_annulus(Phi, t, eps, n=3):
+def reduce_to_annulus(Phi, t, eps):
     """Upper bound (C'/sqrt t) int_{R_in}^{R_out} Phi d rho + eps, C' = C3_SANDWICH.
 
     Asserts domination of the full integral
-    int_0^inf Phi H omega sinh^{n-1} d rho; requires t >= 2 l(eps)^2.
+    int_0^inf Phi H 4 pi sinh^2 d rho; requires t >= 2 l(eps)^2.
     Returns (bound, full_integral, holds).
     """
     l = l_of_eps(eps)
     if t < 2.0 * l * l:
         raise ValueError("hypothesis t >= 2 l(eps)^2 violated")
-    kern = RadialKernel(n)
-    ann = AnnulusSpec(t, l, n)
+    kern = RadialKernel()
+    ann = AnnulusSpec(t, l)
 
     redges = np.linspace(max(ann.r_in, 0.0), ann.r_out, 257)
     annulus_plain = _panel_quad(lambda r: np.asarray(Phi(r), dtype=float), redges)
     bound = C3_SANDWICH / math.sqrt(t) * annulus_plain + eps
 
-    edges = _annulus_edges(t, n)
+    edges = _annulus_edges(t)
     full = _panel_quad(lambda r: Phi(r) * kern.radial_mass_density(r, t), edges)
     return bound, full, bound >= full - 1e-12
 
 
-def gaussian_profile(t, r, n=3):
-    """Normalised radial profile H((n-1)t + r sqrt t) sinh^{n-1}(...) sqrt(t).
-
-    Converges pointwise to a fixed Gaussian shape as t grows (the plotted
-    bump that defines the main annulus).
-    """
-    kern = RadialKernel(n)
-    rho = (n - 1) * t + np.asarray(r, dtype=float) * math.sqrt(t)
-    out = np.zeros_like(rho)
-    ok = rho > 0
-    out[ok] = (
-        kern.radial_mass_density(rho[ok], t) / sphere_area(n) * math.sqrt(t)
-    )
-    return out
-
-
-def peak_location(t, n=3):
-    """Argmax over rho of H(rho,t) sinh^{n-1}(rho); near (n-1)t for large t."""
-    kern = RadialKernel(n)
+def peak_location(t):
+    """Argmax over rho of H(rho,t) sinh^2(rho); near 2t for large t."""
+    kern = RadialKernel()
     st = math.sqrt(t)
-    grid = (n - 1) * t + st * np.linspace(-6.0, 6.0, 4001)
+    grid = 2 * t + st * np.linspace(-6.0, 6.0, 4001)
     grid = grid[grid > 0]
     vals = kern.log_radial_mass_density(grid, t)
     return float(grid[np.argmax(vals)])

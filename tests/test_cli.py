@@ -100,12 +100,18 @@ def test_extend_linear_tension_column_small(tmp_path):
     assert max(tension) <= 1e-3
 
 
-def test_unknown_key_exits_one(tmp_path):
-    # seed and quad_order are the flags --seed and --quad-order, not keys
-    for text in ("bogus=1\n", "seed=3\n", "quad_order=21\n"):
+def test_unknown_key_exits_one(tmp_path, capsys):
+    # seed and quad_order are the flags --seed and --quad-order, not keys,
+    # and kernel reads no boundary-map key
+    for cmd, text, key in (("extend", "bogus=1\n", "bogus"), ("extend", "seed=3\n", "seed"),
+                           ("extend", "quad_order=21\n", "quad_order"),
+                           ("kernel", "map=linear\nK=7\nc=3\n", "map")):
         cfg = write_cfg(tmp_path, text)
-        rc = main(["extend", "--config", cfg, "--out", str(tmp_path / "o")])
+        rc = main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1, text
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), text
+        assert f"unknown key {key!r}" in lines[0], text
 
 
 @pytest.mark.parametrize(
@@ -319,20 +325,22 @@ def test_cover_deep_stack(tmp_path):
     "cmd,cfg_text,message",
     [("goodset", "map=radial_stretch\nK=1.5\nbox_x=1e300\nn_x=10\nheights=1e-3\n",
       "contract violation: goodset: "),
+     ("goodset", "map=radial_stretch\nK=1.5\nbox_x=1e300\nn_x=10\nheights=1e-5\n",
+      "contract violation: goodset: "),
      ("cover", "map=shear\nc=1e300\nt=5.5\nmax_cylinders=1\nenumeration_cap=1\n"
       "audit_branches=1\nn_slab=8\n", "contract violation: cover: "),
      ("extend", "map=radial_stretch\nbox_x=1e300\n", "contract violation: extend: "),
      ("flow", "map=shear\nc=1e300\nresolution=7\nt_end=0.01\n",
       "contract violation: flow: non-finite initial data")],
-    ids=["goodset", "cover", "extend", "flow"],
+    ids=["goodset", "goodset_deep", "cover", "extend", "flow"],
 )
 def test_overflowed_extension_is_a_contract_violation(tmp_path, capsys, cmd, cfg_text, message):
     # the boundary values or energies overflow at the quadrature nodes, which
     # would fail every good-set test, give a NaN stacking average and seed
-    # the flow with non-finite data; the node pass refuses them before any
-    # sum reads them, and no CSV is written.  pytest turns RuntimeWarnings
-    # into errors, so this also checks that none is emitted: outside pytest
-    # stderr is the one line
+    # the flow with non-finite data; the node pass, or below DEEP_HEIGHT the
+    # closed-form moments, refuse them before the jet reads them, and no CSV
+    # is written.  pytest turns RuntimeWarnings into errors, so this also
+    # checks that none is emitted: outside pytest stderr is the one line
     rc, out = run(tmp_path, cmd, cfg_text)
     assert rc == 2
     err = capsys.readouterr().err
@@ -434,7 +442,7 @@ def _readme_tables():
 def test_readme_table_matches_schema():
     tables = _readme_tables()
     common = {k: (d, a) for k, d, a in tables[("common key", "default", "allowed")]}
-    listed = {cmd: dict(common) for cmd in SCHEMA}
+    listed = {cmd: {} if cmd == "kernel" else dict(common) for cmd in SCHEMA}
     for cmd, k, d, a in tables[("command", "key", "default", "allowed")]:
         listed[cmd][k] = (d, a)
     for cmd, schema in SCHEMA.items():

@@ -477,7 +477,7 @@ def test_cover_annulus_linear_all_good(ext_linear):
 
 
 def _cell(rho, address, side=1e-21):
-    return SectorRecord(rho, 1.0, np.full(2, 1e-20), side, address, 0.0, 0.0, True)
+    return SectorRecord(rho, 1.0, np.full(2, 1e-20), side, address, 0.0, True)
 
 
 def test_disjointness_compares_cell_addresses_at_any_depth():

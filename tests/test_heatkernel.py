@@ -10,19 +10,17 @@ from qcflow.heatkernel import (
     RadialKernel,
     annulus_average_bounds,
     annulus_tail_mass,
-    gaussian_profile,
     l_of_eps,
     peak_location,
     reduce_to_annulus,
-    sphere_area,
 )
 
-KERNEL = RadialKernel(3)
+KERNEL = RadialKernel()
 
 
 # recalibration sweeps that pin C3_TAIL and C3_SANDWICH
 
-def calibrate_tail_constant(eps_list=(0.1, 0.01), t_list=(4.0, 16.0, 64.0), n=3):
+def calibrate_tail_constant(eps_list=(0.1, 0.01), t_list=(4.0, 16.0, 64.0)):
     """Smallest C with tail(t, l_C(eps)) < eps across the sweep (bisection).
 
     The tail is decreasing in l and l is increasing in C, so feasibility
@@ -35,7 +33,7 @@ def calibrate_tail_constant(eps_list=(0.1, 0.01), t_list=(4.0, 16.0, 64.0), n=3)
                 return False
             l = l_of_eps(eps, C)
             for t in t_list:
-                if annulus_tail_mass(t, l, n) >= eps:
+                if annulus_tail_mass(t, l) >= eps:
                     return False
         return True
 
@@ -51,7 +49,7 @@ def calibrate_tail_constant(eps_list=(0.1, 0.01), t_list=(4.0, 16.0, 64.0), n=3)
     return hi
 
 
-def calibrate_sandwich_constant(t_list=(8.0, 16.0, 64.0), l_list=(1.0, 2.0), n=3):
+def calibrate_sandwich_constant(t_list=(8.0, 16.0, 64.0), l_list=(1.0, 2.0)):
     """Max two-sided annulus/Gaussian ratio bound over a profile sweep."""
     profiles = [
         lambda r: np.ones_like(np.asarray(r, dtype=float)),
@@ -63,7 +61,7 @@ def calibrate_sandwich_constant(t_list=(8.0, 16.0, 64.0), l_list=(1.0, 2.0), n=3
             if t < 2.0 * l * l:
                 continue
             for Phi in profiles:
-                res = annulus_average_bounds(Phi, t, l, n)
+                res = annulus_average_bounds(Phi, t, l)
                 ratio = res["ratio"]
                 worst = max(worst, ratio, 1.0 / ratio)
     return worst
@@ -99,8 +97,8 @@ def test_kernel_positive_and_rejects_bad_t():
     assert np.all(KERNEL.density(rho, 2.0) > 0.0)
     with pytest.raises(ValueError):
         KERNEL.density(1.0, 0.0)
-    with pytest.raises(NotImplementedError):
-        RadialKernel(4).density(1.0, 1.0)
+    with pytest.raises(ValueError):
+        RadialKernel(4)
 
 
 def test_total_mass_normalised():
@@ -125,17 +123,8 @@ def test_radial_pde_residual():
     assert worst < 1e-6
 
 
-def test_envelope_sandwich():
-    for t in (1.0, 4.0, 25.0):
-        rho = np.linspace(1e-3, (3 - 1) * t + 14 * math.sqrt(t), 800)
-        lo, up = KERNEL.envelope(rho, t)
-        d = KERNEL.density(rho, t)
-        assert np.all(lo <= d)
-        assert np.all(d <= up)
-
-
 def test_annulus_spec_arithmetic():
-    spec = AnnulusSpec(25.0, 2.0, 3)
+    spec = AnnulusSpec(25.0, 2.0)
     assert spec.r_in == pytest.approx(40.0)
     assert spec.r_out == pytest.approx(60.0)
 
@@ -168,13 +157,6 @@ def test_ballistic_peak_location():
         assert abs(pk - 2.0 * t) <= 2.0 * math.sqrt(t)
 
 
-def test_gaussian_profile_converges():
-    r = np.linspace(-3.0, 3.0, 61)
-    p16 = gaussian_profile(16.0, r)
-    p64 = gaussian_profile(64.0, r)
-    assert float(np.max(np.abs(p16 - p64))) < 0.05
-
-
 def test_sandwich_constant_and_bounds():
     worst = calibrate_sandwich_constant()
     assert worst <= C3_SANDWICH
@@ -189,7 +171,7 @@ def test_sandwich_constant_and_bounds():
 
 
 def test_sandwich_indicator_profile():
-    spec = AnnulusSpec(16.0, 2.0, 3)
+    spec = AnnulusSpec(16.0, 2.0)
     mid = 0.5 * (spec.r_in + spec.r_out)
 
     def inner_half(r):
@@ -224,7 +206,7 @@ def test_reduce_to_annulus_zero_and_constant():
 
 
 def test_reduce_to_annulus_bump_profile():
-    spec = AnnulusSpec(64.0, l_of_eps(0.1), 3)
+    spec = AnnulusSpec(64.0, l_of_eps(0.1))
     mid = 0.5 * (spec.r_in + spec.r_out)
     bump = lambda r: 3.0 * np.exp(-((np.asarray(r, float) - mid) ** 2) / 16.0)
     bound, full, holds = reduce_to_annulus(bump, 64.0, 0.1)
@@ -235,8 +217,3 @@ def test_reduce_to_annulus_hypothesis_enforced():
     one = lambda r: np.ones_like(np.asarray(r, float))
     with pytest.raises(ValueError):
         reduce_to_annulus(one, 4.0, 0.1)  # t < 2 l(eps)^2
-
-
-def test_sphere_area_values():
-    assert sphere_area(3) == pytest.approx(4.0 * math.pi)
-    assert sphere_area(2) == pytest.approx(2.0 * math.pi)
