@@ -125,12 +125,18 @@ def boundary_energy_density(f, x, out=None):
     Normalised so the identity has energy n-1; a non-finite Jacobian (at a
     pole) gives a non-finite energy for the caller to flag.  out is the
     Jacobian's block; the squared entries go into its rows and their sum,
-    returned, into the last.
+    returned, into the last.  A Jacobian that is one matrix broadcast over
+    x (the affine maps) has its squares summed once, in the same order, and
+    its squared rows are left unwritten.
     """
     x = np.asarray(x, dtype=float)
     m = x.shape[-1]
     out, rows = _rows(out, m * m + 1, x)
     J = boundary_jacobian(f, x, out)
+    if J.size and not any(J.strides[:-2]):
+        sq = np.square(J[(0,) * (J.ndim - 2)]).ravel()
+        rows[-1][...] = sum(sq[1:], sq[0])
+        return rows[-1]
     e = np.square(J[..., 0, 0], out=rows[-1])
     for r in range(1, m * m):
         e += np.square(J[..., r // m, r % m], out=rows[r])

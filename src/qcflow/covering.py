@@ -6,8 +6,8 @@ radius), all disks sharing one radius; the overlap multiplicity is a
 measured constant, counted through the inverse Fibonacci map with no
 centre array.  The count runs block by block: beside the 16 B per sample
 of its drawn angles, it holds one block of 8192 sample points (192 KiB)
-and, for each 512 of them, 16 candidate centres per point, i.e.
-512 x 16 x 8 B = 64 KiB per array.  Cylinders over the main annulus
+and, for each 910 of them, 9 candidate centres per point, i.e.
+910 x 9 x 8 B = 64 KiB per array.  Cylinders over the main annulus
 are partitioned into admissible sectors by stacking: each good sector's
 top face, viewed as a Euclidean cube through a bi-Lipschitz chart, is
 partitioned into subcubes of the next admissible scale and a good sector
@@ -175,9 +175,9 @@ def fibonacci_sphere(n_points):
 # sqrt(4 pi / N) bounds N^(3/2) and gives N <= ~6.5e8 (R ~ 8.08).
 MAX_LATTICE_COUNT = int((0.01 * math.sqrt(4.0 * math.pi) / (4 * 2.4 * 2.0**-52)) ** (2.0 / 3.0))
 POLAR_ROWS = 50     # rows at each pole searched directly (the inverse fails within ~2)
-_PATCH = np.mgrid[-1:3, -1:3].reshape(2, -1)   # (a, b) offsets around the cell
+_PATCH = np.mgrid[0:3, 0:3].reshape(2, -1)   # (a, b) offsets from the patch's low corner
 _FIB = np.round(GOLDEN_RATIO ** np.arange(32) / math.sqrt(5.0)).astype(np.int64)
-# Point-centre distances held at once by caps_at: 512 points x 16 patch
+# Point-centre distances held at once by caps_at: 910 points x 9 patch
 # centres x 8 B = 64 KiB per array, of which a block keeps about a dozen
 # alive (~0.75 MiB).  The arrays stay below glibc's default 128 KiB mmap
 # threshold: in the benchmark's cover workload, blocks of 2^14 (128 KiB
@@ -214,12 +214,15 @@ class FibonacciCover:
         N (1 - z^2)))), where the lattice in (theta, z) has the local basis
         of consecutive Fibonacci numbers F_k, F_k+1: index F moves theta by
         2 pi (F/phi^2 - round(F/phi^2)) and z by -2F/N.  The point's cell in
-        that basis and a 4 x 4 patch of offsets around it hold every centre
-        within one chord; lattice point (a, b) is index a F_k + b F_k+1.
-        Outside the polar rows k >= 6, so no two offsets share an index.
-        Points in the first or last POLAR_ROWS rows, where the local basis
-        fails, are checked against the polar band: every centre within one
-        chord in height of those rows.
+        that basis is solved for, and the 3 x 3 patch of offsets around the
+        cell corner nearest the point holds every centre within one chord
+        (tests/test_covering.py certifies it in every zone); lattice point
+        (a, b) is index a F_k + b F_k+1.  Outside the polar rows k >= 6, so
+        no two offsets share an index.  Points in the first or last
+        POLAR_ROWS rows, where the local basis fails, are checked against
+        the polar band: every centre within one chord in height of those
+        rows.  So the multiplicity is exact, and so is the nearest chord
+        wherever it is at most one chord; beyond that it is an upper bound.
         """
         points = np.asarray(points, dtype=float)
         n, chord = self.count, _chord(self.radius)
@@ -256,8 +259,10 @@ class FibonacciCover:
         x = np.arctan2(p[:, 1], p[:, 0])
         y = z - (1.0 - 1.0 / n)
         det = t0 * z1 - t1 * z0
-        ca = np.floor((z1 * x - t1 * y) / det).astype(np.int64)
-        cb = np.floor((t0 * y - z0 * x) / det).astype(np.int64)
+        # the patch starts one below the cell corner nearest the point: at
+        # floor(a) - 1 where the fraction a - floor(a) is below 1/2
+        ca = np.floor((z1 * x - t1 * y) / det - 0.5).astype(np.int64)
+        cb = np.floor((t0 * y - z0 * x) / det - 0.5).astype(np.int64)
         i = ((ca[:, None] + _PATCH[0]) * f0[:, None]
              + (cb[:, None] + _PATCH[1]) * f1[:, None])
         valid = (i >= 0) & (i < n)

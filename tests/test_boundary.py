@@ -38,6 +38,26 @@ def test_energy_density_constants():
     assert np.allclose(boundary_energy_density(lin, x), 5.0, atol=1e-7)
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 2), (2,), (0, 2)])
+@pytest.mark.parametrize("name", ["identity", "linear"])
+def test_affine_energy_is_the_per_node_sum_bit_for_bit(name, shape):
+    # the squares 1e16, 1, 1, 1 sum to 1e16 left to right, each 1 rounding
+    # away, and to more in any order that adds two ones first
+    A = np.array([[1e8, 1.0], [1.0, -1.0]])
+    f = make_boundary_map(name, **({"matrix": A} if name == "linear" else {}))
+    x = np.random.default_rng(3).normal(size=shape)
+    J = np.array(boundary_jacobian(f, x))
+    want = np.square(J[..., 0, 0])
+    for r in range(1, 4):
+        want = want + np.square(J[..., r // 2, r % 2])
+    for out in (None, np.full((5,) + shape[:-1], np.nan)):
+        e = boundary_energy_density(f, x, out)
+        assert e.shape == shape[:-1]
+        assert np.array_equal(e, want)
+        if out is not None:
+            assert np.array_equal(out[-1], want)
+
+
 def test_energy_density_radial_stretch():
     # polar-frame Jacobian of |x|^{K-1} x has singular values K|x|^{K-1}
     # and |x|^{K-1}; at K=2, |x|=1 the energy is 4 + 1

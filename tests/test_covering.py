@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -117,16 +118,40 @@ def test_blocked_cover_report_equals_one_pass(R, sample_size):
     assert rng.bit_generator.state == rng_once.bit_generator.state
 
 
+def test_workload_cover_report_is_pinned():
+    # the benchmark's cover as the 4 x 4 patch counted it, every field and
+    # the generator state after it; needs numpy alone, unlike the KD-tree
+    rng = np.random.default_rng(0)
+    _, rep = besicovitch_cover(R_WORKLOAD, rng=rng)
+    assert rep == {
+        "R": 4.650449448782785,
+        "radius": 0.0047786527228957975,
+        "count": 679382,
+        "max_multiplicity": 6,
+        "mean_multiplicity": 3.87656,
+        "covered_fraction": 1.0,
+        "covering_radius_sample": 0.003015770787843223,
+    }
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": 326717872530643525441619940606332531619,
+                  "inc": 87136372517582989555478159403783844777},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def test_cover_memory_is_the_angles_plus_one_block():
     # Only the drawn heights and azimuths grow with the sample: 16 B each.
     # A sample block holds its points (24 B), caps_at's mult, near and
     # non-polar index (8 B each) and passing temporaries: 64 B per point.
-    # An inner block of _BLOCK point-centre entries keeps at most 12
-    # arrays' worth of 8 B per entry alive (patch indices, the three
-    # centre coordinates, the three differences, the squared-sum chain,
-    # and its per-point arrays).  Small objects stay under 256 KiB.
-    # Measured: 2.80 MiB against this bound of 3.03 MiB at 1e5 samples
-    # (9.84 MiB when every sample was held at once).
+    # An inner block of _BLOCK point-centre entries (910 points x 9 patch
+    # centres) keeps at most 12 arrays' worth of 8 B per entry alive (patch
+    # indices, the three centre coordinates, the three differences, the
+    # squared-sum chain, and its per-point arrays).  Small objects stay
+    # under 256 KiB.  Measured: 2.87 MiB against this bound of 3.03 MiB at
+    # 1e5 samples (2.80 MiB with 512 points x 16 centres of the 4 x 4
+    # patch, 9.84 MiB when every sample was held at once).
     n = 100_000
     bound = 16 * n + 64 * _SAMPLE_BLOCK + 12 * 8 * _BLOCK + (1 << 18)
     tracemalloc.start()
@@ -158,7 +183,7 @@ def _polar_and_zone_samples(n, rng, per=64):
     return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
 
 
-@pytest.mark.parametrize("R", [-math.log(math.pi), 0.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("R", [-math.log(math.pi), 0.5, 2.0, 3.0, 4.0, R_WORKLOAD])
 def test_inverse_caps_equal_kdtree_oracle(R):
     # the inverse Fibonacci map finds exactly the caps a KD-tree over every
     # centre finds, with the same nearest chord to the last bit
@@ -186,6 +211,82 @@ def test_inverse_finds_every_center_at_distance_zero(n, frac):
     mult, near = cover.caps_at(cover.center([i]))
     assert near[0] == 0.0
     assert mult[0] >= 1
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _zone_edge(k, n):
+    """|z| where zone k begins: zone k holds sqrt5 pi n (1 - z^2) in [phi^2k, phi^(2k+2))."""
+    return math.sqrt(max(0.0, 1.0 - GOLDEN_RATIO ** (2 * k) / (math.sqrt(5.0) * math.pi * n)))
+
+
+CERT_GRID = 33   # grid points per quadrant edge
+
+
+@pytest.mark.parametrize("n", [459, 3389, 679_382, MAX_LATTICE_COUNT])
+def test_nearest_corner_patch_holds_every_cap(n):
+    # A point at cell coordinates (A + fa, B + fb) is counted over the 3 x 3
+    # offsets around the cell corner nearest it.  The 7 offsets of the old
+    # 4 x 4 patch (-1..2 from A, B) that this leaves out lie farther than
+    # chord (1 + m) at every point of each quadrant of the cell, at every
+    # height of every zone the inverse reaches, both hemispheres, and at
+    # +-1e-9 relative of every zone edge.  In the local basis the chord
+    # depends only on the height and the offset, so the lattice is built
+    # from the basis in closed form.  m: below MAX_LATTICE_COUNT the
+    # rounding of theta_i moves a centre off its lattice point by at most 1%
+    # of the spacing, and the point's cell coordinates (the same products)
+    # by as much, so m = 2 x 1% x spacing / chord.  Between grid points h
+    # apart the chord moves by at most (|e_a| + |e_b|) h / 2, the basis
+    # lengths taken at the point's height, where they vary well under 1%
+    # over h / 2.  Measured: the smallest ratio on the grid is 1.0683 (zone
+    # 7 at the polar rows' edge, fb = 1/2, at MAX_LATTICE_COUNT), 1.0535
+    # with that slack, against 1 + m = 1.018.
+    radius = math.sqrt(4.0 * math.pi / (n - 1)) / LATTICE_SPACING   # the largest with n caps
+    chord = 2.0 * math.sin(radius / 2.0)
+    m = 2.0 * 0.01 * LATTICE_SPACING * radius / chord
+    z_polar = 1.0 - 2.0 * POLAR_ROWS / n
+
+    def zone(z):
+        return math.floor(math.log(math.sqrt(5.0) * math.pi * n * (1.0 - z * z))
+                          / math.log(GOLDEN_RATIO**2))
+
+    h = 0.5 / (CERT_GRID - 1)
+    frac = np.linspace(0.0, 0.5, CERT_GRID)
+    worst = math.inf
+    for k in range(zone(z_polar), zone(0.0) + 1):
+        assert k >= 6
+        f0, f1 = _fibonacci(k), _fibonacci(k + 1)
+        t0, t1 = (2.0 * math.pi * (f / GOLDEN_RATIO**2 - round(f / GOLDEN_RATIO**2))
+                  for f in (f0, f1))
+        z0, z1 = -2.0 * f0 / n, -2.0 * f1 / n
+        lo, hi = _zone_edge(k + 1, n), min(_zone_edge(k, n), z_polar)
+        zs = np.array([*np.linspace(lo, hi, 17)]
+                      + [e * (1.0 + r) for e in (lo, hi) if 0.0 < e < z_polar
+                         for r in (-1e-9, 1e-9)])
+        zs = zs[zs <= z_polar]
+        zp = np.concatenate([zs, -zs])[:, None, None]
+        rp = np.sqrt(1.0 - zp * zp)
+        slack = (np.hypot(rp * t0, z0 / rp) + np.hypot(rp * t1, z1 / rp)) * h / 2.0
+        for qa, qb in itertools.product((0, 1), repeat=2):
+            fa, fb = (g.reshape(1, -1, 1) for g in
+                      np.meshgrid(qa / 2.0 + frac, qb / 2.0 + frac, indexing="ij"))
+            patch = set(itertools.product(range(qa - 1, qa + 2), range(qb - 1, qb + 2)))
+            left_out = np.array([o for o in itertools.product(range(-1, 3), repeat=2)
+                                 if o not in patch]).T
+            assert left_out.shape == (2, 7)
+            da, db = left_out[0] - fa, left_out[1] - fb
+            dtheta, zc = da * t0 + db * t1, zp + da * z0 + db * z1
+            exists = np.abs(zc) <= 1.0 - 1.0 / n + 1e-12   # index in [0, n)
+            rc = np.sqrt(1.0 - np.minimum(zc * zc, 1.0))
+            d = np.sqrt((rp - rc) ** 2 + 4.0 * rp * rc * np.sin(dtheta / 2.0) ** 2
+                        + (zp - zc) ** 2)
+            worst = min(worst, float(np.min(np.where(exists, d - slack, np.inf))) / chord)
+    assert worst > 1.0 + m
 
 
 def test_cover_guards_allocate_nothing_large():
