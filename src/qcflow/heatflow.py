@@ -1,11 +1,12 @@
-"""Super-time-stepped intrinsic time-stepping of the harmonic-map heat flow.
+"""Runge-Kutta-Legendre super-steps of the harmonic-map heat flow.
 
 The flow du/dt = tau(u) is discretised on a uniform grid over a
 coordinate box [-X, X]^{n-1} x [s_lo, s_hi], truncated by freezing the
 outermost node layer at the initial map (the flow stays at bounded
 distance from its initial data, which justifies the Dirichlet surrogate).
-Each step moves interior nodes along the geodesic in the direction of
-the tension field.
+The Euler step `flow_step` moves interior nodes along the geodesic in
+the direction of the tension field; it is the first stage of every
+super-step of `run_flow`.
 
 A FlowGrid stores its node values component-major: one row of an
 (n, nodes) array per coordinate, nodes in C order, and `grid.u` is an
@@ -29,16 +30,20 @@ and the next step's tension share one jet and one tension pass;
 `grid.u` is read-only and every write to the store goes through the
 setter or a step.
 
-`run_flow` advances by super-time-stepping (Alexiades, Amiez & Gremaud,
-Commun. Numer. Meth. Eng. 12, 1996): each super-step is STS_STAGES
-calls of the one Euler step `flow_step` with the substeps
-tau_j = dt / ((nu - 1) cos((2j - 1) pi / 2N) + 1 + nu), nu = STS_DAMPING,
-smallest first.  Their sum is about 12 dt, so the flow evaluates the
-tension half as often per unit time as Euler at dt.  The amplification
-of a mode with lambda dt in [0, 2] after every prefix of the schedule
-stays <= 1 in that order, so the energy guard before each substep keeps
-its meaning.  Stability needs the base step dt within the explicit limit
-2/rho, rho the spectral radius of the linearised tension, which
+`run_flow` advances by RKL2 super-steps (Meyer, Balsara & Aslam,
+J. Comput. Phys. 257, 2014).  A super-step of length delta and s stages
+is stable where the Euler step dt is as long as delta <= (s^2 + s - 2)/4
+dt, 67.5 dt at s = RKL_STAGES = 16, and evaluates the tension s times:
+4.2 base steps per evaluation, against 1 for Euler.  Stage 1 is
+`flow_step` with step mu_tilde_1 delta; stages 2..s combine the last two
+stages, Y_0, tau(Y_{j-1}) and tau(Y_0) in coordinates, in place over the
+flat range (`rkl2_coefficients`).  Every stage polynomial stays within
+[-1, 1] on the stable range, so the energy guard before each stage keeps
+its meaning.  The price is damping: a super-step multiplies the stiff
+modes (lambda dt in [1, 1.8]) by up to 0.62, where Euler steps to the
+same time remove them, so rough initial data leaves more of its noise in
+the first records.  Stability needs the base step dt within the explicit
+limit 2/rho, rho the spectral radius of the linearised tension, which
 `spectral_radius` estimates by the nonlinear power method of RKC
 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998) before
 the first step.
@@ -61,7 +66,7 @@ __all__ = [
     "FlowTrace",
     "init_flow",
     "flow_step",
-    "sts_substeps",
+    "rkl2_coefficients",
     "spectral_radius",
     "run_flow",
     "hamilton_check",
@@ -78,19 +83,20 @@ BLOWUP_REASON = "energy blow-up: CFL violation"
 STATS_MARGIN = 3  # stencil widths excluded from interior statistics
 RADIAL_TOL = 0.35  # hamilton_check: allowed spread of |tau|^2 per radial bin, per scale
 RADIAL_BINS = 40   # hamilton_check: radial bins of the initial |tau|^2 profile
-STS_STAGES = 6     # Euler substeps per super-step
-STS_DAMPING = 0.06  # nu: sets the error (nu = 0.05 at 8 stages fails the dt-halving
-                    # test); the gain over Euler saturates near 1/(2 sqrt(nu))
+RKL_STAGES = 16    # stages of the longest RKL2 super-step, which covers 67.5 base steps;
+                   # at 24 the workload's time error rose from 8.3e-5 to 4.5e-4 and its
+                   # final sup|tau| fell 1%
 POWER_EPS = 1e-7   # spectral_radius: size of the directional difference
 POWER_RTOL = 1e-3  # spectral_radius: relative change that stops the iteration
 POWER_MAX_ITER = 50  # spectral_radius: iteration cap (7-13 used at 9^3-33^3)
 DEFAULT_DT_RHO = 1.9  # run_flow: cap on the default dt * rho, 5% inside the limit 2
                       # because the power method converges to rho from below
 RECORDS = 40       # run_flow: records kept by the default record_every
-# Longest plan run_flow accepts.  A super-step on the coarsest grid the
-# statistics allow (7^3) costs 0.86 ms (six 144 us Euler steps, 2-core x86,
-# numpy 2.4.6), so a longer plan runs for over 15 minutes on every grid, and
-# its list holds 88 bytes per super-step.  Criterion 7 takes 479.
+# Longest plan run_flow accepts.  A 16-stage super-step on the coarsest grid
+# the statistics allow (7^3) costs 2.1 ms (a 144 us Euler step and 15
+# combined stages, 2-core x86, numpy 2.4.6), so a longer plan runs for over
+# half an hour on every grid, and its list holds 96 bytes per super-step.
+# Criterion 7 takes 76.
 MAX_SUPER_STEPS = 10**6
 
 
@@ -170,6 +176,7 @@ class FlowGrid:
         self._tau = np.empty((n, size))
         self._norm, self._energy = np.empty((2, size))
         self._stage = np.empty((n, hi - lo))  # one block: the checks read it unbuffered
+        self._rkl = np.empty((3, n, hi - lo))  # Y_0, tau(Y_0) and Y_{j-2} of a super-step
         self._scratch = np.empty((max(tn.SCRATCH_ROWS, STEP_SCRATCH_ROWS), hi - lo))
         heights = self.nodes[..., -1].ravel()
         inside = np.zeros(shape, dtype=bool)
@@ -323,7 +330,7 @@ def check_flow_plan(box, resolution, t_end, dt=None):
 
 def _check_plan_length(box, resolution, t_end, dt, step):
     """ValueError when t_end takes more than MAX_SUPER_STEPS super-steps of base step `step`."""
-    if not t_end <= MAX_SUPER_STEPS * float(np.sum(sts_substeps(step))):
+    if not t_end <= MAX_SUPER_STEPS * _reach(RKL_STAGES) * step:
         given = "dt unset" if dt is None else f"dt={dt:g}"
         raise ValueError(
             f"box_x={box[0]:g}, resolution={resolution}, t_end={t_end:g}, {given}: the flow "
@@ -341,28 +348,97 @@ def flow_step(grid, dt, max_energy=np.inf):
     interior node (the blow-up guard), or when the step produces invalid
     node values; the grid is then left as it was.
     """
+    _guard_energy(grid, max_energy)
+    geodesic_step(grid._val_r, grid._tau_r, dt, out=grid._stage_r, scratch=grid._scratch)
+    _accept_stage(grid)
+    return grid
+
+
+def _guard_energy(grid, max_energy):
+    """Tension pass of the current values; FloatingPointError when their
+    energy density exceeds max_energy at an interior node."""
     grid.tension(energy=True)
     if np.max(grid._energy_r, where=grid._inside, initial=-np.inf) > max_energy:
         raise FloatingPointError(BLOWUP_REASON)
-    moved = geodesic_step(grid._val_r, grid._tau_r, dt, out=grid._stage_r,
-                          scratch=grid._scratch)
+
+
+def _accept_stage(grid):
+    """Write grid._stage over the range; FloatingPointError, with the grid
+    left as it was, when it holds non-finite values or non-positive heights."""
+    moved = grid._stage_r
     if not np.all(np.isfinite(moved)) or np.any(moved[..., -1] <= 0.0):
         raise FloatingPointError("flow step produced invalid node values")
     grid._val_r[...] = moved
     grid._fresh.clear()
-    return grid
 
 
-def sts_substeps(dt):
-    """The STS_STAGES Euler substeps of one super-step of base step dt, smallest first.
+def _reach(s):
+    """Base steps that an RKL2 super-step of s stages covers, (s^2 + s - 2) / 4.
 
-    tau_j = dt / ((nu - 1) cos((2j - 1) pi / 2N) + 1 + nu) for j = N, ..., 1,
-    with N = STS_STAGES and nu = STS_DAMPING.  In this order every partial
-    product of (1 - tau_j lambda) has modulus <= 1 for lambda dt in [0, 2].
+    Its stage polynomials stay within [-1, 1] for lambda delta up to twice
+    this, so a super-step of length delta <= _reach(s) dt is stable where
+    the Euler step dt is (lambda dt <= 2).
     """
-    j = np.arange(STS_STAGES, 0, -1)
-    cos = np.cos((2 * j - 1) * np.pi / (2 * STS_STAGES))
-    return dt / ((STS_DAMPING - 1.0) * cos + 1.0 + STS_DAMPING)
+    return (s * s + s - 2) / 4
+
+
+def rkl2_coefficients(s):
+    """(mu, nu, mu_tilde, gamma_tilde) of the s stages of an RKL2 super-step.
+
+    Entry j - 1 belongs to stage j, which sets
+    Y_j = mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0
+          + mu_tilde delta tau(Y_{j-1}) + gamma_tilde delta tau(Y_0)
+    in a super-step of length delta (Meyer, Balsara & Aslam, J. Comput.
+    Phys. 257, 2014): with b_0 = b_1 = 1/3, b_j = (j^2 + j - 2) / (2j(j + 1)),
+    a_j = 1 - b_j and w_1 = 1 / _reach(s), mu_j = (2j - 1) b_j / (j b_{j-1}),
+    nu_j = -(j - 1) b_j / (j b_{j-2}), mu_tilde_j = mu_j w_1 and
+    gamma_tilde_j = -a_{j-1} mu_tilde_j.  Stage 1 is the Euler step
+    Y_1 = Y_0 + b_1 w_1 delta tau(Y_0) (mu = 1, nu = gamma_tilde = 0).  On
+    a mode of rate lambda, stage j multiplies by a_j + b_j P_j(1 - w_1 lambda
+    delta), P_j the Legendre polynomial, and the last stage is second order.
+    """
+    j = np.arange(2, s + 1)
+    b = np.concatenate(([1 / 3, 1 / 3], (j * j + j - 2) / (2.0 * j * (j + 1))))
+    mu, nu, gamma = np.ones(s), np.zeros(s), np.zeros(s)
+    mu[1:] = (2 * j - 1) / j * b[2:] / b[1:-1]
+    nu[1:] = -(j - 1) / j * b[2:] / b[:-2]
+    mu_tilde = mu / _reach(s)
+    mu_tilde[0] = b[1] / _reach(s)
+    gamma[1:] = -(1.0 - b[1:-1]) * mu_tilde[1:]
+    return mu, nu, mu_tilde, gamma
+
+
+def _super_step(grid, delta, coefficients, max_energy):
+    """One RKL2 super-step of length delta; stage 1 is `flow_step`.
+
+    Stages 2..s combine in place over the range, with Y_0, tau(Y_0) and
+    Y_{j-2} in the grid's stage arrays.  Each runs the energy guard on
+    Y_{j-1} and the checks of `flow_step` on Y_j, whose boundary lanes
+    are copied back from Y_0: the combination is not a bitwise identity
+    on them.
+    """
+    lo, hi = grid._lo, grid._hi
+    y, tau, new = grid._store[:, lo:hi], grid._tau[:, lo:hi], grid._stage
+    y0, tau0, y_prev = grid._rkl
+    edge = grid._edge - lo
+    mu, nu, mu_tilde, gamma = coefficients
+    grid.tension()  # the pass that stage 1 reuses
+    y0[...] = y
+    tau0[...] = tau
+    y_prev[...] = y
+    flow_step(grid, mu_tilde[0] * delta, max_energy)
+    for j in range(1, len(mu)):
+        _guard_energy(grid, max_energy)
+        np.multiply(y, mu[j], out=new)
+        y_prev *= nu[j]
+        new += y_prev
+        for coef, term in ((1.0 - mu[j] - nu[j], y0), (mu_tilde[j] * delta, tau),
+                           (gamma[j] * delta, tau0)):
+            np.multiply(term, coef, out=y_prev)
+            new += y_prev
+        y_prev[...] = y
+        new[:, edge] = y0[:, edge]
+        _accept_stage(grid)
 
 
 def spectral_radius(grid):
@@ -407,19 +483,21 @@ def spectral_radius(grid):
     return rho
 
 
-def _super_steps(schedule, t_end, snapshot_times):
-    """(t, substeps) of every super-step, landing exactly on t_end and the snapshot times.
+def _super_steps(dt, t_end, snapshot_times):
+    """(t, delta, coefficients) per super-step, landing exactly on t_end and the snapshot times.
 
     A segment of length L between two such times takes
-    M = ceil(L / sum(schedule)) super-steps of the schedule scaled by
-    L / (M sum(schedule)) <= 1.
+    M = ceil(L / (_reach(RKL_STAGES) dt)) super-steps of length delta = L / M,
+    each of the fewest stages s with _reach(s) dt >= delta.
     """
-    reach = float(np.sum(schedule))
     plan, a = [], 0.0
     for b in sorted({s for s in snapshot_times if 0.0 < s < t_end} | {t_end}):
-        m = math.ceil((b - a) / reach)
-        substeps = schedule * ((b - a) / (m * reach))
-        plan += [(a + (b - a) * i / m, substeps) for i in range(1, m)] + [(b, substeps)]
+        m = math.ceil((b - a) / (_reach(RKL_STAGES) * dt))
+        delta = (b - a) / m
+        stages = next((s for s in range(2, RKL_STAGES) if _reach(s) * dt >= delta), RKL_STAGES)
+        coefficients = rkl2_coefficients(stages)
+        plan += [(a + (b - a) * i / m, delta, coefficients) for i in range(1, m)]
+        plan.append((b, delta, coefficients))
         a = b
     return plan
 
@@ -427,14 +505,14 @@ def _super_steps(schedule, t_end, snapshot_times):
 def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     """Run the heat flow on grid and record (t, sup|tau|, sup drift, mean energy).
 
-    Advances by super-steps, each STS_STAGES calls of `flow_step` with the
-    substeps `sts_substeps(dt)`, from the base step dt (by default the CFL
-    step, capped at DEFAULT_DT_RHO / spectral_radius); they land exactly
-    on t_end and on every snapshot time in (0, t_end].  A record is taken
-    every record_every super-steps (by default about RECORDS records) and
-    at t_end.  Aborts with a partial trace on energy blow-up: before the
+    Advances by RKL2 super-steps of at most RKL_STAGES stages, each at
+    most 67.5 base steps dt long (by default the CFL step, capped at
+    DEFAULT_DT_RHO / spectral_radius); they land exactly on t_end and on
+    every snapshot time in (0, t_end].  A record is taken every
+    record_every super-steps (by default at most RECORDS after the start) and at
+    t_end.  Aborts with a partial trace on energy blow-up: before the
     first step, leaving the grid unchanged, when dt exceeds the explicit
-    limit 2 / spectral_radius; before every substep and at every record
+    limit 2 / spectral_radius; before every stage and at every record
     when the energy density exceeds BLOWUP_FACTOR times its initial
     maximum.  It also aborts on invalid node values.  Raises ValueError,
     before the plan is built, when t_end takes more than MAX_SUPER_STEPS
@@ -450,7 +528,7 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
         dt = min(cfl_time_step(grid), DEFAULT_DT_RHO / rho if rho else math.inf)
     _check_plan_length(grid.box, grid.resolution, t_end, given, dt)
     snapshot_times = set(snapshot_times or [])
-    plan = _super_steps(sts_substeps(dt), t_end, snapshot_times)
+    plan = _super_steps(dt, t_end, snapshot_times)
     if record_every is None:
         record_every = math.ceil(len(plan) / RECORDS)
     stable = dt * rho <= 2.0
@@ -463,10 +541,9 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     mean_e = [float(np.mean(grid.stats_view(e0)))]
     snaps = {}
     aborted, reason = (False, "") if stable else (True, BLOWUP_REASON)
-    for k, (t, substeps) in enumerate(plan if stable else [], 1):
+    for k, (t, delta, coefficients) in enumerate(plan if stable else [], 1):
         try:
-            for tau in substeps:
-                flow_step(grid, tau, max_energy)
+            _super_step(grid, delta, coefficients, max_energy)
         except FloatingPointError as exc:
             aborted, reason = True, str(exc)
             break

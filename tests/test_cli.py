@@ -207,9 +207,9 @@ def test_flow_dt_above_the_explicit_limit_is_contract_violation(tmp_path, capsys
 
 @pytest.mark.parametrize("cfg_text", [
     "box_x=1e-200\n",           # the CFL step underflows to 0
-    "box_x=1e-8\n",             # 5.9e15 super-steps of the CFL step
+    "box_x=1e-8\n",             # 1.1e15 super-steps of the CFL step
     "box_x=1e-200\ndt=0.01\n",  # a given dt is counted at the CFL step
-    "t_end=1e5\n",              # an ordinary box, stepped for too long
+    "t_end=1e6\n",              # an ordinary box, stepped for too long (the cap is 3.3e5)
 ], ids=["underflow", "tiny", "tiny_dt", "long"])
 def test_flow_too_long_to_step_is_config_error(tmp_path, capsys, monkeypatch, cfg_text):
     # refused before the grid is built: its stencil factors would overflow
