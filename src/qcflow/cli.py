@@ -78,6 +78,8 @@ def _count(default, lo=1):
     return Key(int, default, f"integer >= {lo}", lambda v: v >= lo)
 
 
+KERNEL_SPAN = 6.0  # kernel_profile.csv samples rho in 2t -/+ KERNEL_SPAN sqrt(t)
+
 # Every config key of every command: its parser, default and allowed range.
 _COMMON = {
     "map": Key(str, "identity", ", ".join(CATALOG), lambda v: v in CATALOG),
@@ -107,7 +109,6 @@ SCHEMA = {
     },
     "kernel": {
         "t": _at_least("16.0", 1),
-        "r_span": _above("6.0", 0),
         "n_rho": _count("201"),
     },
     "cover": {
@@ -246,7 +247,7 @@ def cmd_kernel(cfg, out, seed, order):
         raise ContractViolation(f"kernel: mass {mass} deviates from 1 beyond 1e-6")
 
     center = 2.0 * t
-    half = cfg["r_span"] * math.sqrt(t)
+    half = KERNEL_SPAN * math.sqrt(t)
     rho = np.linspace(max(center - half, 1e-6), center + half, cfg["n_rho"])
     dens = kern.radial_mass_density(rho, t) / (4.0 * math.pi)
 

@@ -47,9 +47,6 @@ limit 2/rho, rho the spectral radius of the linearised tension, which
 `spectral_radius` estimates by the nonlinear power method of RKC
 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998) before
 the first step.
-
-`hamilton_check` compares a flow against the closed-form heat kernel of
-H^3, so it takes grids with n = 3 only.
 """
 
 import math
@@ -59,7 +56,6 @@ import numpy as np
 
 from . import tension as tn
 from .geometry import STEP_SCRATCH_ROWS, dist, geodesic_step, log_map
-from .heatkernel import RadialKernel, _panel_quad
 
 __all__ = [
     "FlowGrid",
@@ -69,7 +65,6 @@ __all__ = [
     "rkl2_coefficients",
     "spectral_radius",
     "run_flow",
-    "hamilton_check",
     "radial_bump_map",
     "cfl_time_step",
     "check_flow_plan",
@@ -81,8 +76,6 @@ CFL_COEFF = 0.2   # dt = CFL_COEFF * (min spacing / s_hi)^2; sits just at the
 BLOWUP_FACTOR = 10.0
 BLOWUP_REASON = "energy blow-up: CFL violation"
 STATS_MARGIN = 3  # stencil widths excluded from interior statistics
-RADIAL_TOL = 0.35  # hamilton_check: allowed spread of |tau|^2 per radial bin, per scale
-RADIAL_BINS = 40   # hamilton_check: radial bins of the initial |tau|^2 profile
 RKL_STAGES = 16    # stages of the longest RKL2 super-step, which covers 67.5 base steps;
                    # at 24 the workload's time error rose from 8.3e-5 to 4.5e-4 and its
                    # final sup|tau| fell 1%
@@ -570,7 +563,7 @@ def radial_bump_map(center, amp, width):
 
     Moves p along the radial geodesic from center by amp exp(-rho^2/w^2)
     rho, so the tension field is a radial function of rho (up to
-    discretisation), as the parabolic-maximum-principle check requires.
+    discretisation).
     """
     center = np.asarray(center, dtype=float)
 
@@ -582,67 +575,3 @@ def radial_bump_map(center, amp, width):
         return geodesic_step(pts, w, fac)
 
     return ev
-
-
-def hamilton_check(grid0, snapshots, center_point=None):
-    """Parabolic maximum principle check on radial test data.
-
-    Verifies |tau(u)(x0, t)|^2 <= int H(x0, y, t) |tau(u0)(y)|^2 dlambda(y)
-    at the test center x0 (the interior node nearest center_point, or the
-    middle node), with the right side computed by radial quadrature from
-    the initial profile binned into RADIAL_BINS.  The initial |tau|^2 must
-    be radial around the center within RADIAL_TOL of its scale, else the
-    check is rejected.  The heat kernel is the closed form for H^3, so the
-    grid must have n = 3.  Returns a list of (t, lhs, rhs, holds) rows.
-    """
-    if grid0.n != 3:
-        raise ValueError(f"hamilton_check: grid has n = {grid0.n}, but the heat "
-                         "kernel is the closed form for H^3")
-    kernel = RadialKernel()
-    core = grid0.interior()
-    _, norm0 = grid0.tension()
-    nodes = grid0.nodes[core]
-    if center_point is not None:
-        d = dist(nodes, np.broadcast_to(np.asarray(center_point, float), nodes.shape))
-        center = np.unravel_index(int(np.argmin(d)), d.shape)
-    else:
-        center = tuple((s - 1) // 2 for s in norm0.shape)
-    x0 = nodes[center]
-
-    rho = dist(nodes, np.broadcast_to(x0, nodes.shape))
-    tau_sq = norm0**2
-    rho_max = float(np.max(rho))
-    edges = np.linspace(0.0, rho_max, RADIAL_BINS + 1)
-    prof = np.zeros(RADIAL_BINS)
-    # numerically-zero profiles (harmonic data) count as radial
-    scale = max(float(np.max(tau_sq)), 1e-8)
-    for b in range(RADIAL_BINS):
-        inb = (rho >= edges[b]) & (rho < edges[b + 1])
-        if not np.any(inb):
-            continue
-        lo, hi = float(np.min(tau_sq[inb])), float(np.max(tau_sq[inb]))
-        if hi - lo > RADIAL_TOL * scale:
-            raise ValueError(
-                f"initial |tau|^2 is not radial around the center "
-                f"(bin {b}: spread {hi - lo:.3g} vs scale {scale:.3g})"
-            )
-        prof[b] = hi  # conservative envelope
-
-    def Phi(r):
-        r = np.asarray(r, dtype=float)
-        idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, RADIAL_BINS - 1)
-        out = prof[idx]
-        return np.where(r >= rho_max, 0.0, out)
-
-    rows = []
-    for t, u_t in sorted(snapshots.items()):
-        work = FlowGrid(grid0.box, grid0.resolution, u_t, grid0.n)
-        _, norm_t = work.tension()
-        lhs = float(norm_t[center] ** 2)
-        redges = np.linspace(0.0, rho_max, 801)
-        rhs = _panel_quad(
-            lambda r: Phi(r) * kernel.radial_mass_density(np.maximum(r, 1e-12), t),
-            redges,
-        )
-        rows.append((t, lhs, rhs, lhs <= rhs + 1e-6 + 0.05 * rhs))
-    return rows

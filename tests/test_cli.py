@@ -102,10 +102,11 @@ def test_extend_linear_tension_column_small(tmp_path):
 
 def test_unknown_key_exits_one(tmp_path, capsys):
     # seed and quad_order are the flags --seed and --quad-order, not keys,
-    # and kernel reads no boundary-map key
+    # kernel reads no boundary-map key and its profile span is a constant
     for cmd, text, key in (("extend", "bogus=1\n", "bogus"), ("extend", "seed=3\n", "seed"),
                            ("extend", "quad_order=21\n", "quad_order"),
-                           ("kernel", "map=linear\nK=7\nc=3\n", "map")):
+                           ("kernel", "map=linear\nK=7\nc=3\n", "map"),
+                           ("kernel", "r_span=6\n", "r_span")):
         cfg = write_cfg(tmp_path, text)
         rc = main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1, text

@@ -561,7 +561,7 @@ def test_rkl2_error_against_a_fine_euler_reference(K):
 
 
 # ---------------------------------------------------------------------------
-# parabolic maximum principle on radial test data
+# radial bump data
 
 def _bump_grid(amp=0.08, width=0.8, res=17):
     # the height grid hits the bump center (0, 0, 1) exactly at index 4
@@ -583,38 +583,3 @@ def test_radial_bump_tension_is_radial():
     close = np.nonzero(np.diff(r_sorted) < 1e-4)[0]
     if close.size:
         assert np.max(np.abs(v_sorted[close + 1] - v_sorted[close])) < 0.05 * np.max(v_sorted)
-
-
-def test_hamilton_check_harmonic_data(f_linear):
-    grid = hf.init_flow(f_linear, (2.0, 0.3, 3.0), 13)
-    trace, _, snaps = hf.run_flow(grid, t_end=0.1, snapshot_times=[0.05, 0.1])
-    base = hf.FlowGrid(grid.box, grid.resolution, grid.u0)
-    rows = hf.hamilton_check(base, snaps)
-    for t, lhs, rhs, holds in rows:
-        assert holds
-        assert lhs < 1e-6
-
-
-def test_hamilton_check_bump_inequality():
-    grid, center = _bump_grid()
-    u_init = grid.u.copy()
-    trace, _, snaps = hf.run_flow(grid, t_end=0.5, snapshot_times=[0.1, 0.25, 0.5])
-    assert not trace.aborted
-    base = hf.FlowGrid(grid.box, grid.resolution, u_init)
-    rows = hf.hamilton_check(base, snaps, center_point=center)
-    assert len(rows) == 3
-    for t, lhs, rhs, holds in rows:
-        assert holds, (t, lhs, rhs)
-
-
-def test_hamilton_check_rejects_non_radial_profile(f_stretch):
-    grid = hf.init_flow(f_stretch, (2.0, 0.3, 3.0), 13)
-    with pytest.raises(ValueError):
-        hf.hamilton_check(grid, {0.1: grid.u.copy()})
-
-
-def test_hamilton_check_refuses_a_grid_off_h3():
-    # the kernel is the closed form for H^3: refused at entry, before binning
-    grid = hf.FlowGrid(BOX, 11, lambda p: p, n=4)
-    with pytest.raises(ValueError, match="closed form for H\\^3"):
-        hf.hamilton_check(grid, {0.1: grid.u.copy()})
