@@ -4,13 +4,7 @@ and sector coverings, in the upper half-space model."""
 
 from .boundary import BoundaryMap, make_boundary_map
 from .extension import GoodExtension, QuadratureRule
-from .geometry import (
-    INFINITY,
-    Mobius,
-    PolarFrame,
-    dist,
-    geodesic_step,
-)
+from .geometry import INFINITY, Mobius, dist, geodesic_step
 from .heatkernel import RadialKernel
 from .tension import energy_density, map_distortion
 
@@ -21,7 +15,6 @@ __all__ = [
     "QuadratureRule",
     "INFINITY",
     "Mobius",
-    "PolarFrame",
     "dist",
     "geodesic_step",
     "RadialKernel",

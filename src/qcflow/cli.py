@@ -21,7 +21,6 @@ from . import covering as cov
 from . import heatflow as hf
 from .boundary import CATALOG, make_boundary_map
 from .extension import DEFAULT_ORDER, MAX_QUAD_ORDER, GoodExtension
-from .geometry import PolarFrame
 from .heatkernel import C3_TAIL, RadialKernel, annulus_tail_mass, l_of_eps
 from .tension import energy_density, good_set_membership, map_distortion, tension_norm
 
@@ -278,9 +277,8 @@ def cmd_cover(cfg, out, seed, order):
             raise ContractViolation("cover: non-finite tension in the stacking field")
         return tau**2
 
-    frame = PolarFrame([0.0, 0.0, 1.0])
     rep = cov.cover_annulus(
-        frame, t, eps, tension_sq,
+        t, eps, tension_sq,
         r0=cfg["r0"], max_cylinders=cfg["max_cylinders"],
         enumeration_cap=cfg["enumeration_cap"], audit_branches=cfg["audit_branches"],
         n_slab=cfg["n_slab"],

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import geodesic_step
 from .heatkernel import AnnulusSpec, l_of_eps
 
 __all__ = [
@@ -51,7 +52,7 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 LATTICE_SPACING = 0.9   # lattice spacing / disk radius
 BETA_IMPL = 9           # measured max multiplicity fixture (R in {2,4,6})
 SMALL_CAP = 0.1         # cube charts only in the almost-flat regime
-MAX_FULL_COVER = 2_000_000
+CENTRE = (0.0, 0.0, 1.0)  # O: sectors are polar about it (H^3 is homogeneous)
 SLAB_WIDTH = 0.25   # radial slab of find_good_height: candidate heights 1, 1.25, ...
 SE_FACTOR = 2.0     # find_good_height accepts mean + SE_FACTOR * se < delta
 SVG_WIDTH, SVG_HEIGHT = 640, 480
@@ -280,6 +281,15 @@ def _count_caps(p, centres, chord, valid=True):
     return np.sum(d <= chord, axis=1), np.min(d, axis=1)
 
 
+def _lattice_count(radius):
+    """Caps in the Fibonacci cover by disks of this radius: 4 pi / spacing^2
+    rounded up, at least 4, for the spacing LATTICE_SPACING x radius.  The
+    quotient overflows for radii near e^-R_OUT_MAX / 2, which the annulus
+    reaches; it is clamped at the largest float, far beyond MAX_LATTICE_COUNT."""
+    quotient = 4.0 * math.pi / (LATTICE_SPACING * radius) ** 2
+    return max(4, math.ceil(min(quotient, sys.float_info.max)))
+
+
 def besicovitch_cover(R, sample_size=100_000, rng=None):
     """Disks of radius e^{-R}/2 covering S^2 with bounded multiplicity.
 
@@ -293,8 +303,7 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         raise ValueError("disk radius exceeds pi")
     if sample_size < 1:
         raise ValueError(f"sample_size={sample_size}: need at least one sample")
-    spacing = LATTICE_SPACING * radius
-    n_pts = max(4, int(math.ceil(4.0 * math.pi / spacing**2)))
+    n_pts = _lattice_count(radius)
     if n_pts > MAX_LATTICE_COUNT:
         raise ValueError(f"R={R}: {n_pts} caps exceed the {MAX_LATTICE_COUNT} "
                          "that float64 resolves on the Fibonacci lattice")
@@ -434,14 +443,17 @@ def _weighted_mean_se(vals, weights):
     return mean, se
 
 
-def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None, n_slab=256):
+def find_good_height(rho_min, omega, delta, r_max, field, rng=None, n_slab=256):
     """First height r1 in {1, 1 + SLAB_WIDTH, ...} whose sector average of field is < delta.
 
-    Samples incrementally per radial slab of width SLAB_WIDTH (slabs have
-    equal d rho d zeta measure, so the pooled mean is the sector average)
-    and accepts when mean + SE_FACTOR * se < delta.  Returns a dict;
-    success False reports the best average found (good heights are only
-    guaranteed once rho_min exceeds an empirical threshold).
+    The sector holds the points geodesic_step(O, zeta, rho) with zeta in
+    omega and rho in [rho_min, rho_min + r1]: geodesic polar coordinates
+    about O = CENTRE = (0, 0, 1).  Samples incrementally per radial slab of
+    width SLAB_WIDTH (slabs have equal d rho d zeta measure, so the pooled
+    mean is the sector average) and accepts when mean + SE_FACTOR * se <
+    delta.  Returns a dict; success False reports the best average found
+    (good heights are only guaranteed once rho_min exceeds an empirical
+    threshold).
     """
     n_slabs_total = int(round(r_max / SLAB_WIDTH))
     if n_slabs_total * SLAB_WIDTH + 1e-9 < 1.0:
@@ -456,7 +468,7 @@ def find_good_height(frame, rho_min, omega, delta, r_max, field, rng=None, n_sla
         lo = rho_min + k * SLAB_WIDTH
         rho = rng.uniform(lo, lo + SLAB_WIDTH, size=n_slab)
         zeta, w = omega.sample_weighted(rng, n_slab)
-        pts = frame.from_polar(rho, zeta)
+        pts = geodesic_step(CENTRE, zeta, rho)
         vals.append(np.asarray(field(pts), dtype=float))
         wts.append(w)
         r_here = (k + 1) * SLAB_WIDTH
@@ -570,45 +582,45 @@ def main_annulus(t, eps):
     return annulus.r_in, annulus.r_out
 
 
-def cover_annulus(frame, t, eps, field, r0=8.0, max_cylinders=4,
+def cover_annulus(t, eps, field, r0=8.0, max_cylinders=4,
                   enumeration_cap=12, audit_branches=3, n_slab=256, seed=0):
-    """Stack good sectors over cylinders covering the main annulus of H^3.
+    """Stack good sectors over cylinders covering the main annulus of H^3 about O = (0, 0, 1).
 
     field(pts) is the quantity averaged over sectors, normally
     |tau(G_a(f))|^2; a sector is good when its average is below eps, and
     good heights are sought up to r0.  Covers at large t have
     astronomically many cylinders and stack cells, so max_cylinders
-    cylinders are processed (a deterministic sample when the full cover is
-    infeasible) and stack levels beyond enumeration_cap cells are audited
-    along sampled root-to-top chains; the leftover bound holds branch-wise
-    by the stopping rule, which every audited branch verifies.
+    cylinders are processed and stack levels beyond enumeration_cap cells
+    are audited along sampled root-to-top chains; the leftover bound holds
+    branch-wise by the stopping rule, which every audited branch verifies.
+    The cylinders sit on strided centres of the measured cap cover at R_in
+    wherever float64 resolves its lattice (at most MAX_LATTICE_COUNT caps),
+    and on uniformly sampled centres beyond that.
     """
     rng = np.random.default_rng(seed)
     r_in, r_out = main_annulus(t, eps)
     radius = math.exp(-r_in) / 2.0
     cover_report = {}
-    # the full cover has about 4 pi / (LATTICE_SPACING radius)^2 caps
-    if LATTICE_SPACING * radius >= math.sqrt(4.0 * math.pi / MAX_FULL_COVER):
+    if _lattice_count(radius) <= MAX_LATTICE_COUNT:
         cover, cover_report = besicovitch_cover(r_in, rng=rng)
         step = max(1, cover.count // max_cylinders)
         centers = cover.center(np.arange(0, cover.count, step)[:max_cylinders])
         chosen = [SphericalDisk(c, radius) for c in centers]
     else:
-        # sampled cylinders from the (virtual) cover: uniform random centers
         chosen = [SphericalDisk(c, radius) for c in _uniform_sphere(rng, max_cylinders)]
 
     reports = []
     for ci, disk in enumerate(chosen):
         reports.append(
             _cover_one_cylinder(
-                ci, frame, disk, r_in, r_out, r0, eps, field, rng,
+                ci, disk, r_in, r_out, r0, eps, field, rng,
                 enumeration_cap, audit_branches, n_slab,
             )
         )
     return CoveringReport(r_in, r_out, reports, cover_report)
 
 
-def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
+def _cover_one_cylinder(ci, disk, r_in, r_out, r0, eps, field, rng,
                         enumeration_cap, audit_branches, n_slab):
     sectors = []
     branch_tops = []
@@ -618,9 +630,7 @@ def _cover_one_cylinder(ci, frame, disk, r_in, r_out, r0, eps, field, rng,
     chart = CubeToDisk(disk) if use_chart else None
 
     def eval_cell(omega, rho, lo, side, address):
-        res = find_good_height(
-            frame, rho, omega, eps, r0, field, rng=rng, n_slab=n_slab
-        )
+        res = find_good_height(rho, omega, eps, r0, field, rng=rng, n_slab=n_slab)
         r1 = res["r1"] if res["r1"] else 1.0
         sectors.append(SectorRecord(rho, r1, lo, side, address, res["mean"],
                                     bool(res["success"])))

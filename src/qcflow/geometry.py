@@ -17,7 +17,6 @@ __all__ = [
     "log_map",
     "Mobius",
     "chain_rule",
-    "PolarFrame",
 ]
 
 ORTHO_TOL = 1e-12
@@ -317,26 +316,3 @@ def chain_rule(outer, inner):
     D2 += np.einsum("...ia,...ajk->...ijk", outer[0], inner[1])
     return D, D2
 
-
-class PolarFrame:
-    """Geodesic polar coordinates centered at a point of H^n.
-
-    The frame stores the coordinate tangent basis at the center, scaled to
-    be orthonormal for the hyperbolic metric; directions zeta live on the
-    unit sphere of the basis coordinates.
-    """
-
-    def __init__(self, center):
-        center = np.asarray(center, dtype=float)
-        if not center[-1] > 0.0:
-            raise ValueError(f"point height must be positive, got {center[-1]}")
-        if not np.all(np.isfinite(center[:-1])):
-            raise ValueError("point has non-finite horizontal coordinates")
-        self.center = center
-        self.basis = np.eye(len(center)) * center[-1]
-
-    def from_polar(self, rho, zeta):
-        """Map (rho, zeta) to H^n; zeta has shape (..., n), rho broadcasts."""
-        zeta = np.asarray(zeta, dtype=float)
-        v = zeta @ self.basis
-        return geodesic_step(self.center, v, np.asarray(rho, dtype=float))

@@ -250,16 +250,13 @@ class FlowGrid:
         self._fill_jets()
         return self._jets_in
 
-    def tension(self, energy=False):
+    def tension(self):
         """Tension vectors and norms at interior nodes (grid stencil).
 
-        With energy=True the energy density, read off the same jets, is
-        returned as a third array.  Read-only views, valid until the next
-        step; the boundary lanes of the range get tension 0.
+        Read-only views, valid until the next step; the boundary lanes of
+        the range get tension 0.
         """
         self._fill_tension()
-        if energy:
-            return self._tau_in, self._norm_in, self._energy_in
         return self._tau_in, self._norm_in
 
     def _fill_tension(self):
@@ -350,7 +347,7 @@ def flow_step(grid, dt, max_energy=np.inf):
 def _guard_energy(grid, max_energy):
     """Tension pass of the current values; FloatingPointError when their
     energy density exceeds max_energy at an interior node."""
-    grid.tension(energy=True)
+    grid._fill_tension()
     if np.max(grid._energy_r, where=grid._inside, initial=-np.inf) > max_energy:
         raise FloatingPointError(BLOWUP_REASON)
 

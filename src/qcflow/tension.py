@@ -124,13 +124,7 @@ def _scale_energy(sq, s_dom, S, buf):
 
 
 def tension_norm(F, pts):
-    """|tau(F)| at pts, in the target metric at F(p).
-
-    Dispatches to F.tension_norm when present: good extensions carry an
-    evaluator that stays accurate arbitrarily close to the boundary.
-    """
-    if hasattr(F, "tension_norm"):
-        return F.tension_norm(pts)
+    """|tau(F)| at pts, in the target metric at F(p)."""
     return tension_from_jet(*F.jet(np.asarray(pts, dtype=float)))[1]
 
 
@@ -162,7 +156,7 @@ def good_set_membership(ext, eps, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     e = energy_density(ext, pts)
     dist = map_distortion(ext, pts)
-    tau = tension_norm(ext, pts)
+    tau = ext.tension_norm(pts)
     if not (np.isfinite(e).all() and np.isfinite(tau).all()) or np.isnan(dist).any():
         raise FloatingPointError("energy or tension not finite, or distortion NaN")
     ok_e = e > 1.0

@@ -10,7 +10,7 @@ from qcflow.boundary import make_boundary_map
 from qcflow.cli import main as cli_main
 from qcflow.covering import BETA_IMPL, besicovitch_cover, cover_annulus
 from qcflow.extension import GoodExtension, check_partial_conformal_naturality
-from qcflow.geometry import INFINITY, Mobius, PolarFrame
+from qcflow.geometry import INFINITY, Mobius, geodesic_step
 from qcflow.greens import C_GREEN, green, green_volume_integral
 from qcflow.heatkernel import (
     RadialKernel,
@@ -148,13 +148,12 @@ def tabulated_tension_profile(ext, hi, rng, sup_bound):
     the clip is what keeps the tabulated profile an honest bounded radial
     function.
     """
-    frame = PolarFrame([0.0, 0.0, 1.0])
     rho_grid = np.linspace(0.05, hi, int(hi) + 1)
     vals = np.empty_like(rho_grid)
     for i, rho in enumerate(rho_grid):
         zeta = rng.normal(size=(48, 3))
         zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
-        pts = frame.from_polar(rho, zeta)
+        pts = geodesic_step((0.0, 0.0, 1.0), zeta, rho)
         vals[i] = float(np.mean(np.minimum(ext.tension_norm(pts),
                                            math.sqrt(sup_bound)) ** 2))
     return lambda r: np.interp(np.asarray(r, dtype=float), rho_grid, vals)
@@ -238,8 +237,7 @@ def test_criterion_9_covering():
     cover_ok = all(covered) and max(mults) <= BETA_IMPL
 
     ext = GoodExtension(make_boundary_map("linear", matrix=np.diag([2.0, 1.0])))
-    frame = PolarFrame([0.0, 0.0, 1.0])
-    repc = cover_annulus(frame, 16.0, 0.1,
+    repc = cover_annulus(16.0, 0.1,
                          lambda p: ext.tension_norm(p) ** 2,
                          max_cylinders=2, enumeration_cap=4, audit_branches=1,
                          n_slab=64, seed=9)

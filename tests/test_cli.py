@@ -355,7 +355,7 @@ def test_overflowed_extension_is_a_contract_violation(tmp_path, capsys, cmd, cfg
 @pytest.mark.parametrize("bad", [{"covered_fraction": 0.99999},
                                  {"max_multiplicity": cov.BETA_IMPL + 1}])
 def test_cover_contract_on_measured_sphere_cover(tmp_path, capsys, monkeypatch, bad):
-    # t = 3.5 puts the annulus at R_in ~ 2.6, so the sphere cover is built
+    # t = 3.5 puts the annulus at R_in ~ 1.9, so the sphere cover is built
     # and measured; a report outside the contract must stop the command
     real = cov.besicovitch_cover
 

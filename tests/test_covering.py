@@ -16,6 +16,7 @@ from qcflow.covering import (
     LATTICE_SPACING,
     MAX_LATTICE_COUNT,
     POLAR_ROWS,
+    R_OUT_MAX,
     CubeToDisk,
     FibonacciCover,
     SectorRecord,
@@ -31,12 +32,10 @@ from qcflow.covering import (
     _BLOCK,
     _SAMPLE_BLOCK,
     _check_disjoint,
+    _lattice_count,
     _uniform_sphere,
     main_annulus,
 )
-from qcflow.geometry import PolarFrame
-
-FRAME = PolarFrame([0.0, 0.0, 1.0])
 
 
 def tension_sq_field(ext):
@@ -440,7 +439,7 @@ def test_partition_cube_rejects_small_cubes():
 def test_admissibility_disk_cases():
     # a cap too wide for a chart keeps only its base sector, whose Omega is
     # the disk of radius e^{-R_in}/2 itself: alpha = 2
-    rep = cover_annulus(FRAME, 2.6, 0.1, lambda p: np.zeros(len(p)),
+    rep = cover_annulus(2.6, 0.1, lambda p: np.zeros(len(p)),
                         r0=9.0, max_cylinders=1, n_slab=16, seed=0)
     cyl = rep.cylinders[0]
     assert len(cyl.sectors) == 1 and cyl.alpha == 2.0
@@ -479,7 +478,7 @@ def test_admissibility_cube_image():
 
 def test_sector_average_constant_field():
     d = SphericalDisk(np.array([0.0, 0.0, -1.0]), 0.05)
-    res = find_good_height(FRAME, 2.0, d, 0.01, 1.0, lambda p: np.full(p.shape[0], 3.14),
+    res = find_good_height(2.0, d, 0.01, 1.0, lambda p: np.full(p.shape[0], 3.14),
                            rng=np.random.default_rng(5), n_slab=128)
     assert res["n"] == 512
     assert res["mean"] == pytest.approx(3.14, abs=1e-12)
@@ -488,7 +487,7 @@ def test_sector_average_constant_field():
 
 def test_sector_average_harmonic_extension_is_tiny(ext_linear):
     d = SphericalDisk(np.array([0.3, -0.5, -math.sqrt(1 - 0.34)]), math.exp(-3.0))
-    res = find_good_height(FRAME, 3.0, d, 0.01, 1.0, tension_sq_field(ext_linear),
+    res = find_good_height(3.0, d, 0.01, 1.0, tension_sq_field(ext_linear),
                            rng=np.random.default_rng(6), n_slab=64)
     assert res["mean"] < 1e-7
 
@@ -499,7 +498,7 @@ def test_sector_average_decays_toward_boundary(ext_stretch):
     vals = []
     for rho_min in (1.0, 5.0):
         d = SphericalDisk(direction, math.exp(-rho_min))
-        res = find_good_height(FRAME, rho_min, d, 0.01, 1.0, tension_sq_field(ext_stretch),
+        res = find_good_height(rho_min, d, 0.01, 1.0, tension_sq_field(ext_stretch),
                                rng=rng, n_slab=128)
         vals.append(res["mean"])
     assert vals[1] < vals[0]
@@ -507,14 +506,14 @@ def test_sector_average_decays_toward_boundary(ext_stretch):
 
 def test_find_good_height_harmonic_immediate(ext_linear):
     d = SphericalDisk(np.array([0.0, 0.0, -1.0]), math.exp(-4.0))
-    res = find_good_height(FRAME, 4.0, d, 0.01, 8.0, tension_sq_field(ext_linear),
+    res = find_good_height(4.0, d, 0.01, 8.0, tension_sq_field(ext_linear),
                            rng=np.random.default_rng(8), n_slab=128)
     assert res["success"] and res["r1"] == pytest.approx(1.0)
 
 
 def test_find_good_height_stretch_fixture(ext_stretch):
     d = SphericalDisk(np.array([0.3, -0.5, -math.sqrt(1 - 0.34)]), math.exp(-6.0))
-    res = find_good_height(FRAME, 6.0, d, 0.01, 8.0, tension_sq_field(ext_stretch),
+    res = find_good_height(6.0, d, 0.01, 8.0, tension_sq_field(ext_stretch),
                            rng=np.random.default_rng(9), n_slab=256)
     assert res["success"]
     assert res["r1"] == pytest.approx(1.0)  # pinned fixture
@@ -524,7 +523,7 @@ def test_find_good_height_stretch_fixture(ext_stretch):
 def test_find_good_height_fails_near_center(ext_stretch):
     # rho_min far below the empirical threshold with a tiny delta
     d = SphericalDisk(np.array([0.3, -0.5, -math.sqrt(1 - 0.34)]), math.exp(-0.5))
-    res = find_good_height(FRAME, 0.5, d, 1e-6, 2.0, tension_sq_field(ext_stretch),
+    res = find_good_height(0.5, d, 1e-6, 2.0, tension_sq_field(ext_stretch),
                            rng=np.random.default_rng(10), n_slab=64)
     assert not res["success"]
     assert res["mean"] > 1e-6
@@ -534,7 +533,7 @@ def test_find_good_height_rejects_r_max_below_one(ext_stretch):
     # with r_max < 1 no slab reaches the first candidate height
     d = SphericalDisk(np.array([0.0, 0.0, -1.0]), math.exp(-4.0))
     with pytest.raises(ValueError, match="r_max"):
-        find_good_height(FRAME, 4.0, d, 0.01, 0.5, tension_sq_field(ext_stretch),
+        find_good_height(4.0, d, 0.01, 0.5, tension_sq_field(ext_stretch),
                          rng=np.random.default_rng(11), n_slab=16)
 
 
@@ -545,7 +544,7 @@ def test_cover_annulus_toy_single_disk(ext_linear):
     # small t, so one disk larger than SMALL_CAP, and r0 spanning the whole
     # cylinder height: only the structure is exercised (bookkeeping,
     # disjointness)
-    rep = cover_annulus(FRAME, 2.6, 0.1, tension_sq_field(ext_linear),
+    rep = cover_annulus(2.6, 0.1, tension_sq_field(ext_linear),
                         r0=9.0, max_cylinders=1, n_slab=64, seed=0)
     cyl = rep.cylinders[0]
     assert cyl.disjoint and cyl.contained
@@ -557,7 +556,7 @@ def test_cover_annulus_toy_single_disk(ext_linear):
 def test_cover_annulus_linear_all_good(ext_linear):
     from qcflow.heatkernel import l_of_eps
 
-    rep = cover_annulus(FRAME, 16.0, 0.1, tension_sq_field(ext_linear),
+    rep = cover_annulus(16.0, 0.1, tension_sq_field(ext_linear),
                         max_cylinders=1, enumeration_cap=4, audit_branches=1,
                         n_slab=64, seed=11)
     assert rep.r_in == pytest.approx(32.0 - 4.0 * l_of_eps(0.1))
@@ -597,21 +596,49 @@ def test_disjointness_compares_cell_addresses_at_any_depth():
 
 def test_cover_annulus_rejects_annulus_through_origin(ext_linear):
     with pytest.raises(ValueError):
-        cover_annulus(FRAME, 1.0, 0.1, tension_sq_field(ext_linear))
+        cover_annulus(1.0, 0.1, tension_sq_field(ext_linear))
 
 
-def test_cover_annulus_materialised_cover_branch(ext_linear):
-    # small t: the disk cover at R_in is small enough to build explicitly
-    rep = cover_annulus(FRAME, 3.5, 0.1, tension_sq_field(ext_linear),
+def _assert_measured_cover_branch(ext, t):
+    """cover_annulus at t measures the disk cover at R_in and puts its
+    cylinders over the strided lattice centres of that cover."""
+    rep = cover_annulus(t, 0.1, tension_sq_field(ext),
                         max_cylinders=2, enumeration_cap=3, audit_branches=1,
                         n_slab=48, seed=1)
     assert rep.cover_report  # the real cover was built and measured
     assert rep.cover_report["covered_fraction"] == 1.0
     assert len(rep.cylinders) == 2
-    # the cylinders sit over the strided lattice centers of the cover
-    count = rep.cover_report["count"]
-    lattice = fibonacci_sphere(count)[::max(1, count // 2)][:2]
+    count, radius = rep.cover_report["count"], rep.cover_report["radius"]
+    lattice = FibonacciCover(count, radius).center(np.arange(0, count, max(1, count // 2))[:2])
     for c, center in zip(rep.cylinders, lattice):
         assert np.array_equal(c.disk.center, center)
-        assert c.disk.radius == rep.cover_report["radius"]
+        assert c.disk.radius == radius
         assert c.disjoint and c.contained and c.all_good
+
+
+def test_cover_annulus_materialised_cover_branch(ext_linear):
+    # t = 3.5: a cover of 2974 caps at R_in
+    _assert_measured_cover_branch(ext_linear, 3.5)
+
+
+def test_cover_annulus_measures_the_cover_up_to_the_lattice_limit(ext_linear):
+    # t = 7: 5.4e7 caps at R_in, below MAX_LATTICE_COUNT
+    _assert_measured_cover_branch(ext_linear, 7.0)
+
+
+def test_cover_annulus_samples_cylinders_beyond_the_lattice_limit(ext_linear):
+    # at t = 8 the cover at R_in would need 1.09e9 caps, more than float64
+    # resolves on the lattice: no cover is built and the centres are sampled
+    r_in = main_annulus(8.0, 0.1)[0]
+    assert _lattice_count(math.exp(-r_in) / 2.0) > MAX_LATTICE_COUNT
+    rep = cover_annulus(8.0, 0.1, tension_sq_field(ext_linear),
+                        max_cylinders=1, enumeration_cap=3, audit_branches=1,
+                        n_slab=48, seed=1)
+    assert rep.cover_report == {}
+    assert len(rep.cylinders) == 1 and rep.cylinders[0].all_good
+
+
+def test_lattice_count_is_finite_at_the_smallest_cap():
+    # the annulus may reach R_OUT_MAX, where 4 pi / spacing^2 overflows and
+    # an unclamped count raises OverflowError
+    assert _lattice_count(math.exp(-R_OUT_MAX) / 2.0) > MAX_LATTICE_COUNT

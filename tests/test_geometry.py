@@ -9,7 +9,6 @@ from qcflow.geometry import (
     INFINITY,
     STEP_SCRATCH_ROWS,
     Mobius,
-    PolarFrame,
     dist,
     geodesic_step,
     log_map,
@@ -437,36 +436,18 @@ def test_mobius_walk_matches_the_primitive_arithmetic_property(M, p, x):
 
 
 # ---------------------------------------------------------------------------
-# polar coordinates
-
-def test_point_rejects_nonpositive_height():
-    # PolarFrame is the one constructor given a point; it checks it
-    with pytest.raises(ValueError, match="height must be positive"):
-        PolarFrame([0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="height must be positive"):
-        PolarFrame([0.0, 0.0, -1.0])
-    with pytest.raises(ValueError, match="height must be positive"):
-        PolarFrame([0.0, 0.0, np.nan])
-    with pytest.raises(ValueError, match="non-finite horizontal"):
-        PolarFrame([np.inf, 0.0, 1.0])
-
-
-def test_from_polar_vertical():
-    fr = PolarFrame([0.0, 0.0, 1.0])
-    q = fr.from_polar(1.0, np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(q, [0.0, 0.0, math.e], atol=1e-12)
-
+# geodesic spheres and balls
 
 def test_geodesic_sphere_area_matches_sinh_squared():
     # the geodesic sphere of radius rho about (0,0,s_c) is the Euclidean
     # sphere with center (0,0,s_c cosh rho) and radius s_c sinh rho; its
     # hyperbolic area is the surface integral of 1/s^2
     rng = np.random.default_rng(9)
-    fr = PolarFrame([0.0, 0.0, 1.3])
     for rho in (0.5, 1.5):
         zeta = rng.normal(size=(4000, 3))
         zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
-        pts = fr.from_polar(rho, zeta)
+        # unit hyperbolic speed at height 1.3
+        pts = geodesic_step((0.0, 0.0, 1.3), 1.3 * zeta, rho)
         center = np.array([0.0, 0.0, 1.3 * math.cosh(rho)])
         R = 1.3 * math.sinh(rho)
         assert np.allclose(np.linalg.norm(pts - center, axis=1), R, atol=1e-9)

@@ -63,8 +63,8 @@ def test_grid_energy_matches_reference():
     want = 0.5 * (s / val[..., -1]) ** 2 * np.sum(jac**2, axis=(-2, -1))
     energy = grid.energy().copy()  # the grid reuses its energy array
     assert np.allclose(energy, want, rtol=1e-14, atol=0.0)
-    _, _, step_energy = grid.tension(energy=True)
-    assert np.array_equal(step_energy, energy)
+    grid.tension()
+    assert np.array_equal(grid.energy(), energy)
 
 
 def _reassigned_grid():
@@ -96,8 +96,6 @@ def test_buffered_step_matches_the_allocating_reference(name):
         u = reference_flow_step(grid, u, dt)
     assert _same_bits(grid.u, u)
     tau, norm, energy = reference_tension(grid, u)
-    for got, want in zip(grid.tension(energy=True), (tau, norm, energy)):
-        assert _same_bits(got, want)
     for got, want in zip(grid.tension(), (tau, norm)):
         assert _same_bits(got, want)
     assert _same_bits(grid.energy(), energy)
@@ -137,7 +135,7 @@ def test_reciprocal_stencil_is_within_two_ulp_of_division(name):
 
 def test_returned_arrays_are_read_only_views(f_stretch):
     grid = hf.init_flow(f_stretch, BOX, 9)
-    for arr in grid.tension(energy=True) + grid.interior_jets():
+    for arr in grid.tension() + (grid.energy(),) + grid.interior_jets():
         with pytest.raises(ValueError):
             arr[...] = 0.0
 
