@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 
-FIXED_POINT_TOL = 1e-10
-
-
 class MissingJetError(ValueError):
     """A BoundaryMap was built without its exact jacobian and hessian."""
 
@@ -83,13 +80,6 @@ class BoundaryMap:
     @property
     def fixes_infinity(self):
         return is_infinity(self.fixed_point)
-
-    def check_fixed_point(self):
-        """f fixes its declared fixed point to FIXED_POINT_TOL relative."""
-        if self.fixes_infinity:
-            return True
-        fp = np.asarray(self.fixed_point, dtype=float)
-        return np.max(np.abs(self(fp) - fp)) <= FIXED_POINT_TOL * max(1.0, np.max(np.abs(fp)))
 
 
 def _rows(out, rows, x):

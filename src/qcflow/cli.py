@@ -267,9 +267,12 @@ def cmd_cover(cfg, out, seed, order):
     ext = GoodExtension(f, order=order)
     t, eps = cfg["t"], cfg["eps"]
     try:
-        cov.main_annulus(t, eps)
+        r_in, r_out = cov.main_annulus(t, eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if r_out - r_in < cfg["r0"]:  # sectors start at or below R_out - r0, which must not pass R_in
+        raise ConfigError(f"t={t}, eps={eps}, r0={cfg['r0']}: the main annulus is "
+                          f"{r_out - r_in:.6g} wide, narrower than r0")
 
     def tension_sq(p):  # an overflowed extension gives no measurement
         tau = ext.tension_norm(p)

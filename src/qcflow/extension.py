@@ -16,12 +16,13 @@ invariant, so another choice moves the computed extension only by
 rotating the quadrature grid (its quadrature error).
 
 The extension itself is never finite-differenced: since
-G(., s) = exp((s^2/2) Delta) f, its Jacobian and diagonal second
-derivatives are Gaussian moments of the same node values the average
-uses (Stein identities, as in the Gaussian-smoothing gradient of
-Nesterov and Spokoiny, Found. Comput. Math. 17, 2017).  `GoodExtension.jet`
-reads them, in a frame conjugated to unit scale, as the jet tuple that
-energy, distortion and tension take: above DEEP_HEIGHT from one set of node
+G(., s) = exp((s^2/2) Delta) f, its Jacobian and coordinate Laplacian are
+Gaussian moments of the node values the average uses (Stein identities,
+as in the Gaussian smoothing of Nesterov and Spokoiny, Found. Comput.
+Math. 17, 2017), and by the heat equation in the scale, d_s G = s Delta_x G,
+the horizontal Laplacian is the d/ds moment.  `GoodExtension.jet` reads
+them, in a frame conjugated to unit scale, as the jet tuple that energy,
+distortion and tension take: above DEEP_HEIGHT from one set of node
 evaluations per point, below it in closed form from the exact 2-jet of f
 (its Gaussian moments are polynomials in the Jacobian, Hessian and s).
 """
@@ -88,19 +89,19 @@ class QuadratureRule:
 
 
 def _stein_weights(quad):
-    """(Q, 2m+3) weights taking node values u(y_k) to the jet of E u(x + sY) at (0, 1).
+    """(Q, m+3) weights taking node values u(y_k) to the jet of E u(x + sY) at (0, 1).
 
-    Columns: value; d/dx_i (i < m) and d/ds; d^2/dx_i^2 and d^2/ds^2.  From
+    Columns: value; d/dx_i (i < m) and d/ds; d^2/ds^2.  From
     d_i E u(x + sY) = E[u(x + sY) Y_i] / s and the heat equation
-    d_s E u(sY) = s Delta E u(sY): the Hermite weights Y_i, Y_i^2 - 1,
-    |Y|^2 - m and (|Y|^2 - m)^2 - 3|Y|^2 + m.  Every column but the first
-    integrates constants to zero.
+    d_s E u(sY) = s Delta E u(sY): the Hermite weights Y_i, |Y|^2 - m and
+    (|Y|^2 - m)^2 - 3|Y|^2 + m.  The d/ds column sums the d^2/dx_i^2 columns
+    Y_i^2 - 1: it is the horizontal Laplacian.  Each but the first integrates constants to 0.
     """
     y = quad.nodes
     m = quad.dim
     r2 = np.sum(y**2, axis=-1)
     lap = r2 - m
-    cols = [np.ones_like(r2), *y.T, lap, *(y.T**2 - 1.0), lap**2 - 3.0 * r2 + m]
+    cols = [np.ones_like(r2), *y.T, lap, lap**2 - 3.0 * r2 + m]
     return np.stack(cols, axis=-1) * quad.weights[:, None]
 
 
@@ -187,8 +188,8 @@ class GoodExtension:
         Each base point p is carried to (0, ..., 0, 1) and its image G(p)
         to (0, ..., 0, 1) by similarities on both sides (after the
         anchoring isometry for finite anchors), so val is e_n, s_dom is 1,
-        jac (..., n, n) is the Jacobian there and lap (..., n, n) holds the
-        diagonal second derivatives, lap[..., g, i] = d^2 F^g / dx_i^2.
+        jac (..., n, n) is the Jacobian there and lap (..., n) the
+        coordinate Laplacian, lap[..., g] = sum_i d^2 F^g / dx_i^2.
         Energy, distortion and tension are isometry invariant, so they can
         be read off this frame (see `tension`).
 
@@ -205,20 +206,19 @@ class GoodExtension:
         if self.mob is not None:
             flat = self.mob(flat)
         jac = np.empty((flat.shape[0], n, n))
-        lap = np.empty_like(jac)
+        lap = np.empty((flat.shape[0], n))
         for sl in _chunked(flat.shape[0]):
             jac[sl], lap[sl] = self._jet_unit_frame(flat[sl])
-        shape = pts.shape[:-1] + (n, n)
         val = np.zeros(pts.shape)
         val[..., -1] = 1.0
-        out = (val, jac.reshape(shape), lap.reshape(shape), np.ones(pts.shape[:-1]))
+        out = (val, jac.reshape(pts.shape + (n,)), lap.reshape(pts.shape), np.ones(pts.shape[:-1]))
         for a in out:
             a.flags.writeable = False
         self._last_jet = (key, out)
         return out
 
     def _moments_direct(self, x0, s0):
-        """Stein moments of e(f), (B, 2m+3), and of f / s0, (B, m, 2m+2), from node sums."""
+        """Stein moments of e(f), (B, m+3), and of f / s0, (B, m, m+2), from node sums."""
         fv, e = self._nodes_direct(x0, s0)
         W = self._stein
         return e @ W, np.swapaxes(fv, 1, 2) @ W[:, 1:] / s0[:, None, None]
@@ -233,9 +233,9 @@ class GoodExtension:
         e(y) = |A + s H[., ., y]|^2.  The Gaussian moments of u and e
         against the columns of `_stein_weights` are polynomials in A, H and
         s, on which the order-21 rule is exact.  With c_k = sum A_ij H_ijk
-        and M_k = sum H_ijk^2 they are, column by column:
-        e: |A|^2 + s^2 tr M, 2 s c, 2 s^2 tr M, 2 s^2 M, 2 s^2 tr M;
-        u / s: A, s tr H_g, s H_gii, s tr H_g.
+        and |H|^2 = sum H_ijk^2 they are, column by column:
+        e: |A|^2 + s^2 |H|^2, 2 s c, 2 s^2 |H|^2, 2 s^2 |H|^2;
+        u / s: A, s tr H_g, s tr H_g.
         FloatingPointError when a moment is not finite.
         """
         s = s0[:, None]
@@ -244,14 +244,11 @@ class GoodExtension:
             A = bd.boundary_jacobian(self.f_inf, x0)                  # (B, m, m)
             H = self.f_inf.hessian(x0)                                # (B, m, m, m)
             c = np.sum(A[..., None] * H, axis=(1, 2))                 # (B, m)
-            M = np.sum(H * H, axis=(1, 2))                            # (B, m)
-            trM = np.sum(M, axis=-1, keepdims=True)
-            e0 = np.sum(A * A, axis=(1, 2))[:, None] + s2 * trM
-            mom_e = np.concatenate([e0, 2.0 * s * c, 2.0 * s2 * trM, 2.0 * s2 * M,
-                                    2.0 * s2 * trM], axis=-1)
-            Hdiag = s[..., None] * np.diagonal(H, axis1=-2, axis2=-1)  # (B, m, m)
-            trH = np.sum(Hdiag, axis=-1, keepdims=True)
-            mom_f = np.concatenate([A, trH, Hdiag, trH], axis=-1)
+            H2 = s2 * np.sum(H * H, axis=(1, 2, 3))[:, None]      # s^2 |H|^2
+            e0 = np.sum(A * A, axis=(1, 2))[:, None] + H2
+            mom_e = np.concatenate([e0, 2.0 * s * c, 2.0 * H2, 2.0 * H2], axis=-1)
+            trH = (s * np.trace(H, axis1=-2, axis2=-1))[..., None]     # (B, m, 1)
+            mom_f = np.concatenate([A, trH, trH], axis=-1)
         if not (np.isfinite(mom_e).all() and np.isfinite(mom_f).all()):
             raise FloatingPointError("boundary 2-jet moments not finite at deep base points")
         return mom_e, mom_f
@@ -275,8 +272,8 @@ class GoodExtension:
             with np.errstate(over="ignore"):  # a distance that overflows is far enough
                 d_sing = np.linalg.norm(x0 - np.asarray(sp, dtype=float), axis=-1)
             deep &= d_sing > np.maximum(30.0 * s0, DEEP_GUARD)
-        mom_e = np.empty((len(pts), 2 * m + 3))
-        mom_f = np.empty((len(pts), m, 2 * m + 2))
+        mom_e = np.empty((len(pts), m + 3))
+        mom_f = np.empty((len(pts), m, m + 2))
         for idx, moments in ((~deep, self._moments_direct), (deep, self._moments_deep)):
             if np.any(idx):
                 mom_e[idx], mom_f[idx] = moments(x0[idx], s0[idx])
@@ -286,16 +283,15 @@ class GoodExtension:
         # mom_f already holds f's divided by s0
         mom_f /= np.sqrt(mom_e[:, 0] / m)[:, None, None]
         jac = np.empty((len(pts), m + 1, m + 1))
-        lap = np.empty_like(jac)
+        lap = np.empty((len(pts), m + 1))
         jac[:, :m] = mom_f[:, :, : m + 1]
-        lap[:, :m] = mom_f[:, :, m + 1 :]
+        lap[:, :m] = mom_f[:, :, m] + mom_f[:, :, m + 1]
         # vertical part s sqrt(r), r = E e(x + sY) / E e(Y)
         r = mom_e[:, 1:] / mom_e[:, :1]
         d1 = 0.5 * r[:, : m + 1]                           # first derivatives of sqrt(r)
         jac[:, m] = d1
         jac[:, m, m] += 1.0
-        lap[:, m] = 0.5 * r[:, m + 1 :] - d1**2
-        lap[:, m, m] += 2.0 * d1[:, m]
+        lap[:, m] = 0.5 * (r[:, m] + r[:, m + 1]) - np.sum(d1**2, axis=-1) + 2.0 * d1[:, m]
         return jac, lap
 
     # -- tension -------------------------------------------------------------

@@ -213,7 +213,7 @@ class Mobius:
         start = (np.broadcast_to(np.eye(n), pts.shape + (n,)),
                  np.zeros(pts.shape + (n, n)))
         val, (jac, hess) = _walk(self._lifted(), pts, start)
-        return val, jac, np.diagonal(hess, axis1=-2, axis2=-1), pts[..., -1]
+        return val, jac, np.trace(hess, axis1=-2, axis2=-1), pts[..., -1]
 
     def boundary(self, x):
         """Boundary action on R^{n-1} u {INFINITY} (scalar points)."""

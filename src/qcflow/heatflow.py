@@ -15,8 +15,9 @@ is a fixed stride, so all interior nodes lie in the one range [lo, hi)
 with lo = sum of the strides, and a stencil neighbour of the range is the
 range shifted by a stride.  Every kernel (jets, tension, geodesic step)
 runs over that range as 1-D contiguous slices, into arrays the grid
-allocates once.  The jets multiply by the reciprocals 0.5/h and 1/h^2
-(within 2 ulp of dividing), and the tension pass also writes the energy
+allocates once.  The jets (Jacobian and coordinate Laplacian) multiply
+by the reciprocals 0.5/h and 1/h^2 (within 2 ulp of dividing), and the
+tension pass also writes the energy
 density from the squared Jacobian entries it forms, bit for bit
 `tension.energy_from_jet`.  The range also holds the boundary nodes
 between interior rows; their jets mix neighbours from adjacent rows and
@@ -140,8 +141,7 @@ class FlowGrid:
         axes = [np.linspace(-X, X, resolution[i]) for i in range(n - 1)]
         axes.append(np.linspace(s_lo, s_hi, resolution[-1]))
         self.spacings = np.array([ax[1] - ax[0] for ax in axes])
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.nodes = np.stack(mesh, axis=-1)          # (..., n)
+        self.nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (..., n)
 
         size = self.nodes[..., 0].size
         self._strides = [int(np.prod(shape[ax + 1:])) for ax in range(n)]
@@ -160,12 +160,14 @@ class FlowGrid:
             except FloatingPointError as exc:
                 raise ValueError(f"non-finite initial data: {exc}") from None
         self.u = values
+        del values  # an extension's values are copied; let them go before the work arrays
         if np.any(self.u[..., -1] <= 0.0):
             raise ValueError("initial map has non-positive heights")
         self.u0 = self.u.copy()
 
         # work arrays, allocated once; each kernel writes lanes [lo, hi)
-        self._jac, self._lap = np.empty((2, n, n, size))
+        self._jac = np.empty((n, n, size))
+        self._lap = np.empty((n, size))
         self._tau = np.empty((n, size))
         self._norm, self._energy = np.empty((2, size))
         self._stage = np.empty((n, hi - lo))  # one block: the checks read it unbuffered
@@ -181,7 +183,7 @@ class FlowGrid:
         r = slice(lo, hi)
         self._val_r = self._store[:, r].T
         self._jac_r = np.moveaxis(self._jac[..., r], (0, 1), (-2, -1))
-        self._lap_r = np.moveaxis(self._lap[..., r], (0, 1), (-2, -1))
+        self._lap_r = self._lap[:, r].T
         self._s_r = heights[r]
         self._tau_r = self._tau[:, r].T
         self._norm_r = self._norm[r]
@@ -221,31 +223,34 @@ class FlowGrid:
         return tuple(slice(1, -1) for _ in range(self.n))
 
     def _fill_jets(self):
-        """Central differences of the store over the range, as shifted 1-D slices."""
+        """Central differences over the range as shifted 1-D slices; lap sums the axes in order."""
         if "jets" in self._fresh:
             return
         lo, hi = self._lo, self._hi
-        minus_2val = self._scratch[0]
+        minus_2val, second = self._scratch[:2]
         for g, ug in enumerate(self._store):
             np.multiply(-2.0, ug[lo:hi], out=minus_2val)
+            lap = self._lap[g, lo:hi]
             for ax, (st, half_inv_h, inv_h2) in enumerate(self._stencil):
                 up = ug[lo + st:hi + st]
                 um = ug[lo - st:hi - st]
                 jac = self._jac[g, ax, lo:hi]
                 np.subtract(up, um, out=jac)
                 jac *= half_inv_h
-                lap = self._lap[g, ax, lo:hi]
-                np.add(up, minus_2val, out=lap)
-                lap += um
-                lap *= inv_h2
+                d2 = second if ax else lap
+                np.add(up, minus_2val, out=d2)
+                d2 += um
+                d2 *= inv_h2
+                if ax:
+                    lap += d2
         self._fresh.add("jets")
 
     def interior_jets(self):
-        """Value, Jacobian and diagonal second derivatives at interior nodes.
+        """Value, Jacobian and coordinate Laplacian at interior nodes.
 
-        Read-only views (val (..., n), jac and lap (..., n, n), heights
+        Read-only views (val and lap (..., n), jac (..., n, n), heights
         (...)) of the grid's buffers, valid until the next step; every
-        component jac[..., g, i] lies in one contiguous block.
+        component jac[..., g, i] and lap[..., g] lies in one contiguous block.
         """
         self._fill_jets()
         return self._jets_in
@@ -284,7 +289,9 @@ class FlowGrid:
         return float(np.max(self.stats_view(norm)))
 
     def sup_drift(self):
-        return float(np.max(dist(self.u, self.u0)))
+        """max |u - u0| over interior nodes; the frozen layer is taken to hold u0's values."""
+        core = self.interior()
+        return float(np.max(dist(self.u[core], self.u0[core])))
 
     def distance_to(self, other_values):
         return float(np.max(dist(self.u, other_values)))
@@ -438,32 +445,33 @@ def spectral_radius(grid):
     checkerboard over the interior nodes (+-1 by the parity of i + j + k,
     close to the stencil's fastest mode) until the norm ratio changes by
     less than POWER_RTOL.  The node values are kept in grid._stage and
-    restored bit for bit.
+    restored bit for bit; tau(u) and the iterate v take two of the RKL2
+    stage rows, which a super-step fills afresh.
     """
     lo, hi = grid._lo, grid._hi
     values, saved = grid._store[:, lo:hi], grid._stage
     saved[...] = values
     tau = grid._tau[:, lo:hi]
+    tau0, v = grid._rkl[:2]
     grid.tension()
-    tau0 = tau.copy()
+    tau0[...] = tau
     checkerboard = np.ones(())
     for r in grid.resolution:
         checkerboard = np.multiply.outer(checkerboard, (-1.0) ** np.arange(r))
-    v = np.empty_like(tau0)
     v[...] = checkerboard.ravel()[lo:hi]
     v *= grid._inside
     scale = math.sqrt(v.size)
     rho = prev = 0.0
     try:
         for _ in range(POWER_MAX_ITER):
-            v *= scale / math.sqrt(np.vdot(v, v))
+            v *= scale / math.sqrt(np.einsum("ij,ij->", v, v))
             np.multiply(v, POWER_EPS, out=values)
             values += saved
             grid._fresh.clear()
             grid.tension()
             np.subtract(tau, tau0, out=v)
             v /= POWER_EPS
-            rho = math.sqrt(np.vdot(v, v)) / scale
+            rho = math.sqrt(np.einsum("ij,ij->", v, v)) / scale
             if rho == 0.0 or abs(rho - prev) <= POWER_RTOL * rho:
                 break
             prev = rho

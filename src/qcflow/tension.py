@@ -2,13 +2,13 @@
 
 A map is any callable on coordinate arrays (..., n) with a `jet` method
 that returns the jet tuple (val, jac, lap, s_dom): image points val
-(..., n), Jacobian jac[..., g, i] = dF^g/dx^i, diagonal second
-derivatives lap[..., g, i] = d^2 F^g/dx_i^2 and base heights s_dom (...).
-All operators work in upper half-space coordinates and read that tuple;
-the metric is diagonal, so the tension contraction only needs the
-diagonal second derivatives.  Good extensions supply it in per-point unit
-frames and isometries (`geometry.Mobius.jet`) exactly, so no operator
-here takes a difference quotient.
+(..., n), Jacobian jac[..., g, i] = dF^g/dx^i, coordinate Laplacian
+lap[..., g] = sum_i d^2 F^g/dx_i^2 and base heights s_dom (...).  All
+operators work in upper half-space coordinates and read that tuple; the
+metric is conformal (g^{ii} = s^2 for every i), so the tension sees the
+second derivatives only through s^2 lap.  Good extensions supply the
+tuple in per-point unit frames and isometries (`geometry.Mobius.jet`)
+exactly, so no operator here takes a difference quotient.
 """
 
 import numpy as np
@@ -27,15 +27,15 @@ __all__ = [
 SCRATCH_ROWS = 7   # temporaries of tension_from_jet (energy_from_jet needs one)
 
 
-def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None, energy=None):
-    """Tension vector from value, Jacobian and diagonal second derivatives.
+def tension_from_jet(value, jac, lap, s_dom, out=None, scratch=None, energy=None):
+    """Tension vector from value, Jacobian and coordinate Laplacian.
 
     tau^g = g^{ii} (d2F^g - Gamma^k_{ii} dF^g_k + Gamma~^g_{ab} dF^a_i dF^b_i)
     with the half-space Christoffel symbols
     Gamma^k_{ij} = -(d_{kj} d_{in} + d_{ki} d_{jn} - d_{ij} d_{kn})/s.
 
-    value: (..., n) image points, jac: (..., n, n), lap_diag: (..., n, n)
-    with lap_diag[..., g, i] = d^2 F^g / dx_i^2, s_dom: (...) base heights.
+    value: (..., n) image points, jac: (..., n, n), lap: (..., n) with
+    lap[..., g] = sum_i d^2 F^g / dx_i^2, s_dom: (...) base heights.
     Returns (tau (..., n), |tau| in the target metric at value), written
     into the pair out when given.  scratch, a (SCRATCH_ROWS, ...) float
     array, holds the temporaries; both are allocated when not given.  An
@@ -45,7 +45,7 @@ def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None, energy
     """
     value = np.asarray(value, dtype=float)
     if value.ndim == 1:  # one point: its 0-d rows would be numpy scalars, which take no out=
-        tau, norm = tension_from_jet(value[None], jac[None], lap_diag[None],
+        tau, norm = tension_from_jet(value[None], jac[None], lap[None],
                                      np.asarray(s_dom)[None], out, scratch,
                                      None if energy is None else energy[None])
         return tau[0], norm[0]
@@ -80,10 +80,7 @@ def tension_from_jet(value, jac, lap_diag, s_dom, out=None, scratch=None, energy
 
     taus = [tau[..., g] for g in range(n)]
     for g, tau_g in enumerate(taus):
-        np.add(lap_diag[..., g, 0], lap_diag[..., g, 1], out=tau_g)
-        for i in range(2, n):
-            tau_g += lap_diag[..., g, i]
-        tau_g *= s2
+        np.multiply(lap[..., g], s2, out=tau_g)
         tau_g -= np.multiply(n2_s, d[g][-1], out=buf)
         if g < n - 1:
             tau_g -= np.multiply(two_s2_S, _dot(d[g], d[-1], buf, out=acc), out=buf)

@@ -106,13 +106,12 @@ def test_shear_distortion_within_declared():
     assert np.all(K <= f.declared_K * (1.0 + 1e-3))
 
 
-def test_catalog_maps_fix_their_fixed_point_and_have_positive_energy():
+def test_catalog_maps_have_positive_energy_and_their_declared_distortion():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 2)) * 1.5
     for name, params in [("identity", {}), ("linear", {"matrix": np.diag([2.0, 1.0])}),
                          ("radial_stretch", {"K": 1.5}), ("shear", {"c": 0.5})]:
         f = make_boundary_map(name, **params)
-        assert f.check_fixed_point()
         e = boundary_energy_density(f, x)
         assert np.all(e > 0.0)
         K = singular_value_ratio(f.jacobian(x))

@@ -352,6 +352,25 @@ def test_overflowed_extension_is_a_contract_violation(tmp_path, capsys, cmd, cfg
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "cfg_text,width",
+    [("map=linear\nmatrix=2,0,0,1\nt=176.9\neps=0.249975\nmax_cylinders=1\n"
+      "enumeration_cap=1\naudit_branches=1\nn_slab=8\n", "0.752402"),
+     ("map=radial_stretch\nK=1.5\nt=5.5\nr0=16\n", "12.6991")],
+    ids=["eps_near_tail", "stretch_r0_16"],
+)
+def test_cover_annulus_narrower_than_r0_is_a_config_error(tmp_path, capsys, cfg_text, width):
+    # every sector starts at or below the stop line R_out - r0, so with r0
+    # above the annulus width a sector would start below R_in
+    rc, out = run(tmp_path, "cover", cfg_text)
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: t=")
+    for part in ("eps=", "r0=", f"is {width} wide"):
+        assert part in lines[0]
+    assert not (out / "cover.csv").exists()
+
+
 @pytest.mark.parametrize("bad", [{"covered_fraction": 0.99999},
                                  {"max_multiplicity": cov.BETA_IMPL + 1}])
 def test_cover_contract_on_measured_sphere_cover(tmp_path, capsys, monkeypatch, bad):

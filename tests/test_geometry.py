@@ -353,41 +353,44 @@ def test_mobius_boundary_jacobian_is_conformal_property(M, x):
 
 # Calibration sweep of the oracle step h_rel (h = h_rel s): worst error of
 # the finite-difference jet against `Mobius.jet`, per point over its largest
-# Jacobian entry (J) or over max(largest lap entry, largest Jacobian entry / s)
-# (lap), over 5000 examples drawn from the strategies of the property below
-# with qcflow imported (hypothesis draws floats from the library's literals).
+# Jacobian entry (J) or over max(largest |lap|, largest Jacobian entry / s)
+# (lap, the trace of the Hessian), over 20000 examples drawn from the
+# strategies of the property below, with the literal pool pinned empty
+# (conftest.py).
 #
 #   central differences (conftest `jet`)
 #   h_rel        1e-4     4e-4     1e-3     2e-3     4e-3
-#   Jacobian     1.9e-7   1.8e-7   1.1e-6   4.6e-6   1.8e-5
-#   lap                            6.2e-5   2.3e-5   1.9e-5
+#   Jacobian     8.6e-8   1.9e-7   1.2e-6   4.8e-6   1.9e-5
+#   lap          8.6e-3   9.8e-4   1.5e-4   3.3e-5   4.8e-5
 #   extrapolated from h and h/2, (4 D(h/2) - D(h)) / 3
 #   h_rel        5e-3     1e-2     2e-2     4e-2     8e-2
-#   Jacobian     1.0e-8   3.9e-9   4.0e-8   6.4e-7
-#   lap                   2.9e-6   6.8e-7   6.9e-7   1.1e-5
+#   Jacobian     8.7e-9   3.6e-9   4.0e-8   6.4e-7   1.0e-5
+#   lap          3.0e-5   6.1e-6   9.7e-7   6.4e-7   1.0e-5
 #
 # An isometry varies on the scale s of the base point, so the truncation
 # error falls as h_rel^2 (h_rel^4 extrapolated) whatever the chain, down to a
 # rounding floor of eps |M(p)| / h.  That floor is large where the image
 # lies far out horizontally for its height: at p = (0, 1, 0.0625) through
-# similarities of scale 0.25 a central difference at 1e-4 is off by 5.4e-8,
-# above the tolerance (an earlier 2200-example sweep never drew such a
-# point).  The extrapolation reaches its truncation error at a 10-20x larger
-# step, where that floor is lower.  Each step is the one with the least
-# worst error; each tolerance, kept from the central-difference oracle, is
-# 13x (J) and 22x (lap) that error.
+# similarities of scale 0.25 a central difference at 1e-4 is off by 5.4e-8.
+# The worst cases are rare points at that floor, so a draw of other
+# examples moves them: one of 5000 gave 2.5e-8 (Jacobian, 1e-2), 7.0e-6
+# (lap, 2e-2) and 2.1e-6 (lap, 4e-2).  The extrapolation reaches its
+# truncation error at a 10-20x larger step, where that floor is lower.
+# Each step is the one with the least worst error in both draws; the
+# tolerances are kept from the central-difference oracle (14x and 23x the
+# worst errors of the table, 2x and 7x those of the smaller draw).
 ORACLE_STEP_J, ORACLE_TOL_J = 1e-2, 5e-8
-ORACLE_STEP_LAP, ORACLE_TOL_LAP = 2e-2, 1.5e-5
+ORACLE_STEP_LAP, ORACLE_TOL_LAP = 4e-2, 1.5e-5
 
 
 def _extrapolated_jet(M, p, h_rel):
-    """Jacobian and diagonal second derivatives of M at p, Richardson-extrapolated
+    """Jacobian and coordinate Laplacian of M at p, Richardson-extrapolated
     from the central differences at steps h and h/2 (O(h^4))."""
     coarse, fine = jet(M, p, h_rel), jet(M, p, h_rel / 2)
     return tuple((4.0 * b - a) / 3.0 for a, b in (
         (coarse.jacobian, fine.jacobian),
-        (np.diagonal(coarse.hessian, axis1=1, axis2=2),
-         np.diagonal(fine.hessian, axis1=1, axis2=2))))
+        (np.trace(coarse.hessian, axis1=1, axis2=2),
+         np.trace(fine.hessian, axis1=1, axis2=2))))
 
 
 chains_with_inversion = st.one_of(chains, st.just(Mobius.inversion(3)))

@@ -111,26 +111,34 @@ def test_energy_of_the_tension_pass_is_energy_from_jet(name):
 
 
 def _division_jets(grid):
-    """Interior Jacobian and diagonal second derivatives, dividing by 2h and h^2."""
+    """Interior Jacobian and per-axis second differences, dividing by 2h and h^2."""
     u, res = grid.u, grid.resolution
-    jac, lap = [], []
+    jac, d2 = [], []
     for ax, h in enumerate(grid.spacings):
         def shifted(d):
             return u[tuple(slice(1 + d * (k == ax), r - 1 + d * (k == ax))
                            for k, r in enumerate(res))]
         up, um = shifted(1), shifted(-1)
         jac.append((up - um) / (2.0 * h))
-        lap.append((up + -2.0 * shifted(0) + um) / h**2)
-    return np.stack(jac, axis=-1), np.stack(lap, axis=-1)
+        d2.append((up + -2.0 * shifted(0) + um) / h**2)
+    return np.stack(jac, axis=-1), np.stack(d2, axis=-1)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
 def test_reciprocal_stencil_is_within_two_ulp_of_division(name):
-    # the grid multiplies by 0.5/h and 1/h^2: one more rounding than a division
+    # the grid multiplies by 0.5/h and 1/h^2: one more rounding than a
+    # division, so each Jacobian entry and each axis's second difference is
+    # within 2 ulp.  The Laplacian then adds the axes in order on both sides;
+    # each addition rounds by half an ulp of its partial sum on each side,
+    # at most an ulp of the exact partial sum when a binade is crossed.
     grid = ORACLE_GRIDS[name]()
     _, jac, lap, _ = grid.interior_jets()
-    for got, want in zip((jac, lap), _division_jets(grid)):
-        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+    want_jac, d2 = _division_jets(grid)
+    assert np.all(np.abs(jac - want_jac) <= 2.0 * np.spacing(np.abs(want_jac)))
+    partial = np.cumsum(d2, axis=-1)
+    bound = (2.0 * np.sum(np.spacing(np.abs(d2)), axis=-1)
+             + 2.0 * np.sum(np.spacing(np.abs(partial[..., 1:])), axis=-1))
+    assert np.all(np.abs(lap - partial[..., -1]) <= bound)
 
 
 def test_returned_arrays_are_read_only_views(f_stretch):
@@ -175,6 +183,30 @@ def test_flow_step_allocates_no_grid_sized_arrays(f_stretch):
         tracemalloc.stop()
     interior_array = 11**3 * 8  # bytes of one float array over the interior
     assert peak < 8 * interior_array
+
+
+def test_grid_holds_one_laplacian_row_per_component():
+    # the tension reads the second derivatives only through the coordinate
+    # Laplacian, so the grid keeps n rows of it, not the n^2 of each axis
+    grid = hf.FlowGrid(BOX, 9, identity_values(BOX, 9))
+    _, jac, lap, _ = grid.interior_jets()
+    assert jac.shape == (7, 7, 7, 3, 3) and lap.shape == (7, 7, 7, 3)
+    assert grid._lap.shape == (3, 9**3)
+
+
+def test_spectral_radius_allocates_less_than_one_stage_array():
+    # tau(u) and the iterate live in the grid's idle RKL2 stage rows; what is
+    # left is the checkerboard (one grid-sized array) and its outer products:
+    # 0.25 MiB against 0.33 MiB for one (3, lanes) array, 0.84 MiB before
+    grid = hf.FlowGrid(BOX, 25, hf.radial_bump_map(np.array([0.0, 0.0, 1.0]), 0.2, 0.8))
+    hf.spectral_radius(grid)  # warm-up
+    tracemalloc.start()
+    try:
+        hf.spectral_radius(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid._rkl[0].nbytes
 
 
 def test_step_keeps_identity_fixed():

@@ -25,3 +25,14 @@ def test_failing_property_prints_its_falsifying_example(tmp_path):
     assert res.returncode == 1, res.stdout + res.stderr
     assert "Falsifying example: test_below_ten(" in res.stdout
     assert "INTERNALERROR" not in res.stdout + res.stderr
+
+
+def test_hypothesis_draws_no_literals_from_the_library():
+    # conftest.py pins hypothesis's pool of local literals empty, so a
+    # derandomized property draws the same examples whatever src/ holds and
+    # whichever modules were imported first
+    import qcflow.heatflow  # noqa: F401  (a module with many float literals)
+    from hypothesis.internal.conjecture.providers import HypothesisProvider
+
+    # the pool as the provider that draws the examples sees it
+    assert len(HypothesisProvider(None)._local_constants) == 0
