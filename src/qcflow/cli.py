@@ -226,8 +226,8 @@ def cmd_flow(cfg, out, seed, order):
     except ValueError as exc:
         raise ContractViolation(f"flow: {exc}") from None
     try:  # and after, when the spectral radius shortens the default step
-        trace, _, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
-                                  record_every=cfg["record_every"])
+        trace, _ = hf.run_flow(grid, t_end=cfg["t_end"], dt=cfg["dt"],
+                               record_every=cfg["record_every"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if trace.aborted:
@@ -267,12 +267,9 @@ def cmd_cover(cfg, out, seed, order):
     ext = GoodExtension(f, order=order)
     t, eps = cfg["t"], cfg["eps"]
     try:
-        r_in, r_out = cov.main_annulus(t, eps)
+        cov.main_annulus(t, eps, cfg["r0"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if r_out - r_in < cfg["r0"]:  # sectors start at or below R_out - r0, which must not pass R_in
-        raise ConfigError(f"t={t}, eps={eps}, r0={cfg['r0']}: the main annulus is "
-                          f"{r_out - r_in:.6g} wide, narrower than r0")
 
     def tension_sq(p):  # an overflowed extension gives no measurement
         tau = ext.tension_norm(p)

@@ -564,22 +564,34 @@ def _check_disjoint(sectors):
     return True
 
 
-def main_annulus(t, eps):
-    """(R_in, R_out) of the main annulus at time t that the cover can stack over.
+def main_annulus(t, eps, r0):
+    """(R_in, R_out) of the main annulus at time t that the cover can stack over to heights r0.
 
     R_in > 0 keeps the annulus off the center, and R_out <= R_OUT_MAX keeps
     every cap radius and sector weight a normal float64 (t <= 159 at
-    eps = 0.1); a ValueError names t otherwise.
+    eps = 0.1).  Every sector starts at or below the stop line R_out - r0,
+    which must not pass R_in: r0 <= R_out - R_in.  Below R_in = ln 5 the cap
+    radius e^{-R_in}/2 exceeds SMALL_CAP, so a cylinder has no chart and
+    keeps its base sector alone, whose top R_in + r1 (r1 >= 1) must pass
+    the stop line: r0 > R_out - R_in - 1.  A ValueError names t otherwise.
     """
     annulus = AnnulusSpec(t, l_of_eps(eps))
-    if annulus.r_in <= 0:
+    r_in, r_out = annulus.r_in, annulus.r_out
+    if r_in <= 0:
         raise ValueError(f"t={t}: the main annulus at eps={eps} reaches the center; "
                          "increase t")
-    if annulus.r_out > R_OUT_MAX:
+    if r_out > R_OUT_MAX:
         raise ValueError(f"t={t}: the main annulus at eps={eps} ends at "
-                         f"R_out={annulus.r_out:.6g} > {R_OUT_MAX:.6g}, where sector "
+                         f"R_out={r_out:.6g} > {R_OUT_MAX:.6g}, where sector "
                          "weights underflow float64; decrease t")
-    return annulus.r_in, annulus.r_out
+    if r_out - r_in < r0:
+        raise ValueError(f"t={t}, eps={eps}, r0={r0}: the main annulus is "
+                         f"{r_out - r_in:.6g} wide, narrower than r0")
+    if math.exp(-r_in) / 2.0 > SMALL_CAP and r_out - r0 >= r_in + 1.0:
+        raise ValueError(f"t={t}, eps={eps}, r0={r0}: at R_in={r_in:.6g} < ln 5 a cylinder "
+                         "keeps its base sector alone, whose top R_in + r1 (r1 >= 1) must "
+                         f"pass R_out - r0: take r0 > {r_out - r_in - 1.0:.6g}")
+    return r_in, r_out
 
 
 def cover_annulus(t, eps, field, r0=8.0, max_cylinders=4,
@@ -598,7 +610,7 @@ def cover_annulus(t, eps, field, r0=8.0, max_cylinders=4,
     and on uniformly sampled centres beyond that.
     """
     rng = np.random.default_rng(seed)
-    r_in, r_out = main_annulus(t, eps)
+    r_in, r_out = main_annulus(t, eps, r0)
     radius = math.exp(-r_in) / 2.0
     cover_report = {}
     if _lattice_count(radius) <= MAX_LATTICE_COUNT:

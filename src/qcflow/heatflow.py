@@ -47,7 +47,8 @@ the first records.  Stability needs the base step dt within the explicit
 limit 2/rho, rho the spectral radius of the linearised tension, which
 `spectral_radius` estimates by the nonlinear power method of RKC
 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998) before
-the first step.
+the first step.  A run is one uniform schedule: M equal super-steps, the
+last ending exactly at t_end.
 """
 
 import math
@@ -89,8 +90,7 @@ RECORDS = 40       # run_flow: records kept by the default record_every
 # Longest plan run_flow accepts.  A 16-stage super-step on the coarsest grid
 # the statistics allow (7^3) costs 2.1 ms (a 144 us Euler step and 15
 # combined stages, 2-core x86, numpy 2.4.6), so a longer plan runs for over
-# half an hour on every grid, and its list holds 96 bytes per super-step.
-# Criterion 7 takes 76.
+# half an hour on every grid.  Criterion 7 takes 76.
 MAX_SUPER_STEPS = 10**6
 
 
@@ -141,9 +141,10 @@ class FlowGrid:
         axes = [np.linspace(-X, X, resolution[i]) for i in range(n - 1)]
         axes.append(np.linspace(s_lo, s_hi, resolution[-1]))
         self.spacings = np.array([ax[1] - ax[0] for ax in axes])
-        self.nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (..., n)
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (..., n)
+        heights = nodes[..., -1].ravel()
 
-        size = self.nodes[..., 0].size
+        size = heights.size
         self._strides = [int(np.prod(shape[ax + 1:])) for ax in range(n)]
         # per axis: the stride and the factors the jets multiply by, 1/(2h) and 1/h^2
         self._stencil = [(st, 0.5 / h, 1.0 / h**2) for st, h in zip(self._strides, self.spacings)]
@@ -156,11 +157,11 @@ class FlowGrid:
         self._u.flags.writeable = False
         if callable(values):
             try:  # an extension refuses non-finite boundary data
-                values = values(self.nodes)
+                values = values(nodes)
             except FloatingPointError as exc:
                 raise ValueError(f"non-finite initial data: {exc}") from None
         self.u = values
-        del values  # an extension's values are copied; let them go before the work arrays
+        del nodes, values  # copied into heights and the store; let them go before the work arrays
         if np.any(self.u[..., -1] <= 0.0):
             raise ValueError("initial map has non-positive heights")
         self.u0 = self.u.copy()
@@ -173,7 +174,6 @@ class FlowGrid:
         self._stage = np.empty((n, hi - lo))  # one block: the checks read it unbuffered
         self._rkl = np.empty((3, n, hi - lo))  # Y_0, tau(Y_0) and Y_{j-2} of a super-step
         self._scratch = np.empty((max(tn.SCRATCH_ROWS, STEP_SCRATCH_ROWS), hi - lo))
-        heights = self.nodes[..., -1].ravel()
         inside = np.zeros(shape, dtype=bool)
         inside[self.interior()] = True
         self._inside = inside.ravel()[lo:hi]
@@ -292,9 +292,6 @@ class FlowGrid:
         """max |u - u0| over interior nodes; the frozen layer is taken to hold u0's values."""
         core = self.interior()
         return float(np.max(dist(self.u[core], self.u0[core])))
-
-    def distance_to(self, other_values):
-        return float(np.max(dist(self.u, other_values)))
 
 
 def init_flow(f, box, resolution, order=None):
@@ -481,42 +478,34 @@ def spectral_radius(grid):
     return rho
 
 
-def _super_steps(dt, t_end, snapshot_times):
-    """(t, delta, coefficients) per super-step, landing exactly on t_end and the snapshot times.
+def _super_steps(dt, t_end):
+    """(M, delta, coefficients): M super-steps of length delta = t_end / M.
 
-    A segment of length L between two such times takes
-    M = ceil(L / (_reach(RKL_STAGES) dt)) super-steps of length delta = L / M,
-    each of the fewest stages s with _reach(s) dt >= delta.
+    M = ceil(t_end / (_reach(RKL_STAGES) dt)), and each super-step has the
+    fewest stages s with _reach(s) dt >= delta.
     """
-    plan, a = [], 0.0
-    for b in sorted({s for s in snapshot_times if 0.0 < s < t_end} | {t_end}):
-        m = math.ceil((b - a) / (_reach(RKL_STAGES) * dt))
-        delta = (b - a) / m
-        stages = next((s for s in range(2, RKL_STAGES) if _reach(s) * dt >= delta), RKL_STAGES)
-        coefficients = rkl2_coefficients(stages)
-        plan += [(a + (b - a) * i / m, delta, coefficients) for i in range(1, m)]
-        plan.append((b, delta, coefficients))
-        a = b
-    return plan
+    m = math.ceil(t_end / (_reach(RKL_STAGES) * dt))
+    delta = t_end / m
+    stages = next((s for s in range(2, RKL_STAGES) if _reach(s) * dt >= delta), RKL_STAGES)
+    return m, delta, rkl2_coefficients(stages)
 
 
-def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
+def run_flow(grid, t_end=1.0, dt=None, record_every=None):
     """Run the heat flow on grid and record (t, sup|tau|, sup drift, mean energy).
 
-    Advances by RKL2 super-steps of at most RKL_STAGES stages, each at
-    most 67.5 base steps dt long (by default the CFL step, capped at
-    DEFAULT_DT_RHO / spectral_radius); they land exactly on t_end and on
-    every snapshot time in (0, t_end].  A record is taken every
-    record_every super-steps (by default at most RECORDS after the start) and at
-    t_end.  Aborts with a partial trace on energy blow-up: before the
-    first step, leaving the grid unchanged, when dt exceeds the explicit
-    limit 2 / spectral_radius; before every stage and at every record
-    when the energy density exceeds BLOWUP_FACTOR times its initial
-    maximum.  It also aborts on invalid node values.  Raises ValueError,
-    before the plan is built, when t_end takes more than MAX_SUPER_STEPS
-    super-steps (see `check_flow_plan`).  Returns (FlowTrace, FlowGrid,
-    snapshots) where snapshots maps requested times to copies of the node
-    values.
+    Advances by M uniform RKL2 super-steps of at most RKL_STAGES stages,
+    each at most 67.5 base steps dt long (by default the CFL step, capped
+    at DEFAULT_DT_RHO / spectral_radius); super-step k ends at
+    t_end k / M, and the last exactly at t_end.  A record is taken at the
+    start, every record_every super-steps (by default at most RECORDS after
+    the start) and at t_end.  Aborts with a partial trace on energy
+    blow-up: before the first step, leaving the grid unchanged, when dt
+    exceeds the explicit limit 2 / spectral_radius; before every stage and
+    at every record when the energy density exceeds BLOWUP_FACTOR times
+    its initial maximum.  It also aborts on invalid node values; the grid
+    then holds the last accepted stage.  Raises ValueError, before any
+    step, when t_end takes more than MAX_SUPER_STEPS super-steps (see
+    `check_flow_plan`).  Returns (FlowTrace, FlowGrid).
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -525,42 +514,32 @@ def run_flow(grid, t_end=1.0, dt=None, record_every=None, snapshot_times=None):
     if dt is None:
         dt = min(cfl_time_step(grid), DEFAULT_DT_RHO / rho if rho else math.inf)
     _check_plan_length(grid.box, grid.resolution, t_end, given, dt)
-    snapshot_times = set(snapshot_times or [])
-    plan = _super_steps(dt, t_end, snapshot_times)
+    m, delta, coefficients = _super_steps(dt, t_end)
     if record_every is None:
-        record_every = math.ceil(len(plan) / RECORDS)
-    stable = dt * rho <= 2.0
+        record_every = math.ceil(m / RECORDS)
+    rows = []
 
-    times = [0.0]
-    sup_tau = [grid.sup_tension()]
-    sup_drift = [0.0]
-    e0 = grid.energy()  # a view that the next step overwrites
-    max_energy = BLOWUP_FACTOR * max(float(np.max(e0)), 1e-30)
-    mean_e = [float(np.mean(grid.stats_view(e0)))]
-    snaps = {}
+    def record(t):
+        """Append the record at time t; returns the largest interior energy density."""
+        sup_tau, sup_drift = grid.sup_tension(), grid.sup_drift()
+        energy = grid.energy()  # a view that the next step overwrites
+        rows.append((t, sup_tau, sup_drift, float(np.mean(grid.stats_view(energy)))))
+        return float(np.max(energy))
+
+    max_energy = BLOWUP_FACTOR * max(record(0.0), 1e-30)
+    stable = dt * rho <= 2.0
     aborted, reason = (False, "") if stable else (True, BLOWUP_REASON)
-    for k, (t, delta, coefficients) in enumerate(plan if stable else [], 1):
+    for k in range(1, m + 1 if stable else 1):
         try:
             _super_step(grid, delta, coefficients, max_energy)
         except FloatingPointError as exc:
             aborted, reason = True, str(exc)
             break
-        if t in snapshot_times:
-            snaps[t] = grid.u.copy()
-        if k % record_every == 0 or k == len(plan):
-            times.append(t)
-            sup_tau.append(grid.sup_tension())
-            sup_drift.append(grid.sup_drift())
-            e_now = grid.energy()
-            mean_e.append(float(np.mean(grid.stats_view(e_now))))
-            if float(np.max(e_now)) > max_energy:
+        if k % record_every == 0 or k == m:
+            if record(t_end if k == m else t_end * k / m) > max_energy:
                 aborted, reason = True, BLOWUP_REASON
                 break
-    trace = FlowTrace(
-        np.array(times), np.array(sup_tau), np.array(sup_drift),
-        np.array(mean_e), aborted, reason,
-    )
-    return trace, grid, snaps
+    return FlowTrace(*np.array(rows).T, aborted, reason), grid
 
 
 def radial_bump_map(center, amp, width):

@@ -183,6 +183,14 @@ def apply_reference(M, p):
 # reference flow step: FlowGrid's stencil on freshly allocated (..., n) arrays,
 # the tests' bit-for-bit oracle for the grid's buffered flat-range kernels
 
+def identity_values(box, res):
+    """Node coordinates (..., n) of a FlowGrid over box; res is an int (n = 3) or a tuple."""
+    X, s_lo, s_hi = box
+    res = (res,) * 3 if isinstance(res, int) else res
+    axes = [np.linspace(-X, X, r) for r in res[:-1]] + [np.linspace(s_lo, s_hi, res[-1])]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def reference_jets(grid, u):
     """Value, Jacobian, coordinate Laplacian and heights at grid's interior nodes.
 
@@ -211,7 +219,7 @@ def reference_jets(grid, u):
             np.add(up, minus_2val, out=lap[g, ax])
             lap[g, ax] += um
             lap[g, ax] *= 1.0 / h**2
-    s_dom = grid.nodes[core][..., -1]
+    s_dom = identity_values(grid.box, grid.resolution)[core][..., -1]
     lap_sum = lap[:, 0]
     for ax in range(1, n):
         lap_sum += lap[:, ax]

@@ -10,7 +10,7 @@ from qcflow.boundary import make_boundary_map
 from qcflow.cli import main as cli_main
 from qcflow.covering import BETA_IMPL, besicovitch_cover, cover_annulus
 from qcflow.extension import GoodExtension, check_partial_conformal_naturality
-from qcflow.geometry import INFINITY, Mobius, geodesic_step
+from qcflow.geometry import INFINITY, Mobius, dist, geodesic_step
 from qcflow.greens import C_GREEN, green, green_volume_integral
 from qcflow.heatkernel import (
     RadialKernel,
@@ -184,7 +184,7 @@ def test_criterion_7_flow_decay():
     f = make_boundary_map("radial_stretch", K=1.5)
     box = (2.0, 0.25, 4.0)
     grid = hf.init_flow(f, box, 33)
-    trace, final, _ = hf.run_flow(grid, t_end=1.0)
+    trace, final = hf.run_flow(grid, t_end=1.0)
     decay_ok = (not trace.aborted) and trace.decayed and trace.within_band
     drift_ok = float(np.max(trace.sup_drift)) < 0.4  # pinned fixture bound
 
@@ -192,15 +192,15 @@ def test_criterion_7_flow_decay():
     gridL = hf.init_flow(fL, box, 17)
     uL = gridL.u.copy()
     dtL = hf.cfl_time_step(gridL)
-    traceL, finalL, _ = hf.run_flow(gridL, t_end=1000 * dtL, dt=dtL,
-                                    record_every=250)
-    stationary = finalL.distance_to(uL) < 1e-4 and not traceL.aborted
+    traceL, finalL = hf.run_flow(gridL, t_end=1000 * dtL, dt=dtL, record_every=250)
+    movement = float(np.max(dist(finalL.u, uL)))
+    stationary = movement < 1e-4 and not traceL.aborted
     elapsed = time.monotonic() - t0
     ok = decay_ok and drift_ok and stationary and elapsed < 600.0
     report(7, ok,
            f"sup|tau| {trace.sup_tension[0]:.3f} -> {trace.sup_tension[-1]:.4f}"
            f" (band ok: {trace.within_band}), drift {np.max(trace.sup_drift):.3f}"
-           f" < 0.4, harmonic 1000-step movement {finalL.distance_to(uL):.1e}"
+           f" < 0.4, harmonic 1000-step movement {movement:.1e}"
            f" < 1e-4, {elapsed:.0f}s < 600s")
 
 

@@ -132,6 +132,9 @@ def test_unknown_key_exits_one(tmp_path, capsys):
         ("cover", "map=identity\neps=5\n", [], "eps"),
         ("cover", "map=identity\neps=0\n", [], "eps"),
         ("cover", "map=identity\nr0=0.5\n", [], "r0"),
+        ("cover", "map=linear\nt=3\nr0=2\n", [], "r0"),
+        ("cover", "map=linear\nt=1.9\nr0=1\n", [], "r0"),
+        ("cover", "map=linear\nt=2.3\nr0=6\n", [], "r0"),
         ("extend", "map=identity\nnx=0\n", [], "nx"),
         ("extend", "map=identity\ns_lo=0\n", [], "s_lo"),
         ("kernel", "t=0\n", [], "t"),
@@ -144,7 +147,8 @@ def test_unknown_key_exits_one(tmp_path, capsys):
         ("cover", "map=identity\n", ["--seed", "-3"], "seed"),
     ],
     ids=["K", "map", "quad_order", "quad_order_371", "resolution", "t", "cover_t300", "cover_t1e6",
-         "matrix_len3", "matrix_3x3", "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0", "extend_nx",
+         "matrix_len3", "matrix_3x3", "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0",
+         "cover_chartless_t3", "cover_chartless_t1.9", "cover_chartless_t2.3", "extend_nx",
          "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
          "goodset_heights", "flow_s_lo_s_hi", "goodset_seed", "cover_seed"],
 )
@@ -228,6 +232,25 @@ def test_flow_too_long_to_step_is_config_error(tmp_path, capsys, monkeypatch, cf
         assert key in lines[0]
 
 
+def test_flow_too_long_at_the_capped_default_step_is_config_error(tmp_path, capsys, monkeypatch):
+    # the pre-grid check counts the plan at the CFL step, whose cap is
+    # t_end = 20599 here; run_flow caps the default step at DEFAULT_DT_RHO / rho
+    # (rho dt_CFL = 1.974 measured), whose cap is 19826, and refuses the plan
+    # before any step
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow was stepped")
+
+    monkeypatch.setattr(cli.hf, "_super_step", refuse)
+    rc, out = run(tmp_path, "flow", "map=identity\nbox_x=1.875\nresolution=25\nt_end=20300\n")
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: box_x=1.875")
+    # the grid's resolution tuple: run_flow refused it, after the grid was built
+    for key in ("resolution=(25, 25, 25)", "t_end=20300", "dt unset"):
+        assert key in lines[0]
+    assert not (out / "flow.csv").exists()
+
+
 @pytest.mark.parametrize("s_lo", ["1e-200", "1e-300"])
 def test_extend_underflowed_height_is_contract_violation(tmp_path, capsys, s_lo):
     # over the stretch's singular point x = 0 the extension's height
@@ -267,7 +290,7 @@ def test_flow_csv_round_trip(tmp_path, f_linear):
     # flow.csv holds one row per record, each cell the trace's value to 12 digits
     grid = hf.init_flow(f_linear, (2.0, 0.25, 4.0), 9)
     dt = hf.cfl_time_step(grid)
-    trace, _, _ = hf.run_flow(grid, t_end=20 * dt, dt=dt, record_every=10)
+    trace, _ = hf.run_flow(grid, t_end=20 * dt, dt=dt, record_every=10)
     rc, out = run(tmp_path, "flow", f"map=linear\nresolution=9\ndt={dt!r}\n"
                   f"t_end={20 * dt!r}\nrecord_every=10\n")
     assert rc == 0

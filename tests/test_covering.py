@@ -100,7 +100,7 @@ def _cover_report_at_once(R, sample_size, rng):
 
 
 # the workload's cover: R_in of the main annulus at t = 5.5, eps = 0.1
-R_WORKLOAD = main_annulus(5.5, 0.1)[0]
+R_WORKLOAD = main_annulus(5.5, 0.1, 8.0)[0]
 
 
 @pytest.mark.parametrize("R", [-math.log(math.pi), 2.0, R_WORKLOAD])
@@ -440,7 +440,7 @@ def test_admissibility_disk_cases():
     # a cap too wide for a chart keeps only its base sector, whose Omega is
     # the disk of radius e^{-R_in}/2 itself: alpha = 2
     rep = cover_annulus(2.6, 0.1, lambda p: np.zeros(len(p)),
-                        r0=9.0, max_cylinders=1, n_slab=16, seed=0)
+                        r0=8.0, max_cylinders=1, n_slab=16, seed=0)
     cyl = rep.cylinders[0]
     assert len(cyl.sectors) == 1 and cyl.alpha == 2.0
     # a chart cell at the ends of its window
@@ -541,15 +541,15 @@ def test_find_good_height_rejects_r_max_below_one(ext_stretch):
 # the full pipeline
 
 def test_cover_annulus_toy_single_disk(ext_linear):
-    # small t, so one disk larger than SMALL_CAP, and r0 spanning the whole
-    # cylinder height: only the structure is exercised (bookkeeping,
-    # disjointness)
+    # small t, so one disk larger than SMALL_CAP, and r0 within a unit of
+    # the annulus width (8.73): only the structure is exercised
+    # (bookkeeping, disjointness)
     rep = cover_annulus(2.6, 0.1, tension_sq_field(ext_linear),
-                        r0=9.0, max_cylinders=1, n_slab=64, seed=0)
+                        r0=8.0, max_cylinders=1, n_slab=64, seed=0)
     cyl = rep.cylinders[0]
     assert cyl.disjoint and cyl.contained
     assert len(cyl.sectors) >= 1
-    assert all(1.0 <= s.r1 <= 9.0 for s in cyl.sectors)
+    assert all(1.0 <= s.r1 <= 8.0 for s in cyl.sectors)
     assert cyl.leftover_estimate <= cyl.leftover_bound + 1e-12
 
 
@@ -599,6 +599,28 @@ def test_cover_annulus_rejects_annulus_through_origin(ext_linear):
         cover_annulus(1.0, 0.1, tension_sq_field(ext_linear))
 
 
+def test_main_annulus_r0_edges():
+    from qcflow.heatkernel import l_of_eps
+
+    # at t = 3, R_in = 1.31 < ln 5: the caps are too wide for a chart, so a
+    # cylinder keeps its base sector, whose top can be R_in + 1.  r0 must put
+    # the stop line R_out - r0 below that top, and not below R_in
+    r_in, r_out = main_annulus(3.0, 0.1, 9.0)
+    width = r_out - r_in  # 9.38
+    for r0 in (width - 1.0 + 1e-9, width):
+        assert main_annulus(3.0, 0.1, r0) == (r_in, r_out)
+    with pytest.raises(ValueError, match=r"< ln 5 .* take r0 > 8\.37891"):
+        main_annulus(3.0, 0.1, width - 1.0 - 1e-9)
+    with pytest.raises(ValueError, match="9.37891 wide, narrower than r0"):
+        main_annulus(3.0, 0.1, width + 1e-9)
+    # the chart rule starts where R_in = 2t - l sqrt(t) reaches ln 5
+    l = l_of_eps(0.1)
+    t_chart = ((l + math.sqrt(l * l + 8.0 * math.log(5.0))) / 4.0) ** 2  # 3.24
+    assert main_annulus(t_chart * (1.0 + 1e-9), 0.1, 1.0)[0] > math.log(5.0)
+    with pytest.raises(ValueError, match="take r0 >"):
+        main_annulus(t_chart * (1.0 - 1e-9), 0.1, 1.0)
+
+
 def _assert_measured_cover_branch(ext, t):
     """cover_annulus at t measures the disk cover at R_in and puts its
     cylinders over the strided lattice centres of that cover."""
@@ -629,7 +651,7 @@ def test_cover_annulus_measures_the_cover_up_to_the_lattice_limit(ext_linear):
 def test_cover_annulus_samples_cylinders_beyond_the_lattice_limit(ext_linear):
     # at t = 8 the cover at R_in would need 1.09e9 caps, more than float64
     # resolves on the lattice: no cover is built and the centres are sampled
-    r_in = main_annulus(8.0, 0.1)[0]
+    r_in = main_annulus(8.0, 0.1, 8.0)[0]
     assert _lattice_count(math.exp(-r_in) / 2.0) > MAX_LATTICE_COUNT
     rep = cover_annulus(8.0, 0.1, tension_sq_field(ext_linear),
                         max_cylinders=1, enumeration_cap=3, audit_branches=1,

@@ -8,28 +8,22 @@ import qcflow.heatflow as hf
 from qcflow.boundary import make_boundary_map
 from qcflow.geometry import dist
 
-from conftest import reference_flow_step, reference_jets, reference_tension
+from conftest import identity_values, reference_flow_step, reference_jets, reference_tension
 
 BOX = (2.0, 0.25, 4.0)
-
-
-def identity_values(box, res):
-    X, s_lo, s_hi = box
-    axes = [np.linspace(-X, X, res)] * 2 + [np.linspace(s_lo, s_hi, res)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def test_init_flow_identity():
     f = make_boundary_map("identity")
     grid = hf.init_flow(f, BOX, 9)
-    assert np.max(np.abs(grid.u - grid.nodes)) < 1e-10
+    assert np.max(np.abs(grid.u - identity_values(BOX, 9))) < 1e-10
 
 
 def test_init_flow_linear_closed_form(f_linear):
     grid = hf.init_flow(f_linear, BOX, 9)
+    nodes = identity_values(BOX, 9)
     closed = np.concatenate(
-        [grid.nodes[..., 0:1] * 2.0, grid.nodes[..., 1:2],
-         math.sqrt(2.5) * grid.nodes[..., 2:3]], axis=-1
+        [nodes[..., 0:1] * 2.0, nodes[..., 1:2], math.sqrt(2.5) * nodes[..., 2:3]], axis=-1
     )
     assert np.max(np.abs(grid.u - closed)) < 1e-9
 
@@ -239,7 +233,7 @@ def test_single_step_reduces_tension_of_perturbed_harmonic(f_linear):
 def test_run_flow_linear_stationary(f_linear):
     grid = hf.init_flow(f_linear, BOX, 9)
     dt = hf.cfl_time_step(grid)
-    trace, final, _ = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=50)
+    trace, final = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=50)
     assert not trace.aborted
     assert np.max(trace.sup_tension) <= 1e-3
     assert trace.sup_drift[-1] <= 1e-3
@@ -249,9 +243,9 @@ def test_harmonic_stationarity_thousand_steps(f_linear):
     grid = hf.init_flow(f_linear, BOX, 9)
     u0 = grid.u.copy()
     dt = hf.cfl_time_step(grid)
-    trace, final, _ = hf.run_flow(grid, t_end=1000 * dt, dt=dt, record_every=250)
+    trace, final = hf.run_flow(grid, t_end=1000 * dt, dt=dt, record_every=250)
     assert not trace.aborted
-    assert final.distance_to(u0) < 1e-4
+    assert np.max(dist(final.u, u0)) < 1e-4
 
 
 @pytest.mark.parametrize("cfl_multiple", [1.5, 2.0])
@@ -260,7 +254,7 @@ def test_blowup_guard_runs_every_step(f_stretch, cfl_multiple):
     # no record step before t_end only a guard run at every step can name it
     grid = hf.init_flow(f_stretch, BOX, 9)
     dt = cfl_multiple * hf.cfl_time_step(grid)
-    trace, _, _ = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=10**6)
+    trace, _ = hf.run_flow(grid, t_end=200 * dt, dt=dt, record_every=10**6)
     assert trace.aborted
     assert trace.abort_reason == hf.BLOWUP_REASON
     assert len(trace.times) == 1
@@ -268,7 +262,7 @@ def test_blowup_guard_runs_every_step(f_stretch, cfl_multiple):
 
 def test_run_flow_stretch_decays(f_stretch):
     grid = hf.init_flow(f_stretch, BOX, 17)
-    trace, final, _ = hf.run_flow(grid, t_end=0.25)
+    trace, final = hf.run_flow(grid, t_end=0.25)
     assert not trace.aborted
     assert trace.decayed
     assert trace.within_band
@@ -280,16 +274,16 @@ def test_refinement_halving_dt(f_stretch):
     grid1 = hf.init_flow(f_stretch, BOX, 9)
     u_init = grid1.u.copy()
     dt = hf.cfl_time_step(grid1)
-    _, final1, _ = hf.run_flow(grid1, t_end=0.04, dt=dt)
+    _, final1 = hf.run_flow(grid1, t_end=0.04, dt=dt)
     grid2 = hf.FlowGrid(BOX, 9, u_init)
-    _, final2, _ = hf.run_flow(grid2, t_end=0.04, dt=dt / 2)
-    assert final1.distance_to(final2.u) < 1e-3
+    _, final2 = hf.run_flow(grid2, t_end=0.04, dt=dt / 2)
+    assert np.max(dist(final1.u, final2.u)) < 1e-3
 
 
 def test_cfl_guard_aborts_on_blowup(f_stretch):
     grid = hf.init_flow(f_stretch, BOX, 9)
     dt = 40.0 * hf.cfl_time_step(grid)
-    trace, _, _ = hf.run_flow(grid, t_end=1.0, dt=dt, record_every=1)
+    trace, _ = hf.run_flow(grid, t_end=1.0, dt=dt, record_every=1)
     assert trace.aborted
 
 
@@ -333,7 +327,7 @@ def test_guard_aborts_before_the_first_step_above_two_over_rho(f_stretch, margin
     grid = hf.init_flow(f_stretch, BOX, 9)
     dt = margin * 2.0 / hf.spectral_radius(grid)
     before = grid.u.copy()
-    trace, _, _ = hf.run_flow(grid, t_end=40 * dt, dt=dt)
+    trace, _ = hf.run_flow(grid, t_end=40 * dt, dt=dt)
     if margin > 1.0:
         assert trace.aborted and trace.abort_reason == hf.BLOWUP_REASON
         assert len(trace.times) == 1
@@ -343,13 +337,60 @@ def test_guard_aborts_before_the_first_step_above_two_over_rho(f_stretch, margin
         assert trace.decayed and trace.within_band
 
 
+def test_a_failed_stage_ends_the_run_at_the_last_record(f_stretch, monkeypatch):
+    # a stage refused in the third super-step aborts the run: the trace keeps
+    # the records before it, and the grid the last stage that was accepted
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    u_init = grid.u.copy()
+    dt = hf.cfl_time_step(grid)
+    t_end = 4.5 * hf._reach(hf.RKL_STAGES) * dt
+    clean, _ = hf.run_flow(hf.FlowGrid(BOX, 9, u_init), t_end=t_end, dt=dt, record_every=1)
+    stages = len(hf._super_steps(dt, t_end)[2][0])
+    fail_at = 2 * stages + 5  # stage 5 of the third super-step
+    accepted, accept_stage = [], hf._accept_stage
+
+    def refuse_one(g):
+        if len(accepted) + 1 == fail_at:
+            raise FloatingPointError("stage refused")
+        accept_stage(g)
+        accepted.append(g.u.copy())
+
+    monkeypatch.setattr(hf, "_accept_stage", refuse_one)
+    trace, final = hf.run_flow(grid, t_end=t_end, dt=dt, record_every=1)
+    assert trace.aborted and trace.abort_reason == "stage refused"
+    assert len(clean.times) == 6 and len(trace.times) == 3
+    for name in ("times", "sup_tension", "sup_drift", "mean_energy"):
+        assert _same_bits(getattr(trace, name), getattr(clean, name)[:3])
+    assert len(accepted) == fail_at - 1
+    assert _same_bits(final.u, accepted[-1])
+
+
+def test_a_record_above_the_blowup_bound_ends_the_run(f_stretch, monkeypatch):
+    # the stage guard reads the tension pass's energy array, not energy(),
+    # so an energy() that reads high after the start trips the record check
+    grid = hf.init_flow(f_stretch, BOX, 9)
+    starts, energy = [], hf.FlowGrid.energy
+
+    def inflated(self):
+        e = energy(self)
+        if starts:
+            return np.full_like(e, 1.01 * hf.BLOWUP_FACTOR * starts[0])
+        starts.append(float(np.max(e)))
+        return e
+
+    monkeypatch.setattr(hf.FlowGrid, "energy", inflated)
+    trace, _ = hf.run_flow(grid, t_end=0.5, record_every=1)
+    assert trace.aborted and trace.abort_reason == hf.BLOWUP_REASON
+    assert len(trace.times) == 2 and 0.0 < trace.times[-1] < 0.5
+
+
 def test_default_step_stays_inside_the_explicit_limit():
     # on the 11^4 box the CFL step alone is past 2/rho (rho dt_CFL = 2.059
     # measured), so a default run used to abort before its first step; the
     # default base step is capped at DEFAULT_DT_RHO / rho
     grid = hf.FlowGrid(BOX, 11, lambda p: p, n=4)
     assert hf.cfl_time_step(grid) * hf.spectral_radius(grid) > 2.0
-    trace, _, _ = hf.run_flow(grid, t_end=0.05)
+    trace, _ = hf.run_flow(grid, t_end=0.05)
     assert not trace.aborted
     assert trace.times[-1] == 0.05
 
@@ -403,26 +444,12 @@ def test_rkl2_stage_polynomials_stay_within_one_up_to_the_reach(s):
         assert abs(np.max(np.abs(stiff)) - STIFF_AMPLIFICATION) < 0.005
 
 
-def test_super_steps_land_on_t_end_and_every_snapshot(f_stretch):
-    grid = hf.init_flow(f_stretch, BOX, 9)
-    u_init = grid.u.copy()
-    t_end, marks = 0.1, [0.013, 0.05]
-    trace, final, snaps = hf.run_flow(grid, t_end=t_end, snapshot_times=marks + [0.2])
-    assert trace.times[-1] == t_end
-    assert sorted(snaps) == marks  # a time past t_end is never reached
-    for i, mark in enumerate(marks):
-        # a run that ends at the mark takes the same super-steps up to it
-        _, upto, _ = hf.run_flow(hf.FlowGrid(BOX, 9, u_init), t_end=mark,
-                                 snapshot_times=marks[:i])
-        assert _same_bits(snaps[mark], upto.u)
-
-
 @pytest.mark.parametrize("super_steps", [1, 40, 41, 80, 81, 119])
 def test_default_run_records_at_most_41_rows(super_steps):
     grid = hf.FlowGrid(BOX, 9, identity_values(BOX, 9))
     reach = hf._reach(hf.RKL_STAGES) * hf.cfl_time_step(grid)
     t_end = (super_steps - 0.5) * reach
-    trace, _, _ = hf.run_flow(grid, t_end=t_end)
+    trace, _ = hf.run_flow(grid, t_end=t_end)
     assert trace.times[-1] == t_end
     assert len(trace.times) <= 41
     assert len(trace.times) >= min(super_steps, 21) + 1
@@ -477,7 +504,7 @@ def test_records_share_the_next_steps_jet_pass(f_stretch, monkeypatch):
     for every in (1, 10**6):
         fills.clear()
         grid = hf.init_flow(f_stretch, BOX, 9)
-        trace, final, _ = hf.run_flow(grid, t_end=0.05, record_every=every)
+        trace, final = hf.run_flow(grid, t_end=0.05, record_every=every)
         passes.append((fills.count(True), fills.count("tension")))
     assert passes[0][0] == passes[0][1]  # one tension pass per jet pass
     assert passes[0] == passes[1]  # a record adds no jet or tension pass
@@ -513,7 +540,7 @@ def workload_run():
         grid = hf.init_flow(make_boundary_map("radial_stretch", K=1.5), BOX, 25)
         u0 = grid.u.copy()
         passes.clear()
-        trace, final, _ = hf.run_flow(grid, t_end=0.25)
+        trace, final = hf.run_flow(grid, t_end=0.25)
     assert not trace.aborted and len(trace.times) == 14
     return final, u0, sum(passes), power[0]
 
@@ -539,14 +566,6 @@ def test_workload_keeps_the_frozen_layer_bit_for_bit(workload_run):
     frozen = _boundary(final)
     assert _same_bits(final.u[frozen], u0[frozen])
     assert not np.array_equal(final.u, u0)
-
-
-def test_snapshots_keep_the_frozen_layer_bit_for_bit(f_stretch):
-    grid = hf.init_flow(f_stretch, BOX, 9)
-    u0, frozen = grid.u.copy(), _boundary(grid)
-    _, final, snaps = hf.run_flow(grid, t_end=0.1, snapshot_times=[0.013, 0.05])
-    for u in [final.u] + list(snaps.values()):
-        assert _same_bits(u[frozen], u0[frozen])
 
 
 def test_node_values_are_read_only(f_stretch):
@@ -579,13 +598,13 @@ def test_rkl2_error_against_a_fine_euler_reference(K):
     grid = hf.init_flow(make_boundary_map("radial_stretch", K=K), BOX, 13)
     ref = hf.FlowGrid(BOX, 13, grid.u)
     dt = hf.cfl_time_step(grid)
-    _, rkl2, snaps = hf.run_flow(grid, t_end=0.25, snapshot_times=[0.05])
     errors = []
-    for a, b, u in ((0.0, 0.05, snaps[0.05]), (0.05, 0.25, rkl2.u)):
-        n = math.ceil((b - a) / (dt / 8))
+    for length in (0.05, 0.20):  # to t = 0.05, then on to 0.25 from the same grid
+        hf.run_flow(grid, t_end=length)
+        n = math.ceil(length / (dt / 8))
         for _ in range(n):
-            hf.flow_step(ref, (b - a) / n)
-        errors.append(ref.distance_to(u))
+            hf.flow_step(ref, length / n)
+        errors.append(float(np.max(dist(ref.u, grid.u))))
     assert errors[0] <= RKL2_FIRST_STEP_ERR, errors
     assert errors[1] <= STIFF_AMPLIFICATION**3 * errors[0], errors
 
@@ -605,7 +624,8 @@ def test_radial_bump_tension_is_radial():
     grid, center = _bump_grid()
     core = grid.interior()
     _, norm = grid.tension()
-    rho = dist(grid.nodes[core], np.broadcast_to(center, grid.nodes[core].shape))
+    nodes = identity_values(grid.box, grid.resolution)[core]
+    rho = dist(nodes, np.broadcast_to(center, nodes.shape))
     # points at (almost) equal radius carry (almost) equal |tau|^2
     order = np.argsort(rho.ravel())
     r_sorted = rho.ravel()[order]
