@@ -112,7 +112,7 @@ SCHEMA = {
     },
     "cover": {
         **_COMMON,
-        "t": _above("16.0", 0),
+        "t": _at_least("16.0", 1),
         "eps": Key(_real, "0.1", f"number in (0, {C3_TAIL})", lambda v: 0 < v < C3_TAIL),
         "r0": _at_least("8.0", 1),
         "max_cylinders": _count("2"),

@@ -3,15 +3,12 @@
 Besicovitch-style disk covers of S^2 are built from a Fibonacci-spiral
 lattice with spacing 0.9 x disk radius and held in closed form (count,
 radius), all disks sharing one radius; the overlap multiplicity is a
-measured constant, counted through the inverse Fibonacci map with no
-centre array.  The count runs block by block: beside the 16 B per sample
-of its drawn angles, it holds one block of 8192 sample points (192 KiB)
-and, for each 910 of them, 9 candidate centres per point, i.e.
-910 x 9 x 8 B = 64 KiB per array.  Cylinders over the main annulus
-are partitioned into admissible sectors by stacking: each good sector's
-top face, viewed as a Euclidean cube through a bi-Lipschitz chart, is
-partitioned into subcubes of the next admissible scale and a good sector
-is erected over each.
+measured constant, counted through the inverse Fibonacci map from each
+sample's height and azimuth, with no centre array.  Cylinders over the
+main annulus are partitioned into admissible sectors by stacking: each
+good sector's top face, viewed as a Euclidean cube through a bi-Lipschitz
+chart, is partitioned into subcubes of the next admissible scale and a
+good sector is erected over each.
 A cell is a square (corner plus side) whose side is carried down the
 stack, and its admissibility follows in closed form from that side and
 the chart's Lipschitz constants.
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import geodesic_step
-from .heatkernel import AnnulusSpec, l_of_eps
+from .heatkernel import AnnulusSpec, annulus_tail_mass, l_of_eps
 
 __all__ = [
     "SphericalDisk",
@@ -144,21 +141,22 @@ def _sphere_angles(rng, k):
     return rng.uniform(-1.0, 1.0, size=k), rng.uniform(0.0, 2.0 * math.pi, size=k)
 
 
-def _sphere_points(z, phi):
-    """Unit vectors at heights z and azimuths phi."""
+def _uniform_sphere(rng, k):
+    """k points uniform on S^2."""
+    z, phi = _sphere_angles(rng, k)
     rad = np.sqrt(1.0 - z * z)
     return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
 
 
-def _uniform_sphere(rng, k):
-    """k points uniform on S^2."""
-    return _sphere_points(*_sphere_angles(rng, k))
+def _lattice_angle(i):
+    """Azimuth theta_i = 2 pi i / phi^2 of the spiral-lattice points with indices i."""
+    return 2.0 * math.pi * i / GOLDEN_RATIO**2
 
 
 def _lattice_xyz(i, n_points):
     """Coordinates of the spiral-lattice points with (float) indices i."""
     z = 1.0 - (2.0 * i + 1.0) / n_points
-    theta = 2.0 * math.pi * i / GOLDEN_RATIO**2
+    theta = _lattice_angle(i)
     rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return rad * np.cos(theta), rad * np.sin(theta), z
 
@@ -168,25 +166,31 @@ def fibonacci_sphere(n_points):
     return np.column_stack(_lattice_xyz(np.arange(n_points, dtype=float), n_points))
 
 
-# theta_i = 2 pi i / phi^2 is at most 2 pi N / phi^2 < 2.4 N.  Its float64 value
-# carries the rounding of two operations, and the inverse's basis rounds the
-# same products, so centre and assumed lattice point differ by at most about
-# 4 ulp(2.4 N) <= 4 * 2.4 N * 2^-52 radians: no more than that along the
-# centre's latitude circle.  Keeping it below 1% of the lattice spacing
+# theta_i = 2 pi i / phi^2 is at most 2 pi N / phi^2 < 2.4 N.  center(i) rounds
+# it twice; caps_at rounds its patch corner's theta_i0 twice and phi - theta_i0
+# once and adds a table step good to under an ulp, so the two place a centre
+# at most about 4 ulp(2.4 N) <= 4 * 2.4 N * 2^-52 radians apart along its
+# latitude circle.  Keeping it below 1% of the lattice spacing
 # sqrt(4 pi / N) bounds N^(3/2) and gives N <= ~6.5e8 (R ~ 8.08).
 MAX_LATTICE_COUNT = int((0.01 * math.sqrt(4.0 * math.pi) / (4 * 2.4 * 2.0**-52)) ** (2.0 / 3.0))
 POLAR_ROWS = 50     # rows at each pole searched directly (the inverse fails within ~2)
 _PATCH = np.mgrid[0:3, 0:3].reshape(2, -1)   # (a, b) offsets from the patch's low corner
 _FIB = np.round(GOLDEN_RATIO ** np.arange(32) / math.sqrt(5.0)).astype(np.int64)
-# Point-centre distances held at once by caps_at: 910 points x 9 patch
-# centres x 8 B = 64 KiB per array, of which a block keeps about a dozen
-# alive (~0.75 MiB).  The arrays stay below glibc's default 128 KiB mmap
-# threshold: in the benchmark's cover workload, blocks of 2^14 (128 KiB
-# arrays) took about 5,000 page faults per 679,382-cap cover build against
-# about 350 for 2^13, at the same speed; blocks of 2^16 ran ~1.5x slower.
+# Azimuth step 2 pi (F/phi^2 - round(F/phi^2)) of index F = _FIB[j], in (-pi, pi]
+_TURN = 2.0 * math.pi * (_FIB / GOLDEN_RATIO**2 - np.round(_FIB / GOLDEN_RATIO**2))
+# Column k, per patch offset (a, b): index a F_k + b F_k+1, and the cosine and
+# sine of half its azimuth step, (a _TURN[k] + b _TURN[k + 1])/2
+_PATCH_INDEX = _PATCH[0, :, None] * _FIB[:-1] + _PATCH[1, :, None] * _FIB[1:]
+_HALF_STEP = (_PATCH[0, :, None] * _TURN[:-1] + _PATCH[1, :, None] * _TURN[1:]) / 2.0
+_HALF_COS, _HALF_SIN = np.cos(_HALF_STEP), np.sin(_HALF_STEP)
+# Point-centre chords held at once by caps_at: 910 points x 9 patch centres
+# x 8 B = 64 KiB per array, below glibc's default 128 KiB mmap threshold.  On
+# the benchmark's 679,382-cap cover, 2^13 took about 450 page faults per build;
+# 2^14 ran ~8% faster for 0.7 MiB more peak RSS, and 2^15 took ~12,000 faults
+# and ran ~1.2x slower.
 _BLOCK = 1 << 13
-# Sample points formed and counted at once by besicovitch_cover: 8192 x 3 x
-# 8 B = 192 KiB of points, which caps_at splits into blocks of _BLOCK.
+# Samples counted at once by besicovitch_cover: caps_at's per-sample arrays
+# (multiplicity, nearest chord, non-polar index) take 64 KiB each.
 _SAMPLE_BLOCK = 1 << 13
 
 
@@ -208,8 +212,8 @@ class FibonacciCover:
         """Unit centre(s) of the disk(s) with index (array) i."""
         return np.stack(_lattice_xyz(np.asarray(i, dtype=float), self.count), axis=-1)
 
-    def caps_at(self, points):
-        """(multiplicity, nearest centre chord) for each unit vector in points.
+    def caps_at(self, z, phi):
+        """(multiplicity, nearest centre chord) at each point of height z and azimuth phi.
 
         A point at height z lies in zone k = max(2, floor(log_phi^2(sqrt5 pi
         N (1 - z^2)))), where the lattice in (theta, z) has the local basis
@@ -219,66 +223,73 @@ class FibonacciCover:
         cell corner nearest the point holds every centre within one chord
         (tests/test_covering.py certifies it in every zone); lattice point
         (a, b) is index a F_k + b F_k+1.  Outside the polar rows k >= 6, so
-        no two offsets share an index.  Points in the first or last
-        POLAR_ROWS rows, where the local basis fails, are checked against
-        the polar band: every centre within one chord in height of those
-        rows.  So the multiplicity is exact, and so is the nearest chord
-        wherever it is at most one chord; beyond that it is an upper bound.
+        no two offsets share an index.  Half the azimuth gap to the patch's
+        low corner i0, (phi - theta_i0)/2, takes one sin and one cos per
+        point; the zone's table holds the offsets' half steps.  Points in the
+        first or last POLAR_ROWS rows, where the local basis fails, are
+        checked against the polar band: every centre within one chord in
+        height of those rows.  So the multiplicity is exact, and so is the
+        nearest chord wherever it is at most one chord, up to the centres'
+        rounding (within 4 ulp(2.4 N) of azimuth of center(i), see
+        MAX_LATTICE_COUNT); beyond that it is an upper bound.
         """
-        points = np.asarray(points, dtype=float)
+        z, phi = np.asarray(z, dtype=float), np.asarray(phi, dtype=float)
         n, chord = self.count, _chord(self.radius)
-        mult = np.zeros(len(points), dtype=np.int64)
-        near = np.empty(len(points))
-        polar = np.abs(points[:, 2]) > 1.0 - 2.0 * POLAR_ROWS / n
+        mult = np.zeros(len(z), dtype=np.int64)
+        near = np.empty(len(z))
+        polar = np.abs(z) > 1.0 - 2.0 * POLAR_ROWS / n
         band = np.arange(min(n, POLAR_ROWS + int(n * chord / 2.0) + 1))
         for south in (False, True):
-            idx = np.flatnonzero(polar & ((points[:, 2] < 0.0) == south))
+            idx = np.flatnonzero(polar & ((z < 0.0) == south))
             if idx.size == 0:   # most blocks hold no polar point
                 continue
-            rows = n - 1 - band if south else band
-            cx, cy, cz = _lattice_xyz(rows.astype(float), n)
+            rows = (n - 1 - band if south else band).astype(float)[:, None]
+            zc = 1.0 - (2.0 * rows + 1.0) / n
+            half = _lattice_angle(rows) / 2.0
+            cos_c, sin_c = np.cos(half), np.sin(half)
             step = max(1, _BLOCK // len(band))
             for j in range(0, len(idx), step):
                 blk = idx[j:j + step]
-                mult[blk], near[blk] = _count_caps(points[blk], (cx, cy, cz), chord)
+                mult[blk], near[blk] = _caps_by_chord(z[blk], phi[blk] / 2.0,
+                                                      zc, cos_c, sin_c, chord)
         idx = np.flatnonzero(~polar)
         step = _BLOCK // _PATCH.shape[1]
         for j in range(0, len(idx), step):
             blk = idx[j:j + step]
-            mult[blk], near[blk] = self._caps_by_inverse(points[blk], chord)
+            mult[blk], near[blk] = self._caps_by_inverse(z[blk], phi[blk], chord)
         return mult, near
 
-    def _caps_by_inverse(self, p, chord):
+    def _caps_by_inverse(self, z, phi, chord):
         n = self.count
-        z = p[:, 2]
         k = np.maximum(2, np.floor(np.log(math.sqrt(5.0) * n * math.pi * (1.0 - z * z))
                                    / math.log(GOLDEN_RATIO**2)).astype(np.int64))
-        f0, f1 = _FIB[k], _FIB[k + 1]
-        q0, q1 = f0 / GOLDEN_RATIO**2, f1 / GOLDEN_RATIO**2
-        t0, t1 = 2.0 * math.pi * (q0 - np.round(q0)), 2.0 * math.pi * (q1 - np.round(q1))
+        f0, f1, t0, t1 = _FIB[k], _FIB[k + 1], _TURN[k], _TURN[k + 1]
         z0, z1 = -2.0 * f0 / n, -2.0 * f1 / n
-        x = np.arctan2(p[:, 1], p[:, 0])
         y = z - (1.0 - 1.0 / n)
         det = t0 * z1 - t1 * z0
         # the patch starts one below the cell corner nearest the point: at
         # floor(a) - 1 where the fraction a - floor(a) is below 1/2
-        ca = np.floor((z1 * x - t1 * y) / det - 0.5).astype(np.int64)
-        cb = np.floor((t0 * y - z0 * x) / det - 0.5).astype(np.int64)
-        i = ((ca[:, None] + _PATCH[0]) * f0[:, None]
-             + (cb[:, None] + _PATCH[1]) * f1[:, None])
+        ca = np.floor((z1 * phi - t1 * y) / det - 0.5).astype(np.int64)
+        cb = np.floor((t0 * y - z0 * phi) / det - 0.5).astype(np.int64)
+        i0 = ca * f0 + cb * f1
+        i = i0 + _PATCH_INDEX[:, k]
         valid = (i >= 0) & (i < n)
-        centres = _lattice_xyz(np.where(valid, i, 0).astype(float), n)
-        return _count_caps(p, centres, chord, valid)
+        zc = 1.0 - (2.0 * np.where(valid, i, 0) + 1.0) / n
+        half = (phi - _lattice_angle(i0)) / 2.0
+        return _caps_by_chord(z, half, zc, _HALF_COS[:, k], _HALF_SIN[:, k], chord, valid)
 
 
-def _count_caps(p, centres, chord, valid=True):
-    """(caps within chord, nearest chord) of each point p[j] over centres[j] (or all).
+def _caps_by_chord(z, half, zc, cos_c, sin_c, chord, valid=True):
+    """(caps within chord, nearest chord) of points at heights z over centres at heights zc.
 
-    The squared chord sums x, y, z in that order, as a KD-tree does.
+    Centres run along the first axis, points along the last; half and the
+    angle of cos_c, sin_c are half their azimuths less a common one.  The
+    squared chord adds terms >= 0, so it cancels nothing.
     """
-    dx, dy, dz = (p[:, j, None] - c for j, c in enumerate(centres))
-    d = np.where(valid, np.sqrt(dx * dx + dy * dy + dz * dz), np.inf)
-    return np.sum(d <= chord, axis=1), np.min(d, axis=1)
+    rho, rc = np.sqrt(1.0 - z * z), np.sqrt(1.0 - zc * zc)
+    s = np.sin(half) * cos_c - np.cos(half) * sin_c
+    d2 = np.where(valid, (rho - rc) ** 2 + 4.0 * rho * rc * (s * s) + (z - zc) ** 2, np.inf)
+    return np.sum(d2 <= chord * chord, axis=0), np.sqrt(np.min(d2, axis=0))
 
 
 def _lattice_count(radius):
@@ -308,14 +319,14 @@ def besicovitch_cover(R, sample_size=100_000, rng=None):
         raise ValueError(f"R={R}: {n_pts} caps exceed the {MAX_LATTICE_COUNT} "
                          "that float64 resolves on the Fibonacci lattice")
     cover = FibonacciCover(n_pts, radius)
-    # drawn as _uniform_sphere draws them, then formed and counted a block
-    # at a time: only the angles grow with sample_size (16 B per sample)
+    # drawn as _uniform_sphere draws them, then counted a block at a time:
+    # only the angles grow with sample_size (16 B per sample)
     z, phi = _sphere_angles(rng or np.random.default_rng(0), sample_size)
     top = total = covered = 0
     far = 0.0
     for j in range(0, sample_size, _SAMPLE_BLOCK):
         blk = slice(j, j + _SAMPLE_BLOCK)
-        mult, near = cover.caps_at(_sphere_points(z[blk], phi[blk]))
+        mult, near = cover.caps_at(z[blk], phi[blk])
         top = max(top, int(np.max(mult)))
         total += int(np.sum(mult))
         covered += int(np.count_nonzero(mult))
@@ -573,7 +584,9 @@ def main_annulus(t, eps, r0):
     which must not pass R_in: r0 <= R_out - R_in.  Below R_in = ln 5 the cap
     radius e^{-R_in}/2 exceeds SMALL_CAP, so a cylinder has no chart and
     keeps its base sector alone, whose top R_in + r1 (r1 >= 1) must pass
-    the stop line: r0 > R_out - R_in - 1.  A ValueError names t otherwise.
+    the stop line: r0 > R_out - R_in - 1.  The kernel mass outside the
+    annulus must stay below eps (it reaches eps at eps ~ 0.148 for t >= 3),
+    and its quadrature needs t >= 1.  A ValueError names t otherwise.
     """
     annulus = AnnulusSpec(t, l_of_eps(eps))
     r_in, r_out = annulus.r_in, annulus.r_out
@@ -591,6 +604,10 @@ def main_annulus(t, eps, r0):
         raise ValueError(f"t={t}, eps={eps}, r0={r0}: at R_in={r_in:.6g} < ln 5 a cylinder "
                          "keeps its base sector alone, whose top R_in + r1 (r1 >= 1) must "
                          f"pass R_out - r0: take r0 > {r_out - r_in - 1.0:.6g}")
+    tail = annulus_tail_mass(t, annulus.l)
+    if tail >= eps:
+        raise ValueError(f"t={t}, eps={eps}: the kernel mass outside the main annulus "
+                         f"is {tail:.6g}, not below eps; decrease eps")
     return r_in, r_out
 
 

@@ -148,7 +148,7 @@ def annulus_tail_mass(t, l):
     accurate for small tails; l = 0 returns the total mass 1.
     """
     if t < 1.0:
-        raise ValueError("tail estimate defined for t >= 1")
+        raise ValueError(f"t={t}: the tail mass is computed for t >= 1")
     kern = RadialKernel()
     ann = AnnulusSpec(t, l)
     hi = _cutoff(t)

@@ -115,6 +115,11 @@ def test_unknown_key_exits_one(tmp_path, capsys):
         assert f"unknown key {key!r}" in lines[0], text
 
 
+# the linear map's cover at the workload's sizes; at the four (t, eps) below
+# at least eps of the kernel's mass lies outside the main annulus
+TAIL_CFG = "map=linear\nmax_cylinders=2\nenumeration_cap=4\naudit_branches=1\nn_slab=64\n"
+
+
 @pytest.mark.parametrize(
     "cmd,cfg_text,flags,key",
     [
@@ -135,6 +140,11 @@ def test_unknown_key_exits_one(tmp_path, capsys):
         ("cover", "map=linear\nt=3\nr0=2\n", [], "r0"),
         ("cover", "map=linear\nt=1.9\nr0=1\n", [], "r0"),
         ("cover", "map=linear\nt=2.3\nr0=6\n", [], "r0"),
+        ("cover", TAIL_CFG + "t=16\neps=0.2\n", [], "eps"),
+        ("cover", TAIL_CFG + "t=64\neps=0.24\n", [], "eps"),
+        ("cover", TAIL_CFG + "t=16\neps=0.16\n", [], "eps"),
+        ("cover", TAIL_CFG + "t=8\neps=0.15\n", [], "eps"),
+        ("cover", "map=linear\nt=0.9\neps=0.2\nr0=2\n", [], "t"),
         ("extend", "map=identity\nnx=0\n", [], "nx"),
         ("extend", "map=identity\ns_lo=0\n", [], "s_lo"),
         ("kernel", "t=0\n", [], "t"),
@@ -148,7 +158,9 @@ def test_unknown_key_exits_one(tmp_path, capsys):
     ],
     ids=["K", "map", "quad_order", "quad_order_371", "resolution", "t", "cover_t300", "cover_t1e6",
          "matrix_len3", "matrix_3x3", "matrix_singular", "cover_eps5", "cover_eps0", "cover_r0",
-         "cover_chartless_t3", "cover_chartless_t1.9", "cover_chartless_t2.3", "extend_nx",
+         "cover_chartless_t3", "cover_chartless_t1.9", "cover_chartless_t2.3",
+         "cover_tail_t16_eps0.2", "cover_tail_t64_eps0.24", "cover_tail_t16_eps0.16",
+         "cover_tail_t8_eps0.15", "cover_t_below_1", "extend_nx",
          "extend_s_lo", "kernel_t", "flow_box_x", "flow_dt", "flow_record_every",
          "goodset_heights", "flow_s_lo_s_hi", "goodset_seed", "cover_seed"],
 )

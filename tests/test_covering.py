@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qcflow.covering import (
     ALPHA_STAR,
@@ -30,10 +28,15 @@ from qcflow.covering import (
     sector_svg,
     subcube,
     _BLOCK,
+    _FIB,
+    _HALF_COS,
+    _HALF_SIN,
+    _PATCH,
     _SAMPLE_BLOCK,
     _check_disjoint,
+    _lattice_angle,
     _lattice_count,
-    _uniform_sphere,
+    _sphere_angles,
     main_annulus,
 )
 
@@ -87,7 +90,7 @@ def test_cover_is_the_lattice_center_array():
 def _cover_report_at_once(R, sample_size, rng):
     """The report as measured with every sample formed and counted in one pass."""
     cover, _ = besicovitch_cover(R, sample_size=1)
-    mult, near = cover.caps_at(_uniform_sphere(rng, sample_size))
+    mult, near = cover.caps_at(*_sphere_angles(rng, sample_size))
     return {
         "R": R,
         "radius": cover.radius,
@@ -118,8 +121,9 @@ def test_blocked_cover_report_equals_one_pass(R, sample_size):
 
 
 def test_workload_cover_report_is_pinned():
-    # the benchmark's cover as the 4 x 4 patch counted it, every field and
-    # the generator state after it; needs numpy alone, unlike the KD-tree
+    # the benchmark's cover, every field and the generator state after it;
+    # needs numpy alone, unlike the KD-tree.  Counted from Cartesian
+    # centres, covering_radius_sample read 0.003015770787843223
     rng = np.random.default_rng(0)
     _, rep = besicovitch_cover(R_WORKLOAD, rng=rng)
     assert rep == {
@@ -129,7 +133,7 @@ def test_workload_cover_report_is_pinned():
         "max_multiplicity": 6,
         "mean_multiplicity": 3.87656,
         "covered_fraction": 1.0,
-        "covering_radius_sample": 0.003015770787843223,
+        "covering_radius_sample": 0.003015770808149396,
     }
     assert rng.bit_generator.state == {
         "bit_generator": "PCG64",
@@ -142,17 +146,18 @@ def test_workload_cover_report_is_pinned():
 
 def test_cover_memory_is_the_angles_plus_one_block():
     # Only the drawn heights and azimuths grow with the sample: 16 B each.
-    # A sample block holds its points (24 B), caps_at's mult, near and
-    # non-polar index (8 B each) and passing temporaries: 64 B per point.
-    # An inner block of _BLOCK point-centre entries (910 points x 9 patch
-    # centres) keeps at most 12 arrays' worth of 8 B per entry alive (patch
-    # indices, the three centre coordinates, the three differences, the
-    # squared-sum chain, and its per-point arrays).  Small objects stay
-    # under 256 KiB.  Measured: 2.87 MiB against this bound of 3.03 MiB at
-    # 1e5 samples (2.80 MiB with 512 points x 16 centres of the 4 x 4
-    # patch, 9.84 MiB when every sample was held at once).
+    # A sample block holds caps_at's mult, near and non-polar index (8 B
+    # each), its polar mask and passing per-sample temporaries: 40 B per
+    # sample.  An inner block of _BLOCK point-centre entries (910 points x 9
+    # patch centres) keeps at most 12 arrays' worth of 8 B per entry alive
+    # (patch indices, validity, the centres' heights, rho_c, the table's
+    # cosines and sines, the half gap's sine and the squared-chord chain).
+    # Small objects stay under 256 KiB.  Measured: 2.67 MiB against this
+    # bound of 2.84 MiB at 1e5 samples (2.87 MiB when the sample block
+    # formed its points and caps_at their Cartesian centres, 9.84 MiB when
+    # every sample was held at once).
     n = 100_000
-    bound = 16 * n + 64 * _SAMPLE_BLOCK + 12 * 8 * _BLOCK + (1 << 18)
+    bound = 16 * n + 40 * _SAMPLE_BLOCK + 12 * 8 * _BLOCK + (1 << 18)
     tracemalloc.start()
     try:
         besicovitch_cover(R_WORKLOAD, sample_size=n, rng=np.random.default_rng(0))
@@ -163,7 +168,7 @@ def test_cover_memory_is_the_angles_plus_one_block():
 
 
 def _polar_and_zone_samples(n, rng, per=64):
-    """Points in the polar rows and just either side of every zone boundary."""
+    """Heights and azimuths in the polar rows and just either side of every zone boundary."""
     rows = np.arange(min(n, 3 * POLAR_ROWS))
     rows = np.concatenate([rows, n - 1 - rows])
     zs = [1.0 - (2.0 * rows + 1.0 + rng.uniform(-1.0, 1.0, rows.size)) / n]
@@ -177,39 +182,82 @@ def _polar_and_zone_samples(n, rng, per=64):
             if z < 1.0:
                 zs += [np.full(per, z), np.full(per, -z)]
     z = np.clip(np.concatenate(zs), -1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi, z.size)
+    return z, rng.uniform(0.0, 2.0 * math.pi, z.size)
+
+
+def _xyz(z, phi):
+    """Unit vectors at heights z and azimuths phi."""
     rad = np.sqrt(1.0 - z * z)
     return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
+
+
+def _centre_rounding(n):
+    """The chord by which caps_at may place a centre away from center(i).
+
+    The count takes centre i's azimuth as theta_i0 plus a half-step table
+    entry; theta_i0 = 2 pi i0/phi^2 (up to 2.4 n) rounds twice, phi -
+    theta_i0 once, and the table adds well under one ulp (see the table's
+    test); center(i) rounds theta_i twice.  That is at most 4 ulp(2.4 n)
+    of azimuth, and a chord moves by at most the azimuth times rho <= 1.
+    The heights z_i are the same expression in both.  Measured: at most
+    1.87 ulp(2.4 n) over the sweep below.
+    """
+    return 4.0 * math.ulp(2.4 * n)
 
 
 @pytest.mark.parametrize("R", [-math.log(math.pi), 0.5, 2.0, 3.0, 4.0, R_WORKLOAD])
 def test_inverse_caps_equal_kdtree_oracle(R):
     # the inverse Fibonacci map finds exactly the caps a KD-tree over every
-    # centre finds, with the same nearest chord to the last bit
+    # centre finds, with the nearest chord to within the centres' rounding;
+    # the KD-tree's own points and chords round at a few ulp(1)
     cKDTree = pytest.importorskip("scipy.spatial").cKDTree
     cover, _ = besicovitch_cover(R, sample_size=1)
     rng = np.random.default_rng(5)
-    pts = np.vstack([_uniform_sphere(rng, 20_000),
-                     _polar_and_zone_samples(cover.count, rng)])
-    mult, near = cover.caps_at(pts)
+    z, phi = (np.concatenate(a) for a in zip(_sphere_angles(rng, 20_000),
+                                             _polar_and_zone_samples(cover.count, rng)))
+    mult, near = cover.caps_at(z, phi)
     k = min(32, cover.count)
-    d, _ = cKDTree(fibonacci_sphere(cover.count)).query(pts, k=k)
-    d = d.reshape(len(pts), k)
+    d, _ = cKDTree(fibonacci_sphere(cover.count)).query(_xyz(z, phi), k=k)
+    d = d.reshape(len(z), k)
     want = np.sum(d <= 2.0 * math.sin(cover.radius / 2.0), axis=1)
     assert want.max() < k
     assert np.array_equal(mult, want)
-    assert np.array_equal(near, d[:, 0])
+    assert np.max(np.abs(near - d[:, 0])) <= _centre_rounding(cover.count) + 8.0 * math.ulp(1.0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(4, MAX_LATTICE_COUNT), frac=st.floats(0.0, 1.0, exclude_max=True))
-def test_inverse_finds_every_center_at_distance_zero(n, frac):
-    i = min(n - 1, int(frac * n))
-    radius = math.sqrt(4.0 * math.pi / n) / LATTICE_SPACING
-    cover = FibonacciCover(n, radius)
-    mult, near = cover.caps_at(cover.center([i]))
-    assert near[0] == 0.0
-    assert mult[0] >= 1
+def test_half_step_table_matches_the_direct_half_angle():
+    # zone k's entry (a, b) against the half angle of index i = a F_k + b F_k+1
+    # as _lattice_xyz forms it, up to the sign that halving mod 2 pi leaves
+    # free.  The direct angle rounds theta_i twice (half an ulp each), the
+    # table's steps a t0 + b t1 one ulp of theta_i in all; halved, that is
+    # 1.5 ulp(theta_i) / 2 of angle, plus an ulp(1) of cos and sin rounding.
+    # Measured: 0.68 ulp(theta_i) at most.
+    assert _HALF_COS.shape == _HALF_SIN.shape == (9, len(_FIB) - 1)
+    for k in range(len(_FIB) - 1):
+        for j, (a, b) in enumerate(_PATCH.T):
+            theta = _lattice_angle(float(a * _FIB[k] + b * _FIB[k + 1]))
+            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+            sign = math.copysign(1.0, c * _HALF_COS[j, k] + s * _HALF_SIN[j, k])
+            tol = 0.75 * math.ulp(theta) + math.ulp(1.0)
+            assert abs(sign * _HALF_COS[j, k] - c) <= tol, (k, a, b)
+            assert abs(sign * _HALF_SIN[j, k] - s) <= tol, (k, a, b)
+
+
+def test_inverse_finds_every_center_within_its_rounding():
+    # a seeded sweep of lattice sizes and indices, with the edges n = 4 and
+    # MAX_LATTICE_COUNT, i = 0 and n - 1 and every polar row: at each centre
+    # the nearest chord is the count's rounding of that centre (a point's
+    # azimuth read back from its coordinates rounds by an ulp(1))
+    rng = np.random.default_rng(2015)
+    for n in [4, 5, 99, 100, 101, 459, MAX_LATTICE_COUNT, *rng.integers(4, MAX_LATTICE_COUNT, 64)]:
+        n = int(n)
+        ends = np.arange(min(n, POLAR_ROWS + 2))
+        i = np.unique(np.concatenate([ends, n - 1 - ends, rng.integers(0, n, 64)]))
+        cover = FibonacciCover(n, math.sqrt(4.0 * math.pi / n) / LATTICE_SPACING)
+        p = cover.center(i)
+        mult, near = cover.caps_at(p[:, 2], np.arctan2(p[:, 1], p[:, 0]))
+        assert np.all(mult >= 1), n
+        assert np.max(near) <= _centre_rounding(n) + 4.0 * math.ulp(1.0), n
 
 
 def _fibonacci(k):
@@ -236,15 +284,16 @@ def test_nearest_corner_patch_holds_every_cap(n):
     # height of every zone the inverse reaches, both hemispheres, and at
     # +-1e-9 relative of every zone edge.  In the local basis the chord
     # depends only on the height and the offset, so the lattice is built
-    # from the basis in closed form.  m: below MAX_LATTICE_COUNT the
-    # rounding of theta_i moves a centre off its lattice point by at most 1%
-    # of the spacing, and the point's cell coordinates (the same products)
-    # by as much, so m = 2 x 1% x spacing / chord.  Between grid points h
-    # apart the chord moves by at most (|e_a| + |e_b|) h / 2, the basis
-    # lengths taken at the point's height, where they vary well under 1%
-    # over h / 2.  Measured: the smallest ratio on the grid is 1.0683 (zone
-    # 7 at the polar rows' edge, fb = 1/2, at MAX_LATTICE_COUNT), 1.0535
-    # with that slack, against 1 + m = 1.018.
+    # from the basis in closed form.  m: caps_at places a centre within
+    # 4 ulp(2.4 n) of azimuth of its lattice point (_centre_rounding), which
+    # MAX_LATTICE_COUNT keeps below 1% of the spacing; the point's cell
+    # coordinates, solved from its own azimuth in a basis that rounds as
+    # theta_i does, move by no more, so m = 2 x 1% x spacing / chord.
+    # Between grid points h apart the chord moves by at most
+    # (|e_a| + |e_b|) h / 2, the basis lengths taken at the point's height,
+    # where they vary well under 1% over h / 2.  Measured: the smallest
+    # ratio on the grid is 1.0683 (zone 7 at the polar rows' edge, fb = 1/2,
+    # at MAX_LATTICE_COUNT), 1.0535 with that slack, against 1 + m = 1.018.
     radius = math.sqrt(4.0 * math.pi / (n - 1)) / LATTICE_SPACING   # the largest with n caps
     chord = 2.0 * math.sin(radius / 2.0)
     m = 2.0 * 0.01 * LATTICE_SPACING * radius / chord
@@ -619,6 +668,17 @@ def test_main_annulus_r0_edges():
     assert main_annulus(t_chart * (1.0 + 1e-9), 0.1, 1.0)[0] > math.log(5.0)
     with pytest.raises(ValueError, match="take r0 >"):
         main_annulus(t_chart * (1.0 - 1e-9), 0.1, 1.0)
+
+
+def test_main_annulus_refuses_a_tail_of_eps_or_more():
+    # the kernel mass outside the annulus reaches eps at eps = 0.14825 for
+    # t >= 4 (bisection on annulus_tail_mass): 0.14759 at eps = 0.148 and
+    # 0.15022 at eps = 0.149 here.  The quadrature starts at t = 1.
+    assert main_annulus(8.0, 0.148, 1.0)[0] > 0.0
+    with pytest.raises(ValueError, match=r"t=8.0, eps=0.149: .* is 0.150216"):
+        main_annulus(8.0, 0.149, 1.0)
+    with pytest.raises(ValueError, match=r"t=0.9: .* t >= 1"):
+        main_annulus(0.9, 0.2, 2.0)
 
 
 def _assert_measured_cover_branch(ext, t):
